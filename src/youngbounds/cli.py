@@ -28,7 +28,7 @@ from .errors import (
 from .operators import SandwichSpec
 from .scalar import DeformParam, EvalPoint
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

@@ -9,6 +9,16 @@ module builds those means by Hermitian functional calculus, checks Loewner
 inequalities with a normalized eigenvalue margin, and certifies the two
 sandwich claims.
 
+The claims are checked on a spectrum, not on the means themselves.
+Congruence by A^{-1/2} maps (1-v)A + vB <= c * A #_v B to
+(1-v)I + vX <= cX^v with X = A^{-1/2}BA^{-1/2}, and both sides of the
+reduced claim are functions of X, so it holds exactly when the scalar
+inequality (1-v) + v*lam <= c*lam^v holds at every eigenvalue lam of X.
+spec(X) is the spectrum of the pencil (B, A), computed from a Cholesky
+factor A = LL* as eigvalsh(L^{-1}BL^{-*}) (Golub & Van Loan, section 8.7).
+The explicit means stay public: they are the oracle the reduction is tested
+against.
+
 The sandwich claim with two deformation parameters exists in two variants.
 "as-stated" uses the constants exactly as the claim prints them (lower
 argument ((h-1)/h)^2, upper argument (h'-1)^2 with h = M/m, h' = M'/m').
@@ -21,6 +31,7 @@ so callers should inspect both margins rather than assume.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,13 +89,23 @@ class HermitianMatrix:
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=complex)))
 
+    @cached_property
+    def _spectrum(self):
+        w = np.linalg.eigvalsh(self.entries)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _eigh(self):
+        return np.linalg.eigh(self.entries)
+
     def eigenvalues(self):
-        """Real eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.entries)
+        """Real eigenvalues in ascending order (computed once, read-only)."""
+        return self._spectrum
 
     def norm2(self):
         """Spectral norm (largest absolute eigenvalue)."""
-        w = self.eigenvalues()
+        w = self._spectrum
         return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
 
     def is_real(self):
@@ -130,8 +151,12 @@ class SandwichSpec:
 class OperatorCertificate:
     """One Loewner-order claim checked for one matrix pair.
 
-    min_eigen_margin is the smallest eigenvalue of (right side - left side)
-    divided by max(1, ||left||, ||right||); holds <=> margin >= -tol.
+    The claim is checked on the reduced pair: with lam = spec(A^{-1/2}BA^{-1/2}),
+    left = (1-v) + v*lam and right = c*lam^v (swapped for a lower claim).
+    min_eigen_margin is min(right - left) / max(|left|, |right|), which is
+    what loewner_leq reports for (diag(left), diag(right)); it does not
+    change when A, B and the sandwich are scaled together.  It equals the
+    margin of the explicit means when A = I.  holds <=> margin >= -tol.
     variant is None for the single-parameter claim.
     """
 
@@ -159,14 +184,21 @@ def _as_r(r):
     return r.r if isinstance(r, DeformParam) else float(r)
 
 
-def hermitian_power(A, p):
-    """A^p by eigendecomposition; requires A positive definite."""
-    w, Q = np.linalg.eigh(A.entries)
+def _power_entries(A, p):
+    """Entries of A^p from A's cached eigendecomposition, symmetrized as
+    HermitianMatrix stores them; requires A positive definite."""
+    w, Q = A._eigh
     if w[0] <= PD_FLOOR * max(abs(w[0]), abs(w[-1])) or w[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3g})"
         )
-    return HermitianMatrix((Q * w**float(p)) @ Q.conj().T)
+    X = (Q * w**float(p)) @ Q.conj().T
+    return 0.5 * (X + X.conj().T)
+
+
+def hermitian_power(A, p):
+    """A^p by eigendecomposition; requires A positive definite."""
+    return HermitianMatrix(_power_entries(A, p))
 
 
 def weighted_arithmetic(A, B, v):
@@ -180,44 +212,67 @@ def weighted_geometric(A, B, v):
     """A^{1/2} (A^{-1/2} B A^{-1/2})^v A^{1/2} for positive definite A, B."""
     _same_dim(A, B)
     v = _check_weight(v)
-    root = hermitian_power(A, 0.5)
-    inv_root = hermitian_power(A, -0.5)
-    inner = HermitianMatrix(inv_root.entries @ B.entries @ inv_root.entries)
-    powered = hermitian_power(inner, v)
-    return HermitianMatrix(root.entries @ powered.entries @ root.entries)
+    root, inv_root = _power_entries(A, 0.5), _power_entries(A, -0.5)
+    inner = HermitianMatrix(inv_root @ B.entries @ inv_root)
+    return HermitianMatrix(root @ _power_entries(inner, v) @ root)
+
+
+def _relative(smallest, scale):
+    """smallest / scale, or smallest itself when the scale is 0."""
+    return smallest / scale if scale > 0.0 else smallest
 
 
 def loewner_leq(A, B, tol=1e-10):
     """Does A <= B in the Loewner order, within a normalized tolerance?
 
     Returns (holds, margin) where margin is the smallest eigenvalue of B - A
-    divided by max(1, ||A||_2, ||B||_2) and holds <=> margin >= -tol.
+    divided by max(||A||_2, ||B||_2) (undivided when both are 0) and
+    holds <=> margin >= -tol.  The margin does not change when A and B are
+    scaled together.
     """
     _same_dim(A, B)
     smallest = float(np.linalg.eigvalsh(B.entries - A.entries)[0])
-    margin = smallest / max(1.0, A.norm2(), B.norm2())
+    margin = _relative(smallest, max(A.norm2(), B.norm2()))
     return margin >= -tol, margin
 
 
 def validate_sandwich(A, B, s):
-    """Check the four scalar-multiple comparisons of the declared case."""
+    """Check the four scalar-multiple comparisons of the declared case.
+
+    Each comparison of a matrix X with c*I gives the verdict loewner_leq
+    would, read off the extreme eigenvalues of X.
+    """
     _same_dim(A, B)
     low, high = (A, B) if s.case == "i" else (B, A)
-    eye = HermitianMatrix.identity(A.dim)
+    lo, hi = low.eigenvalues(), high.eigenvalues()
 
-    def scaled(c):
-        return HermitianMatrix(c * eye.entries)
+    def within(gap, c, X):
+        return _relative(float(gap), max(c, X.norm2())) >= -SANDWICH_TOL
 
     return (
-        loewner_leq(scaled(s.m), low, SANDWICH_TOL)[0]
-        and loewner_leq(low, scaled(s.m_prime), SANDWICH_TOL)[0]
-        and loewner_leq(scaled(s.M_prime), high, SANDWICH_TOL)[0]
-        and loewner_leq(high, scaled(s.M), SANDWICH_TOL)[0]
+        within(lo[0] - s.m, s.m, low)
+        and within(s.m_prime - lo[-1], s.m_prime, low)
+        and within(hi[0] - s.M_prime, s.M_prime, high)
+        and within(s.M - hi[-1], s.M, high)
     )
 
 
-def _means(A, B, v):
-    return weighted_arithmetic(A, B, v), weighted_geometric(A, B, v)
+def _pencil_spectrum(A, B):
+    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*."""
+    try:
+        L = np.linalg.cholesky(A.entries)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from None
+    Y = np.linalg.solve(L, B.entries)            # L^{-1}B
+    X = np.linalg.solve(L, Y.conj().T)           # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
+    return np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+
+
+def _reduced_margin(left, right, tol):
+    """(holds, margin) of loewner_leq(diag(left), diag(right)), from the vectors."""
+    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+    margin = _relative(float((right - left).min()), scale)
+    return margin >= -tol, margin
 
 
 def certify_corollary_one(A, B, v, r, s, tol=1e-10):
@@ -234,8 +289,8 @@ def certify_corollary_one(A, B, v, r, s, tol=1e-10):
     if not validate_sandwich(A, B, s):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
     factor = float(_dexp(r, 4.0 * v * (1.0 - v) * (kantorovich(s.h) - 1.0)))
-    nabla, sharp = _means(A, B, v)
-    holds, margin = loewner_leq(nabla, HermitianMatrix(factor * sharp.entries), tol)
+    lam = _pencil_spectrum(A, B)
+    holds, margin = _reduced_margin((1.0 - v) + v * lam, factor * lam**v, tol)
     return OperatorCertificate("corollary-one", factor, margin, holds, None, tol)
 
 
@@ -271,13 +326,10 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
     lower_factor = float(_dexp(r1, half * arg_lo))
     upper_factor = float(_dexp(r2, half * arg_hi))
 
-    nabla, sharp = _means(A, B, v)
-    lo_holds, lo_margin = loewner_leq(
-        HermitianMatrix(lower_factor * sharp.entries), nabla, tol
-    )
-    hi_holds, hi_margin = loewner_leq(
-        nabla, HermitianMatrix(upper_factor * sharp.entries), tol
-    )
+    lam = _pencil_spectrum(A, B)
+    arithmetic, geometric = (1.0 - v) + v * lam, lam**v
+    lo_holds, lo_margin = _reduced_margin(lower_factor * geometric, arithmetic, tol)
+    hi_holds, hi_margin = _reduced_margin(arithmetic, upper_factor * geometric, tol)
     return (
         OperatorCertificate("corollary-two-lower", lower_factor, lo_margin, lo_holds,
                             variant, tol),

@@ -53,7 +53,7 @@ def test_help_and_missing_subcommand():
 def test_eval_json_envelope(capsys):
     code, env, err = run_json(capsys, "eval", "--bound", "T31-poly", "--t", "4", "--v", "0.5")
     assert code == 0
-    assert env["schema_version"] == "1"
+    assert env["schema_version"] == "2"
     assert env["command"] == "eval"
     assert env["status"] == "ok"
     res = env["results"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from youngbounds import (
     DeformParam,
@@ -28,6 +30,9 @@ from youngbounds.errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
+from youngbounds.operators import _pencil_spectrum
+
+relaxed = settings(deadline=None)
 
 
 def test_hermitian_accepts_and_symmetrizes():
@@ -259,10 +264,15 @@ def test_corollary_two_scalar_instance():
     assert upper2.scalar_factor == upper.scalar_factor
 
 
+def end_hitting_pair(scale=1.0):
+    """A = I and B = diag(2, 6, 3): spec(B) reaches both ends of [M', M]."""
+    A = HermitianMatrix(scale * np.eye(3))
+    B = HermitianMatrix.diagonal(scale * np.array([2.0, 6.0, 3.0]))
+    return A, B, SandwichSpec(scale, scale, 2.0 * scale, 6.0 * scale)
+
+
 def test_corollary_two_variant_split_when_spectrum_hits_interval_ends():
-    A = HermitianMatrix.identity(3)
-    B = HermitianMatrix.diagonal([2.0, 6.0, 3.0])
-    s = SandwichSpec(1.0, 1.0, 2.0, 6.0)
+    A, B, s = end_hitting_pair()
     lower, upper = certify_corollary_two(A, B, 0.4, -1.0, 1.0, s, "as-stated")
     assert not lower.holds and not upper.holds
     assert lower.scalar_factor == pytest.approx(12.0 / 11.0, rel=1e-14)
@@ -359,3 +369,171 @@ def test_matrix_file_errors(tmp_path):
             read_matrix(path)
     with pytest.raises(OSError):
         read_matrix(tmp_path / "missing.txt")
+
+
+def explicit_verdicts(A, B, v, factors):
+    """Each claim checked by loewner_leq on the explicit means, the oracle.
+
+    factors maps a claim id to (scalar factor, side): "upper" checks
+    arithmetic <= factor * geometric, "lower" the reverse.
+    """
+    arithmetic, geometric = weighted_arithmetic(A, B, v), weighted_geometric(A, B, v)
+    verdicts = {}
+    for claim, (factor, side) in factors.items():
+        scaled = HermitianMatrix(factor * geometric.entries)
+        pair = (arithmetic, scaled) if side == "upper" else (scaled, arithmetic)
+        verdicts[claim] = loewner_leq(*pair)
+    return verdicts
+
+
+def spectral_certificates(A, B, v, s, k):
+    """The three certificates of instance k, keyed by claim id and variant."""
+    r_pos, r_neg = (0.25, 0.5, 1.0), (-1.0, -0.5, -0.25)
+    certs = [certify_corollary_one(A, B, v, r_pos[k % 3], s)]
+    for variant in ("as-stated", "interval-extremal"):
+        certs += certify_corollary_two(A, B, v, r_neg[k % 3], r_pos[(k + 1) % 3], s, variant)
+    return {(c.claim_id, c.variant): c for c in certs}
+
+
+def random_spec(rng, case):
+    m = rng.uniform(0.5, 2.0)
+    m_prime = m * rng.uniform(1.0, 1.5)
+    M_prime = m_prime * rng.uniform(1.05, 3.0)
+    return SandwichSpec(m, m_prime, M_prime, M_prime * rng.uniform(1.0, 2.0), case)
+
+
+def test_spectral_verdicts_match_explicit_means():
+    rng = np.random.default_rng(53)
+    n_instances, n_violated = 0, 0
+    for k in range(330):
+        dim = 64 if k % 110 == 109 else k % 8 + 1
+        case = "i" if k % 2 == 0 else "ii"
+        v = (k % 11) / 10.0
+        s = random_spec(rng, case)
+        A, B = random_sandwich_pair(s, dim, rng, commuting=(k // 2) % 2 == 0)
+        certs = spectral_certificates(A, B, v, s, k)
+        factors = {key: (c.scalar_factor, "lower" if c.claim_id.endswith("lower") else "upper")
+                   for key, c in certs.items()}
+        for key, (holds, margin) in explicit_verdicts(A, B, v, factors).items():
+            assert certs[key].holds == holds, (k, key, certs[key].min_eigen_margin, margin)
+            n_violated += not holds
+        n_instances += 1
+    assert n_instances >= 300
+    assert n_violated > 0  # the as-stated constants fail on some instances
+
+
+def test_margin_is_loewner_margin_of_reduced_pair():
+    rng = np.random.default_rng(59)
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0, "ii")
+    A, B = random_sandwich_pair(s, 5, rng, commuting=False)
+    v = 0.3
+    cert = certify_corollary_one(A, B, v, 0.5, s)
+    inv_root = hermitian_power(A, -0.5).entries
+    lam = HermitianMatrix(inv_root @ B.entries @ inv_root).eigenvalues()
+    np.testing.assert_allclose(_pencil_spectrum(A, B), lam, rtol=1e-12)
+    expected = loewner_leq(HermitianMatrix.diagonal((1.0 - v) + v * lam),
+                           HermitianMatrix.diagonal(cert.scalar_factor * lam**v))
+    assert cert.holds == expected[0]
+    assert cert.min_eigen_margin == pytest.approx(expected[1], rel=1e-10, abs=1e-14)
+
+
+def test_margin_matches_explicit_means_when_a_is_identity():
+    rng = np.random.default_rng(61)
+    s = SandwichSpec(1.0, 1.0, 1.5, 4.0)
+    A = HermitianMatrix.identity(4)
+    _, B = random_sandwich_pair(s, 4, rng, commuting=False)
+    lower, upper = certify_corollary_two(A, B, 0.35, -0.5, 0.5, s)
+    explicit = explicit_verdicts(A, B, 0.35, {"lo": (lower.scalar_factor, "lower"),
+                                              "hi": (upper.scalar_factor, "upper")})
+    assert lower.min_eigen_margin == pytest.approx(explicit["lo"][1], rel=1e-10)
+    assert upper.min_eigen_margin == pytest.approx(explicit["hi"][1], rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [-12, -6, 0, 6, 12])
+def test_as_stated_violation_survives_scaling(k):
+    A, B, s = end_hitting_pair(10.0**k)
+    lower, upper = certify_corollary_two(A, B, 0.4, -1.0, 1.0, s, "as-stated")
+    assert not lower.holds and not upper.holds
+    assert lower.min_eigen_margin == pytest.approx(-0.013154391796204033, rel=1e-10)
+    assert upper.min_eigen_margin == pytest.approx(-0.2355355958637582, rel=1e-10)
+    explicit = explicit_verdicts(A, B, 0.4, {"lo": (lower.scalar_factor, "lower"),
+                                             "hi": (upper.scalar_factor, "upper")})
+    assert not explicit["lo"][0] and not explicit["hi"][0]
+    assert explicit["lo"][1] == pytest.approx(lower.min_eigen_margin, rel=1e-10)
+    assert explicit["hi"][1] == pytest.approx(upper.min_eigen_margin, rel=1e-10)
+
+
+def test_loewner_leq_is_scale_invariant():
+    A = HermitianMatrix.diagonal([1.0, 2.0])
+    B = HermitianMatrix.diagonal([2.0, 3.0])
+    for k in (-12, 0, 12):
+        a, b = (HermitianMatrix(10.0**k * X.entries) for X in (A, B))
+        assert loewner_leq(a, b)[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert loewner_leq(b, a) == (False, pytest.approx(-1.0 / 3.0, rel=1e-12))
+    zero = HermitianMatrix(np.zeros((2, 2)))
+    assert loewner_leq(zero, zero) == (True, 0.0)
+
+
+@relaxed
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-12, 12),
+    dim=st.integers(1, 6),
+    case=st.sampled_from(["i", "ii"]),
+    commuting=st.booleans(),
+    v=st.floats(0.0, 1.0),
+)
+def test_certificates_are_scale_invariant(seed, k, dim, case, commuting, v):
+    rng = np.random.default_rng(seed)
+    s = random_spec(rng, case)
+    A, B = random_sandwich_pair(s, dim, rng, commuting=commuting)
+    c = 10.0**k
+    s_c = SandwichSpec(c * s.m, c * s.m_prime, c * s.M_prime, c * s.M, case)
+    A_c, B_c = HermitianMatrix(c * A.entries), HermitianMatrix(c * B.entries)
+    base = spectral_certificates(A, B, v, s, seed)
+    scaled = spectral_certificates(A_c, B_c, v, s_c, seed)
+    for key, cert in base.items():
+        assert scaled[key].holds == cert.holds, key
+        # Margins are already relative to the pair's norm.
+        assert abs(scaled[key].min_eigen_margin - cert.min_eigen_margin) <= 1e-12, key
+
+
+@pytest.mark.parametrize("v", [0.0, 1.0])
+def test_margins_vanish_at_weight_ends(v):
+    rng = np.random.default_rng(67)
+    for k, case in enumerate(("i", "ii", "i", "ii")):
+        s = random_spec(rng, case)
+        A, B = random_sandwich_pair(s, k + 2, rng, commuting=k < 2)
+        for cert in spectral_certificates(A, B, v, s, k).values():
+            assert cert.min_eigen_margin == 0.0 and cert.holds
+
+
+def count_eig_calls(monkeypatch, fn):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+    fn()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_decomposition_counts(monkeypatch):
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0, "ii")
+    A, B = random_sandwich_pair(s, 4, np.random.default_rng(71), commuting=False)
+
+    def fresh():
+        return HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+
+    assert count_eig_calls(monkeypatch, lambda: validate_sandwich(*fresh(), s)) == 2
+    assert count_eig_calls(
+        monkeypatch, lambda: certify_corollary_one(*fresh(), 0.3, 0.5, s)) == 3
+    assert count_eig_calls(
+        monkeypatch, lambda: certify_corollary_two(*fresh(), 0.3, -0.5, 0.5, s)) == 3
+    assert count_eig_calls(monkeypatch, lambda: weighted_geometric(*fresh(), 0.3)) == 2
+
+
+def test_pencil_spectrum_rejects_indefinite():
+    with pytest.raises(NotPositiveDefiniteError):
+        _pencil_spectrum(HermitianMatrix.diagonal([1.0, -1.0]), HermitianMatrix.identity(2))
