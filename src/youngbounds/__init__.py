@@ -54,7 +54,6 @@ from .operators import (
 from .scalar import (
     DeformParam,
     EvalPoint,
-    KExponents,
     deformed_exp,
     deformed_exp_raw,
     kantorovich,
@@ -87,7 +86,6 @@ __all__ = [
     "DomainError",
     "EvalPoint",
     "HermitianMatrix",
-    "KExponents",
     "NonOrderingWitness",
     "NotPositiveDefiniteError",
     "OperatorCertificate",

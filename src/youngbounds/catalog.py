@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import DeformParam, EvalPoint, _dexp, _identity_arg, _kantorovich, _pow, _ratio
+from .scalar import DeformParam, EvalPoint, _any, _dexp, _identity_arg, _kantorovich, _pow
 
 UPPER = "upper"
 LOWER = "lower"
@@ -70,7 +70,7 @@ def _exp(x):
 def _guarded_reciprocal(den):
     # Mathematically den >= 7/8 on each entry's own region (v(1-v) <= 1/4 and
     # the squared factor < 1); the guard only fires on misconfigured input.
-    if np.any(den <= 0.0):
+    if _any(den <= 0.0):
         raise DomainError("reciprocal bound denominator is nonpositive")
     return 1.0 / den
 
@@ -88,19 +88,19 @@ def _k_klower(t, v, r):
 
 
 def _k_d2_sq(t, v, r):
-    return _exp(0.5 * v * (1.0 - v) * (t - 1.0) ** 2)
+    return _exp(0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)))
 
 
 def _k_d2_invsq(t, v, r):
-    return _exp(0.5 * v * (1.0 - v) * (1.0 / t - 1.0) ** 2)
+    return _exp(0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0)))
 
 
 def _k_fm_m(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * (t - 1.0) ** 2 * _pow(0.5 * (t + 1.0), -v - 1.0)
+    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) * _pow(0.5 * (t + 1.0), -v - 1.0)
 
 
 def _k_fm_M(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * (t - 1.0) ** 2 * _pow(t, -v - 1.0)
+    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) * _pow(t, -v - 1.0)
 
 
 def _k_t31(t, v, r):
@@ -112,29 +112,29 @@ def _k_c33(t, v, r):
 
 
 def _k_t36_lo_sq(t, v, r):
-    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * (t - 1.0) ** 2)
+    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)))
 
 
 def _k_t36_lo_invsq(t, v, r):
-    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * (1.0 / t - 1.0) ** 2)
+    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0)))
 
 
 def _k_t36_hi_invsq(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * (1.0 / t - 1.0) ** 2
+    return 1.0 + 0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0))
 
 
 def _k_t36_hi_sq(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * (t - 1.0) ** 2
+    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0))
 
 
 def _k_c38_lo(t, v, r):
     ratio = np.minimum(1.0, t) / np.maximum(1.0, t)
-    return _dexp(r, 0.5 * v * (1.0 - v) * (1.0 - ratio) ** 2)
+    return _dexp(r, 0.5 * v * (1.0 - v) * ((1.0 - ratio) * (1.0 - ratio)))
 
 
 def _k_c38_hi(t, v, r):
     ratio = np.maximum(1.0, t) / np.minimum(1.0, t)
-    return _dexp(r, 0.5 * v * (1.0 - v) * (1.0 - ratio) ** 2)
+    return _dexp(r, 0.5 * v * (1.0 - v) * ((1.0 - ratio) * (1.0 - ratio)))
 
 
 class _Entry:
@@ -144,6 +144,7 @@ class _Entry:
         self.spec = spec
         self.kernel = kernel
         self.r_interval = r_interval  # (lo, hi, lo_open) with hi closed
+        self.default_r = spec.deform.r if spec.deform is not None else None
 
     def admit(self, deform):
         """Resolve the deformation to a float r, checking admissibility."""
@@ -240,17 +241,25 @@ def get_bound(bound_id):
     return _lookup(bound_id).spec
 
 
+def _value(entry, p, deform):
+    if not _in_region(entry.spec.region, p.t):
+        raise RegionError(f"{entry.spec.id} is not valid at t={p.t} (region {entry.spec.region})")
+    return float(entry.kernel(p.t, p.v, entry.admit(deform)))
+
+
+def _default_value(entry, p):
+    # For callers that have already checked the region: the default r is
+    # admissible by construction, so the kernel is called directly.
+    return float(entry.kernel(p.t, p.v, entry.default_r))
+
+
 def evaluate(bound_id, p, deform=None):
     """Value of the named bound at an EvalPoint.
 
     deform must be omitted for entries without a deformation parameter;
     for C33-expr/C38-hi/C38-lo it defaults to the tightest admissible value.
     """
-    entry = _lookup(bound_id)
-    if not _in_region(entry.spec.region, p.t):
-        raise RegionError(f"{bound_id} is not valid at t={p.t} (region {entry.spec.region})")
-    r = entry.admit(deform)
-    return float(entry.kernel(p.t, p.v, r))
+    return _value(_lookup(bound_id), p, deform)
 
 
 def evaluate_grid(bound_id, t, v, deform=None):
@@ -263,8 +272,8 @@ def evaluate_grid(bound_id, t, v, deform=None):
 def certify_point(bound_id, p, deform=None, tol=1e-12):
     """Check the named inequality at one point and report the signed margin."""
     entry = _lookup(bound_id)
-    bound_value = evaluate(bound_id, p, deform)
-    ratio_value = float(_ratio(p.t, p.v))
+    bound_value = _value(entry, p, deform)
+    ratio_value = p.ratio
     if entry.spec.side == UPPER:
         margin = bound_value - ratio_value
     else:
@@ -284,7 +293,7 @@ def tightest(side, p):
     for entry in _CATALOG:
         if entry.spec.side != side or not _in_region(entry.spec.region, p.t):
             continue
-        value = evaluate(entry.spec.id, p)
+        value = _default_value(entry, p)
         if best is None:
             best = (entry.spec.id, value)
         elif side == UPPER and value < best[1]:
@@ -304,13 +313,11 @@ def chain_check(p):
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
-    ratio = float(_ratio(p.t, p.v))
-    d2lo = evaluate("D2-lo-le1", p)
-    fm_lo = evaluate("FM-m", p)
-    fm_hi = evaluate("FM-M", p)
-    d2hi = evaluate("D2-hi-le1", p)
-    t36lo = evaluate("T36-lo-le1", p)
-    t36hi = evaluate("T36-hi-le1", p)
+    ratio = p.ratio
+    d2lo, fm_lo, fm_hi, d2hi, t36lo, t36hi = (
+        _default_value(_BY_ID[bid], p)
+        for bid in ("D2-lo-le1", "FM-m", "FM-M", "D2-hi-le1", "T36-lo-le1", "T36-hi-le1")
+    )
     return (
         ChainLink("D2-lo-le1 <= FM-m", fm_lo - d2lo),
         ChainLink("FM-m <= ratio", ratio - fm_lo),

@@ -10,12 +10,17 @@ certificates) reduces to four functions of one or two real variables:
 
 The public entry points take the validated value types below; the private
 ``_*`` kernels accept floats or numpy arrays and are what the grid code uses.
-Powers are computed as exp(v*log t) throughout so behaviour at extreme t does
-not depend on the platform's pow.
+Floats and arrays go through the same numpy ufuncs and the same IEEE
+arithmetic, so a point's value equals its grid value bitwise.  That is why
+powers are computed as exp(v*log t) and squares as parenthesised products:
+Python's ``**`` on a float goes through the C library's pow, which can differ
+from numpy's square in the last bit and raises OverflowError where the
+product would give inf.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +51,14 @@ class EvalPoint:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
 
+    @cached_property
+    def ratio(self):
+        """R(t, v) at this point, computed on first use and kept.
+
+        Not a dataclass field: it takes no part in eq, hash or repr.
+        """
+        return float(_ratio(self.t, self.v))
+
 
 @dataclass(frozen=True)
 class DeformParam:
@@ -64,49 +77,28 @@ class DeformParam:
         object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class KExponents:
-    """The exponent pair r = min{v, 1-v}, R = max{v, 1-v} of the K-power bounds."""
-
-    r_min: float
-    R_max: float
-
-    def __post_init__(self):
-        r_min = float(self.r_min)
-        R_max = float(self.R_max)
-        if not (0.0 <= r_min <= 0.5 <= R_max <= 1.0):
-            raise DomainError(
-                f"exponents must satisfy 0 <= r_min <= 1/2 <= R_max <= 1, got ({r_min}, {R_max})"
-            )
-        if abs(r_min + R_max - 1.0) > 1e-12:
-            raise DomainError(f"exponents must sum to 1, got {r_min} + {R_max}")
-        object.__setattr__(self, "r_min", r_min)
-        object.__setattr__(self, "R_max", R_max)
-
-    @classmethod
-    def from_weight(cls, v):
-        v = float(v)
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"weight must lie in [0, 1], got {v!r}")
-        return cls(min(v, 1.0 - v), max(v, 1.0 - v))
-
-
 def _pow(t, v):
     """t**v as exp(v*log t); t and v may be arrays, t > 0 assumed."""
     return np.exp(v * np.log(t))
 
 
+def _any(mask):
+    """np.any for a mask that may be a Python or numpy bool, at a bool's cost."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _ratio(t, v):
     """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats."""
     num = (1.0 - v) + v * t
+    extreme = (t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)
+    if not _any(extreme):
+        # Inside the window num and t^-v both lie in [1e-3, 1e3]: no overflow.
+        return num * np.exp(-v * np.log(t))
     with np.errstate(over="ignore"):
         plain = num * np.exp(-v * np.log(t))
-        extreme = (t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)
-        if np.any(extreme):
-            # Fully-log form where t is extreme; num > 0 always, log is safe.
-            logged = np.exp(np.log(num) - v * np.log(t))
-            return np.where(extreme, logged, plain)
-    return plain
+        # Fully-log form where t is extreme; num > 0 always, log is safe.
+        logged = np.exp(np.log(num) - v * np.log(t))
+        return np.where(extreme, logged, plain)
 
 
 def _kantorovich(t):
@@ -115,11 +107,11 @@ def _kantorovich(t):
     The additive form guarantees K >= 1 in floating point and preserves the
     low bits of K - 1, which the identity check leans on.
     """
-    return 1.0 + (t - 1.0) ** 2 / (4.0 * t)
+    return 1.0 + ((t - 1.0) * (t - 1.0)) / (4.0 * t)
 
 
 def _identity_arg(t):
-    return (t - 1.0) ** 2 / t
+    return ((t - 1.0) * (t - 1.0)) / t
 
 
 def _dexp(r, x):
@@ -133,7 +125,7 @@ def _dexp(r, x):
         with np.errstate(over="ignore"):
             return np.exp(x)
     arg = 1.0 + r * x
-    if np.any(arg < 0.0):
+    if _any(arg < 0.0):
         raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
     if r == 1.0:
         return 1.0 + x
@@ -146,7 +138,7 @@ def _dexp(r, x):
 
 def young_ratio(p):
     """Arithmetic-to-geometric mean ratio at an EvalPoint; always >= 1."""
-    return float(_ratio(p.t, p.v))
+    return p.ratio
 
 
 def kantorovich(t):

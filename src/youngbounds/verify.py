@@ -93,42 +93,34 @@ class _Diff:
         self.needs_r = needs_r
 
 
-def _k_upper_power(t, v):
-    return catalog.evaluate_grid("K-upper", t, v)
-
-
-def _k_lower_power(t, v):
-    return catalog.evaluate_grid("K-lower", t, v)
-
-
 def _d_l(t, v, r):
-    return _k_upper_power(t, v) - catalog.evaluate_grid("D1-exp", t, v)
+    return catalog._k_kupper(t, v, None) - catalog._k_d1(t, v, None)
 
 
 def _d_u1(t, v, r):
-    return _k_upper_power(t, v) - catalog.evaluate_grid("T31-poly", t, v)
+    return catalog._k_kupper(t, v, None) - catalog._k_t31(t, v, None)
 
 
 def _d_u2(t, v, r):
-    return _k_upper_power(t, v) - catalog.evaluate_grid("T36-hi-le1", t, v)
+    return catalog._k_kupper(t, v, None) - catalog._k_t36_hi_invsq(t, v, None)
 
 
 def _d_u3(t, v, r):
-    return _k_upper_power(t, v) - catalog.evaluate_grid("T36-hi-ge1", t, v)
+    return catalog._k_kupper(t, v, None) - catalog._k_t36_hi_sq(t, v, None)
 
 
 def _d_l1(t, v, r):
-    return _k_lower_power(t, v) - catalog.evaluate_grid("T36-lo-le1", t, v)
+    return catalog._k_klower(t, v, None) - catalog._k_t36_lo_sq(t, v, None)
 
 
 def _d_l2(t, v, r):
-    return _k_lower_power(t, v) - catalog.evaluate_grid("T36-lo-ge1", t, v)
+    return catalog._k_klower(t, v, None) - catalog._k_t36_lo_invsq(t, v, None)
 
 
 def _d_ropt(t, v, r):
     # The optimality probe: exp_r of the exponential bound's argument minus
     # the ratio itself, with r allowed outside [-1, 1].
-    x = v * (1.0 - v) * (t - 1.0) ** 2 / t
+    x = v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) / t
     return _dexp(r, x) - _ratio(t, v)
 
 

@@ -19,6 +19,7 @@ from youngbounds import (
     tightest,
     young_ratio,
 )
+from youngbounds import scalar
 from youngbounds.catalog import ALL_T, LOWER, T_GE_1, T_LE_1, UPPER
 from youngbounds.errors import DomainError, RegionError, UnknownBoundError
 
@@ -225,3 +226,30 @@ def test_chain_rejects_t_above_one():
 def test_chain_margins_nonnegative(u, v):
     for link in chain_check(EvalPoint(10.0**u, v)):
         assert link.margin >= -1e-12, link.claim
+
+
+def test_ratio_computed_once_per_point(monkeypatch):
+    calls = []
+    kernel = scalar._ratio
+
+    def counting(t, v):
+        calls.append((t, v))
+        return kernel(t, v)
+
+    monkeypatch.setattr(scalar, "_ratio", counting)
+    p = EvalPoint(0.3, 0.4)
+    certs = [certify_point(s.id, p) for s in list_bounds() if s.region != T_GE_1]
+    links = chain_check(p)
+    assert calls == [(0.3, 0.4)]
+    assert len(certs) == 13 and len(links) == 6
+    assert {c.ratio_value for c in certs} == {young_ratio(p)} == {kernel(0.3, 0.4)}
+
+
+def test_cached_ratio_is_not_part_of_point_identity():
+    used = EvalPoint(0.3, 0.4)
+    assert used.ratio > 1.0
+    fresh = EvalPoint(0.3, 0.4)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "EvalPoint(t=0.3, v=0.4)"
+    assert {used: 1}[fresh] == 1

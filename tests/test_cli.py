@@ -91,10 +91,12 @@ def test_eval_csv_matches_json(capsys):
 
 
 def test_eval_json_handles_infinite_values(capsys):
-    code, env, _ = run_json(capsys, "eval", "--bound", "D1-exp", "--t", "1e-300", "--v", "0.5")
-    assert code == 0
-    assert env["results"]["bound_value"] == math.inf
-    assert env["results"]["holds"] is True
+    # At t = 1e200 the square (t - 1)^2 overflows; it must give inf, not raise.
+    for t in ("1e-300", "1e200"):
+        code, env, _ = run_json(capsys, "eval", "--bound", "D1-exp", "--t", t, "--v", "0.5")
+        assert code == 0, t
+        assert env["results"]["bound_value"] == math.inf
+        assert env["results"]["holds"] is True
 
 
 def test_eval_error_exits(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from youngbounds import (
     DeformParam,
     EvalPoint,
-    KExponents,
     deformed_exp,
     deformed_exp_raw,
     kantorovich,
@@ -51,18 +50,6 @@ def test_deform_param_range():
     for bad in (-1.5, 1.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             DeformParam(bad)
-
-
-def test_exponent_pair_from_weight():
-    e = KExponents.from_weight(0.2)
-    assert (e.r_min, e.R_max) == (0.2, 0.8)
-    assert KExponents.from_weight(0.5) == KExponents(0.5, 0.5)
-    with pytest.raises(DomainError):
-        KExponents(0.3, 0.8)  # does not sum to 1
-    with pytest.raises(DomainError):
-        KExponents(0.6, 0.4)  # wrong order
-    with pytest.raises(DomainError):
-        KExponents.from_weight(1.2)
 
 
 def test_ratio_known_values():

@@ -1,5 +1,7 @@
 """Sweep, sign-change search, and reference-table checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,22 @@ from youngbounds import (
     certify_point,
     diff_ids,
     eval_diff,
+    evaluate,
+    evaluate_grid,
     find_sign_change,
+    list_bounds,
     reproduce_remarks,
     sweep,
+    tightest,
 )
+from youngbounds import catalog, verify
 from youngbounds.errors import (
     DomainError,
     RegionError,
     UnknownDiffError,
     WitnessNotFoundError,
 )
+from youngbounds.scalar import _ratio
 from youngbounds.verify import LINEAR, LOG
 
 relaxed = settings(deadline=None)
@@ -161,6 +169,63 @@ def test_eval_diff_errors():
         eval_diff("diff-l2", EvalPoint(0.5, 0.5))
     with pytest.raises(DomainError):
         eval_diff("diff-ropt", EvalPoint(0.5, 0.5))  # r is required
+
+
+def _bits(x):
+    x = float(x)
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def test_point_values_equal_grid_values_bitwise():
+    # Scalars and arrays go through the same ufuncs, so the per-point API
+    # must reproduce the grid kernels bit for bit, edges included.
+    rng = np.random.default_rng(11)
+    n = 400
+    t = 10.0 ** rng.uniform(-12.0, 12.0, n)
+    v = rng.random(n)
+    v[:90] = np.resize([0.0, 0.5, 1.0], 90)
+    t[90:120] = 1.0
+    v[90:93] = (0.0, 0.5, 1.0)
+    points = [EvalPoint(float(a), float(b)) for a, b in zip(t, v)]
+
+    ratio = _ratio(t, v)
+    for k, p in enumerate(points):
+        assert _bits(certify_point("D1-exp", p).ratio_value) == _bits(ratio[k]), p
+
+    for spec in list_bounds():
+        inside = [k for k, p in enumerate(points) if catalog._in_region(spec.region, p.t)]
+        grid = evaluate_grid(spec.id, t[inside], v[inside])
+        for k, g in zip(inside, grid):
+            assert _bits(evaluate(spec.id, points[k])) == _bits(g), (spec.id, points[k])
+
+    for diff_id in diff_ids():
+        diff = verify._DIFF_BY_ID[diff_id]
+        inside = [k for k, p in enumerate(points) if catalog._in_region(diff.region, p.t)]
+        for r in ((0.0, 0.5, 1.0, 1.001) if diff.needs_r else (None,)):
+            grid = diff.kernel(t[inside], v[inside], r)
+            for k, g in zip(inside, grid):
+                got = eval_diff(diff_id, points[k], r)
+                assert _bits(got) == _bits(g), (diff_id, r, points[k])
+
+
+# Past t ~ 1.34e154 the squares in the kernels overflow to inf, and some
+# values come out inf or nan (with numpy's RuntimeWarning); the point API
+# must return them, as the grid path does, rather than raise.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t", [1e200, 1e300, 1.7e308])
+def test_point_api_does_not_raise_at_huge_t(t):
+    for v in (0.0, 0.3, 0.5, 1.0):
+        p = EvalPoint(t, v)
+        assert math.isfinite(p.ratio)
+        for spec in list_bounds():
+            if spec.region != catalog.T_LE_1:
+                certify_point(spec.id, p)
+        tightest(catalog.UPPER, p)
+        tightest(catalog.LOWER, p)
+        for diff_id in diff_ids():
+            if verify._DIFF_BY_ID[diff_id].region != catalog.T_LE_1:
+                eval_diff(diff_id, p, 1.001)
+    assert certify_point("D1-exp", EvalPoint(t, 0.5)).holds
 
 
 @given(st.floats(-2.0, 0.0), st.floats(0.0, 1.0))
