@@ -13,6 +13,7 @@ Exit codes are a stable contract: 0 ok, 1 an inequality failed to hold,
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -316,10 +317,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # Parsing does not change the parser, so one serves every call of main.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if getattr(args, "nt", 2) < 2 or getattr(args, "nv", 2) < 2:

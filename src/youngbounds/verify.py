@@ -10,11 +10,17 @@ Three jobs live here:
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
-Scans are deterministic: grids are walked with t as the outer axis in
-ascending row-major order, and reductions use numpy's fixed associativity,
-so identical inputs always produce identical reports.
+Scans are deterministic.  Grids are walked with t as the outer axis, in
+blocks of whole t-rows of about _BLOCK_POINTS points each, in ascending
+row-major order.  Each block is one kernel call and is reduced on the spot;
+the blocks combine as one whole-grid argmin/argmax would: the first NaN wins,
+and otherwise a later block replaces the incumbent only on a strictly
+better value, so ties keep the earliest point.  Every reported value is the
+value the whole-grid evaluation gives, bit for bit, and peak memory is set
+by the block, not by the grid.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,10 @@ LOG = "log"
 # Refinement shrinks the local step by 10x per round: 21 points across a
 # +-1-step window around the incumbent extremum.
 _REFINE_POINTS = 21
+
+# Grid points per evaluation block: 128 KiB per float64 temporary, so a
+# block's working set stays in cache whatever the grid size.
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -198,31 +208,71 @@ def _check_window(region_kind, t_lo, t_hi, what):
         raise RegionError(f"{what} is restricted to t >= 1, window reaches t={t_lo}")
 
 
+def _row_blocks(kernel, tg, vg):
+    """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
+
+    Each block is one kernel(t, v) call on a column of t against the row of
+    v, broadcast to (rows, vg.size).
+    """
+    n_v = vg.size
+    rows = max(1, _BLOCK_POINTS // n_v)
+    v_row = vg[None, :]
+    for i0 in range(0, tg.size, rows):
+        t_col = tg[i0:i0 + rows, None]
+        yield i0, np.broadcast_to(kernel(t_col, v_row), (t_col.shape[0], n_v))
+
+
+def _fold_extremum(best, block, i0, lower):
+    """Fold a block's first argmin (lower) or argmax into best.
+
+    best is the running (value, row, column), None before the first block.
+    Blocks arrive in row-major order and combine as numpy's whole-array
+    argmin/argmax: the first NaN wins, and otherwise a later block wins
+    only on a strictly better value, so ties keep the earliest point.
+    """
+    flat = int(np.argmin(block) if lower else np.argmax(block))
+    i, j = divmod(flat, block.shape[1])
+    value = float(block[i, j])
+    if best is not None:
+        held = best[0]
+        better = value < held if lower else value > held
+        if math.isnan(held) or not (better or math.isnan(value)):
+            return best
+    return value, i0 + i, j
+
+
 def sweep(bound_id, region, tol=1e-12, deform=None):
     """Certify one catalog bound at every grid point of a Region.
 
     The window must lie inside the bound's validity region.  Returns a
     SweepReport; a positive n_violations means some margin fell below -tol
-    (which, for in-region input, would contradict the underlying theorem).
+    or is NaN (which, for in-region input, would contradict the underlying
+    theorem).
     """
-    spec = catalog.get_bound(bound_id)
-    _check_window(spec.region, region.t_min, region.t_max, bound_id)
+    entry = catalog._lookup(bound_id)
+    _check_window(entry.spec.region, region.t_min, region.t_max, bound_id)
+    r = entry.admit(deform)
+    upper = entry.spec.side == catalog.UPPER
+
+    def margin(t, v):
+        if upper:
+            return entry.kernel(t, v, r) - _ratio(t, v)
+        return _ratio(t, v) - entry.kernel(t, v, r)
+
     tg = region.t_grid()
     vg = region.v_grid()
-    bound_values = catalog.evaluate_grid(bound_id, tg[:, None], vg[None, :], deform)
-    ratio_values = _ratio(tg[:, None], vg[None, :])
-    if spec.side == catalog.UPPER:
-        margin = bound_values - ratio_values
-    else:
-        margin = ratio_values - bound_values
-    margin = np.broadcast_to(margin, (region.n_t, region.n_v))
-    flat = int(np.argmin(margin))
-    i, j = divmod(flat, region.n_v)
+    n_violations = 0
+    worst = None
+    for i0, block in _row_blocks(margin, tg, vg):
+        # Counted as not holding, like certify_point, so NaN margins count.
+        n_violations += block.size - int(np.count_nonzero(block >= -tol))
+        worst = _fold_extremum(worst, block, i0, lower=True)
+    value, i, j = worst
     return SweepReport(
         bound_id=bound_id,
         n_points=region.n_t * region.n_v,
-        n_violations=int(np.count_nonzero(margin < -tol)),
-        min_margin=float(margin.flat[flat]),
+        n_violations=n_violations,
+        min_margin=value,
         argmin_point=EvalPoint(float(tg[i]), float(vg[j])),
     )
 
@@ -243,15 +293,12 @@ def eval_diff(diff_id, p, r=None):
 
 def _grid_extrema(diff, tg, vg, r):
     """Best positive and negative values over the tensor grid, first hit wins."""
-    values = np.broadcast_to(
-        diff.kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size)
-    )
-    hi = int(np.argmax(values))
-    lo = int(np.argmin(values))
-    ihi, jhi = divmod(hi, vg.size)
-    ilo, jlo = divmod(lo, vg.size)
-    pos = (float(values.flat[hi]), float(tg[ihi]), float(vg[jhi]))
-    neg = (float(values.flat[lo]), float(tg[ilo]), float(vg[jlo]))
+    hi = lo = None
+    for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
+        hi = _fold_extremum(hi, block, i0, lower=False)
+        lo = _fold_extremum(lo, block, i0, lower=True)
+    pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))
+    neg = (lo[0], float(tg[lo[1]]), float(vg[lo[2]]))
     return pos, neg
 
 

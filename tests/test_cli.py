@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from youngbounds import HermitianMatrix, write_matrix
+from youngbounds import HermitianMatrix, cli, write_matrix
 from youngbounds.cli import main
 
 
@@ -199,6 +199,16 @@ def test_sweep_csv_matches_json(capsys):
     assert float(rows[1][4]) == res["argmin_point"]["t"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_nan_margins_exit_violation(capsys):
+    code, env, err = run_json(capsys, "sweep", "--bound", "D1-exp", "--t-max", "1e300",
+                              "--nt", "50", "--nv", "11")
+    assert code == 1 and env["status"] == "violation"
+    assert env["results"]["n_violations"] == 48
+    assert math.isnan(env["results"]["min_margin"])
+    assert "48 violations" in err
+
+
 def test_sweep_error_exits(capsys):
     code, _, err = run(capsys, "sweep", "--bound", "T31-poly", "--nt", "1")
     assert code == 2 and "at least 2x2" in err
@@ -351,3 +361,27 @@ def test_operator_error_exits(capsys, scalar_pair, tmp_path):
                             "--claim", "one", "--m", "1", "--mprime", "1",
                             "--Mprime", "4", "--M", "4")
     assert code == 3 and env["results"]["error"]["type"] == "DomainError"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    calls = []
+    fresh = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        code, env, _ = run_json(capsys, "eval", "--bound", "C33-expr", "--t", "2",
+                                "--v", "0.5", "--r", "0.5")
+        assert code == 0 and env["inputs"]["r"] == 0.5
+        # the shared parser keeps no state from one call to the next
+        code, env, _ = run_json(capsys, "eval", "--bound", "C33-expr", "--t", "2", "--v", "0.5")
+        assert code == 0 and env["inputs"]["r"] is None
+        assert run(capsys, "remarks")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+    assert fresh() is not fresh()

@@ -1,6 +1,7 @@
 """Sweep, sign-change search, and reference-table checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from youngbounds import (
     DeformParam,
     EvalPoint,
     Region,
+    SweepReport,
     certify_point,
     diff_ids,
     eval_diff,
@@ -130,6 +132,126 @@ def test_sweep_margins_match_pointwise_certificates():
         for v in region.v_grid()
     )
     assert report.min_margin == worst
+
+
+# The whole-grid reference that the blocked reductions must match bit for
+# bit: one kernel call over the full grid, reduced by numpy's argmin/argmax.
+# Reports are compared by repr, which tells every float apart, -0.0 and NaN
+# included.
+def _full_grid_sweep(bound_id, region, tol=1e-12, deform=None):
+    tg, vg = region.t_grid(), region.v_grid()
+    bound = evaluate_grid(bound_id, tg[:, None], vg[None, :], deform)
+    ratio = _ratio(tg[:, None], vg[None, :])
+    if catalog.get_bound(bound_id).side == catalog.UPPER:
+        margin = bound - ratio
+    else:
+        margin = ratio - bound
+    margin = np.broadcast_to(margin, (tg.size, vg.size))
+    i, j = divmod(int(np.argmin(margin)), vg.size)
+    return SweepReport(bound_id, margin.size, int(np.count_nonzero(~(margin >= -tol))),
+                       float(margin[i, j]), EvalPoint(float(tg[i]), float(vg[j])))
+
+
+def _full_grid_extrema(diff, tg, vg, r):
+    values = np.broadcast_to(diff.kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
+    ihi, jhi = divmod(int(np.argmax(values)), vg.size)
+    ilo, jlo = divmod(int(np.argmin(values)), vg.size)
+    return ((float(values[ihi, jhi]), float(tg[ihi]), float(vg[jhi])),
+            (float(values[ilo, jlo]), float(tg[ilo]), float(vg[jlo])))
+
+
+_DEFAULT_WINDOWS = {catalog.ALL_T: (1e-3, 1e3), catalog.T_LE_1: (1e-3, 1.0),
+                    catalog.T_GE_1: (1.0, 1e3)}
+_WIDE_WINDOWS = {catalog.ALL_T: (1e-9, 1e9), catalog.T_LE_1: (1e-9, 1.0),
+                 catalog.T_GE_1: (1.0, 1e9)}
+
+
+@pytest.mark.parametrize("windows", [_DEFAULT_WINDOWS, _WIDE_WINDOWS], ids=["default", "wide"])
+@pytest.mark.parametrize("bound_id", catalog.bound_ids())
+def test_blocked_sweep_equals_full_grid_bitwise(bound_id, windows):
+    lo, hi = windows[catalog.get_bound(bound_id).region]
+    region = Region(lo, hi, 0.0, 1.0, LOG, 600, 301)
+    assert repr(sweep(bound_id, region)) == repr(_full_grid_sweep(bound_id, region))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bound_id, region, deform", [
+    # n_t is not a multiple of the rows per block
+    ("T36-lo-le1", Region(1e-3, 1.0, 0.0, 1.0, LINEAR, 777, 33), None),
+    # n_v exceeds a block, so every block is one row
+    ("K-upper", Region(1e-9, 1e9, 0.0, 1.0, LOG, 3, 40000), None),
+    ("FM-M", Region(0.2, 1.0, 0.0, 1.0, LINEAR, 2, 2), None),
+    ("C38-lo", Region(1e-3, 1e3, 0.0, 1.0, LOG, 200, 101), DeformParam(-0.5)),
+    # every margin is 0 at v = 0: the argmin is the first point
+    ("D1-exp", Region(1e-3, 1e3, 0.0, 0.0, LOG, 700, 50), None),
+    # NaN margins past t ~ 1.34e154, in later blocks: the first NaN is reported
+    ("D1-exp", Region(1e-3, 1e300, 0.0, 1.0, LOG, 50, 11), None),
+    ("K-lower", Region(1e-3, 1e300, 0.0, 1.0, LOG, 700, 101), None),
+], ids=["ragged", "one-row-blocks", "2x2", "deformed", "all-tie", "nan", "nan-blocks"])
+def test_blocked_sweep_edge_grids_equal_full_grid(bound_id, region, deform):
+    report = sweep(bound_id, region, deform=deform)
+    assert repr(report) == repr(_full_grid_sweep(bound_id, region, deform=deform))
+    if region.v_max == 0.0:
+        assert report.min_margin == 0.0
+        assert report.argmin_point == EvalPoint(region.t_min, 0.0)
+
+
+def test_edge_grids_reach_ragged_and_one_row_blocks():
+    assert 777 % (verify._BLOCK_POINTS // 33) != 0
+    assert verify._BLOCK_POINTS < 40000
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_counts_nan_margins_as_violations():
+    # At v in {0, 1} the D1-exp kernel is 0 * inf = nan past t ~ 1.34e154;
+    # certify_point says such a point does not hold, and so must the sweep.
+    report = sweep("D1-exp", Region(1e-3, 1e300, 0.0, 1.0, LOG, 50, 11))
+    assert math.isnan(report.min_margin)
+    assert report.n_violations == 48
+    assert not certify_point("D1-exp", report.argmin_point).holds
+
+
+@pytest.mark.parametrize("diff_id", ["diff-l", "diff-u2", "diff-l2"])
+@pytest.mark.parametrize("n", [41, 401, 1001])
+def test_blocked_witness_search_equals_full_grid(diff_id, n, monkeypatch):
+    t_lo, t_hi, delta = DIFF_PRESETS[diff_id]
+    region = Region(t_lo, t_hi, 0.0, 1.0, LOG, n, n)
+    diff = verify._DIFF_BY_ID[diff_id]
+    tg, vg = region.t_grid(), region.v_grid()
+    assert repr(verify._grid_extrema(diff, tg, vg, None)) == \
+        repr(_full_grid_extrema(diff, tg, vg, None))
+    blocked = find_sign_change(diff_id, region, delta)
+    monkeypatch.setattr(verify, "_grid_extrema", _full_grid_extrema)
+    assert repr(blocked) == repr(find_sign_change(diff_id, region, delta))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blocked_extrema_report_the_first_nan():
+    diff = verify._DIFF_BY_ID["diff-l"]
+    region = Region(1e-3, 1e300, 0.0, 1.0, LOG, 700, 101)
+    tg, vg = region.t_grid(), region.v_grid()
+    blocked = verify._grid_extrema(diff, tg, vg, None)
+    assert all(math.isnan(value) for value, _, _ in blocked)
+    assert repr(blocked) == repr(_full_grid_extrema(diff, tg, vg, None))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_set_by_the_block_not_the_grid():
+    region = Region(1e-9, 1e9, 0.0, 1.0, LOG, 2000, 1001)
+    assert _traced_peak(lambda: sweep("K-upper", region)) < 2 * 2**20
+
+
+def test_witness_search_memory_is_set_by_the_block_not_the_grid():
+    region = Region(0.1, 10.0, 0.0, 1.0, LOG, 1001, 1001)
+    assert _traced_peak(lambda: find_sign_change("diff-l", region, 1e-3)) < 2 * 2**20
 
 
 def test_diff_census():
