@@ -15,7 +15,8 @@ Congruence by A^{-1/2} maps (1-v)A + vB <= c * A #_v B to
 reduced claim are functions of X, so it holds exactly when the scalar
 inequality (1-v) + v*lam <= c*lam^v holds at every eigenvalue lam of X.
 spec(X) is the spectrum of the pencil (B, A), computed from a Cholesky
-factor A = LL* as eigvalsh(L^{-1}BL^{-*}) (Golub & Van Loan, section 8.7).
+factor A = LL* as eigvalsh(L^{-1}BL^{-*}) (Golub & Van Loan, section 8.7),
+once per pair: the certificates of one (A, B) share it.
 The explicit means stay public: they are the oracle the reduction is tested
 against.
 
@@ -30,6 +31,8 @@ constants can fail when h' < h and the spectrum reaches the interval ends,
 so callers should inspect both margins rather than assume.
 """
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +62,9 @@ class HermitianMatrix:
 
     Input is symmetrized ((X + X*)/2) on construction; anything farther than
     HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected rather
-    than silently repaired.
+    than silently repaired.  Spectral data is computed on first use and
+    kept: the spectrum, the eigendecomposition, and the pencil spectrum with
+    the last partner B (see _pencil_spectrum).
     """
 
     entries: np.ndarray
@@ -69,14 +74,18 @@ class HermitianMatrix:
         X = np.array(self.entries, dtype=complex)
         if X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {X.shape}")
-        if not np.all(np.isfinite(X.real)) or not np.all(np.isfinite(X.imag)):
+        if not np.isfinite(X).all():
             raise DomainError("matrix entries must be finite")
-        deviation = np.linalg.norm(X - X.conj().T)
-        if deviation > HERMITIAN_TOL * max(1.0, np.linalg.norm(X)):
+        XH = X.conj().T
+        D = X - XH
+        # Frobenius norms as sqrt(<D, D>): one BLAS dot each, no norm() dispatch.
+        deviation = math.sqrt(np.vdot(D, D).real)
+        if deviation > HERMITIAN_TOL * max(1.0, math.sqrt(np.vdot(X, X).real)):
             raise DomainError(
                 f"matrix is not Hermitian (relative skew {deviation:.3g})"
             )
-        H = 0.5 * (X + X.conj().T)
+        H = X + XH
+        H *= 0.5
         H.setflags(write=False)
         object.__setattr__(self, "entries", H)
         object.__setattr__(self, "dim", H.shape[0])
@@ -258,14 +267,25 @@ def validate_sandwich(A, B, s):
 
 
 def _pencil_spectrum(A, B):
-    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*."""
+    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*.
+
+    The result is read-only and kept on A for the last B it was computed
+    with, so the certificates of one pair share one reduction.  B is held
+    by weak reference: A does not keep it alive.
+    """
+    memo = A.__dict__.get("_pencil")
+    if memo is not None and memo[0]() is B:
+        return memo[1]
     try:
         L = np.linalg.cholesky(A.entries)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
     Y = np.linalg.solve(L, B.entries)            # L^{-1}B
     X = np.linalg.solve(L, Y.conj().T)           # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
-    return np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+    lam = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+    lam.setflags(write=False)
+    A.__dict__["_pencil"] = (weakref.ref(B), lam)
+    return lam
 
 
 def _reduced_margin(left, right, tol):

@@ -17,7 +17,9 @@ the blocks combine as one whole-grid argmin/argmax would: the first NaN wins,
 and otherwise a later block replaces the incumbent only on a strictly
 better value, so ties keep the earliest point.  Every reported value is the
 value the whole-grid evaluation gives, bit for bit, and peak memory is set
-by the block, not by the grid.
+by the block, not by the grid.  A sweep reports a NaN margin (it is a
+violation); the witness search skips NaN values, which are evidence of
+neither sign, so its extrema are the first extrema of the NaN-free values.
 """
 
 import math
@@ -222,17 +224,28 @@ def _row_blocks(kernel, tg, vg):
         yield i0, np.broadcast_to(kernel(t_col, v_row), (t_col.shape[0], n_v))
 
 
-def _fold_extremum(best, block, i0, lower):
+def _fold_extremum(best, block, i0, lower, skip_nan=False):
     """Fold a block's first argmin (lower) or argmax into best.
 
     best is the running (value, row, column), None before the first block.
     Blocks arrive in row-major order and combine as numpy's whole-array
     argmin/argmax: the first NaN wins, and otherwise a later block wins
     only on a strictly better value, so ties keep the earliest point.
+    With skip_nan, NaN values are passed over instead (best stays None
+    while every value seen is NaN); only a block whose plain argmin/argmax
+    lands on a NaN pays for the second, NaN-free search.
     """
     flat = int(np.argmin(block) if lower else np.argmax(block))
     i, j = divmod(flat, block.shape[1])
     value = float(block[i, j])
+    if skip_nan and math.isnan(value):
+        finite = np.flatnonzero(~np.isnan(block))
+        if finite.size == 0:
+            return best
+        values = block.ravel()[finite]
+        flat = int(finite[np.argmin(values) if lower else np.argmax(values)])
+        i, j = divmod(flat, block.shape[1])
+        value = float(block[i, j])
     if best is not None:
         held = best[0]
         better = value < held if lower else value > held
@@ -292,11 +305,17 @@ def eval_diff(diff_id, p, r=None):
 
 
 def _grid_extrema(diff, tg, vg, r):
-    """Best positive and negative values over the tensor grid, first hit wins."""
+    """Best positive and negative values over the tensor grid, first hit wins.
+
+    NaN values are evidence of neither sign and are skipped; an extremum is
+    None when every value is NaN.
+    """
     hi = lo = None
     for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
-        hi = _fold_extremum(hi, block, i0, lower=False)
-        lo = _fold_extremum(lo, block, i0, lower=True)
+        hi = _fold_extremum(hi, block, i0, lower=False, skip_nan=True)
+        lo = _fold_extremum(lo, block, i0, lower=True, skip_nan=True)
+    if hi is None:
+        return None, None
     pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))
     neg = (lo[0], float(tg[lo[1]]), float(vg[lo[2]]))
     return pos, neg
@@ -331,6 +350,11 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
 
     log_t = region.t_scale == LOG
     pos, neg = _grid_extrema(diff, region.t_grid(), region.v_grid(), r_value)
+    if pos is None:
+        raise WitnessNotFoundError(
+            f"{diff_id}: no sign change above delta={delta} found "
+            f"(every value on the {region.n_t}x{region.n_v} grid is NaN)"
+        )
 
     if log_t:
         t_step = (np.log10(region.t_max) - np.log10(region.t_min)) / (region.n_t - 1)
@@ -347,6 +371,8 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
             tw = _refine_axis(best[1], t_step, region.t_min, region.t_max, log_t)
             vw = _refine_axis(best[2], v_step, region.v_min, region.v_max, False)
             sub_pos, sub_neg = _grid_extrema(diff, tw, vw, r_value)
+            if sub_pos is None:
+                continue
             if side == "pos" and sub_pos[0] > pos[0]:
                 pos = sub_pos
             if side == "neg" and sub_neg[0] < neg[0]:

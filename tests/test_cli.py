@@ -256,6 +256,25 @@ def test_witness_not_found_exit(capsys):
     assert env["results"]["error"]["type"] == "witness-not-found"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_witness_nan_in_coarse_grid_is_skipped(capsys):
+    code, env, err = run_json(capsys, "witness", "--diff", "diff-l", "--t-max", "1e300")
+    assert code == 0 and env["status"] == "ok"
+    res = env["results"]
+    assert not math.isnan(res["value_pos"]) and not math.isnan(res["value_neg"])
+    assert res["value_pos"] > 1e-3 and res["value_neg"] < -1e-3
+    assert "nan" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_witness_all_nan_window_exits_not_found(capsys):
+    code, env, _ = run_json(capsys, "witness", "--diff", "diff-l",
+                            "--t-min", "1e200", "--t-max", "1e300")
+    assert code == 4 and env["status"] == "error"
+    assert env["results"]["error"]["type"] == "witness-not-found"
+    assert "is NaN" in env["results"]["error"]["message"]
+
+
 def test_witness_usage_and_domain_errors(capsys):
     code, env, _ = run_json(capsys, "witness", "--diff", "diff-ropt")
     assert code == 3  # r is required for the optimality probe

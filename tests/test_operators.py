@@ -1,12 +1,18 @@
 """Matrix-side checks: construction, means, Loewner order, certificates, I/O."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import youngbounds
 from youngbounds import (
     DeformParam,
     HermitianMatrix,
@@ -30,7 +36,7 @@ from youngbounds.errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from youngbounds.operators import _pencil_spectrum
+from youngbounds.operators import HERMITIAN_TOL, _pencil_spectrum
 
 relaxed = settings(deadline=None)
 
@@ -53,12 +59,56 @@ def test_hermitian_rejects_bad_input():
         HermitianMatrix([[0.0, 1.0], [-1.0, 0.0]])  # skew-symmetric
     with pytest.raises(DomainError):
         HermitianMatrix([[1.0, 1j], [1j, 1.0]])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a square matrix, got shape \(2, 3\)$"):
         HermitianMatrix(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^expected a square matrix, got shape \(4,\)$"):
         HermitianMatrix(np.zeros(4))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^matrix entries must be finite$"):
         HermitianMatrix([[np.inf, 0.0], [0.0, 1.0]])
+    for bad in (np.inf, -np.inf, np.nan):
+        # non-finite only in the imaginary part of an otherwise Hermitian matrix
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            HermitianMatrix(np.array([[1.0, 0.0], [0.0, complex(1.0, bad)]]))
+    # ||X||_F is 2 to within 1e-12, so the skew threshold is 2e-12, and a skew
+    # of d on both off-diagonal entries has Frobenius norm d * sqrt(2).
+    assert math.sqrt(2.0) * 1.3e-12 < 2.0 * HERMITIAN_TOL < math.sqrt(2.0) * 1.5e-12
+    HermitianMatrix([[1.0, 1.0], [1.0 + 1.3e-12, 1.0]])
+    with pytest.raises(DomainError,
+                       match=r"^matrix is not Hermitian \(relative skew 2\.12e-12\)$"):
+        HermitianMatrix([[1.0, 1.0], [1.0 + 1.5e-12, 1.0]])
+
+
+def _hermitian_with_skew(rng, dim, complex_):
+    """A Hermitian matrix plus a skew part well inside HERMITIAN_TOL."""
+    X = rng.standard_normal((dim, dim))
+    if complex_:
+        X = X + 1j * rng.standard_normal((dim, dim))
+    H = X + X.conj().T
+    return H + 1e-14 * (X - X.conj().T)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8, 64])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_entries_are_the_symmetrization_bitwise(dim, complex_):
+    rng = np.random.default_rng([dim, complex_])
+    for _ in range(5):
+        X = _hermitian_with_skew(rng, dim, complex_)
+        Xc = np.asarray(X, dtype=complex)
+        expected = 0.5 * (Xc + Xc.conj().T)
+        A = HermitianMatrix(X)
+        assert A.entries.dtype == complex and A.dim == dim
+        assert A.entries.tobytes() == expected.tobytes()
+
+
+def test_entries_from_lists_and_int_arrays_bitwise():
+    for X in ([[2, 1], [1, 3]], [[2.5, 1 - 1j], [1 + 1j, -3.0]],
+              np.array([[4, -2, 0], [-2, 5, 1], [0, 1, 6]]), [[7]]):
+        Xc = np.array(X, dtype=complex)
+        A = HermitianMatrix(X)
+        assert A.entries.tobytes() == (0.5 * (Xc + Xc.conj().T)).tobytes()
+        assert not A.entries.flags.writeable
 
 
 def test_complex_hermitian_spectrum():
@@ -533,7 +583,71 @@ def test_decomposition_counts(monkeypatch):
         monkeypatch, lambda: certify_corollary_two(*fresh(), 0.3, -0.5, 0.5, s)) == 3
     assert count_eig_calls(monkeypatch, lambda: weighted_geometric(*fresh(), 0.3)) == 2
 
+    def all_three():
+        a, b = fresh()
+        certify_corollary_one(a, b, 0.3, 0.5, s)
+        for variant in ("as-stated", "interval-extremal"):
+            certify_corollary_two(a, b, 0.3, -0.5, 0.5, s, variant)
+
+    # the certificates of one pair share its pencil spectrum: 2 + 1, not 2 + 3
+    assert count_eig_calls(monkeypatch, all_three) == 3
+
 
 def test_pencil_spectrum_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         _pencil_spectrum(HermitianMatrix.diagonal([1.0, -1.0]), HermitianMatrix.identity(2))
+
+
+def test_pencil_spectrum_follows_the_second_matrix():
+    rng = np.random.default_rng(79)
+    A, B1, B2 = random_hpd(5, rng), random_hpd(5, rng), random_hpd(5, rng)
+    lam1 = _pencil_spectrum(A, B1)
+    assert _pencil_spectrum(A, B1) is lam1
+    lam2 = _pencil_spectrum(A, B2)
+    fresh = _pencil_spectrum(HermitianMatrix(A.entries), B2)
+    assert lam2.tobytes() == fresh.tobytes()
+    assert lam2.tobytes() != lam1.tobytes()
+    # an equal but distinct matrix is another B
+    B2_copy = HermitianMatrix(B2.entries)
+    assert _pencil_spectrum(A, B2_copy) is not lam2
+
+
+def test_pencil_spectrum_is_read_only():
+    rng = np.random.default_rng(83)
+    lam = _pencil_spectrum(random_hpd(3, rng), random_hpd(3, rng))
+    with pytest.raises(ValueError):
+        lam[0] = 1.0
+
+
+def test_pencil_memo_does_not_keep_b_alive():
+    rng = np.random.default_rng(89)
+    A, B = random_hpd(3, rng), random_hpd(3, rng)
+    lam = _pencil_spectrum(A, B)
+    ref = weakref.ref(B)
+    del B
+    gc.collect()
+    assert ref() is None
+    # the memo no longer matches anything; a new B is computed afresh
+    B_new = random_hpd(3, rng)
+    assert _pencil_spectrum(A, B_new) is not lam
+
+
+def test_operator_layer_imports_numpy_only():
+    # scipy and mpmath are installed in some environments but are not
+    # dependencies of the package; the operator path must not pull them in.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import youngbounds\n"
+        "from youngbounds import SandwichSpec, certify_corollary_two, random_sandwich_pair\n"
+        "s = SandwichSpec(1.0, 1.2, 3.0, 4.0)\n"
+        "A, B = random_sandwich_pair(s, 4, np.random.default_rng(0))\n"
+        "certify_corollary_two(A, B, 0.3, -0.5, 0.5, s)\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(youngbounds.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
