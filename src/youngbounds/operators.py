@@ -5,20 +5,23 @@ definite A, B the weighted arithmetic mean (1-v)A + vB and the weighted
 geometric mean A^{1/2}(A^{-1/2}BA^{-1/2})^v A^{1/2} are comparable up to a
 scalar factor whenever the pair is separated by a spectral sandwich
 0 < m <= A <= m' < M' <= B <= M (or the same with A and B swapped).  This
-module builds those means by Hermitian functional calculus, checks Loewner
-inequalities with a normalized eigenvalue margin, and certifies the two
-sandwich claims.
+module builds those means, checks Loewner inequalities with a normalized
+eigenvalue margin, and certifies the two sandwich claims.
+
+Everything about a pair (A, B) goes through one reduction: a Cholesky
+factor A = LL* and the pencil matrix X = L^{-1}BL^{-*} (Golub & Van Loan,
+section 8.7), computed once per pair and shared.  X is unitarily similar to
+A^{-1/2}BA^{-1/2}, so it has the same spectrum, and since the Kubo-Ando mean
+is congruence invariant (Kubo & Ando 1980; Bhatia, Positive Definite
+Matrices, ch. 4) the geometric mean is A #_v B = L X^v L*, from one eigh of X.
 
 The claims are checked on a spectrum, not on the means themselves.
-Congruence by A^{-1/2} maps (1-v)A + vB <= c * A #_v B to
-(1-v)I + vX <= cX^v with X = A^{-1/2}BA^{-1/2}, and both sides of the
-reduced claim are functions of X, so it holds exactly when the scalar
-inequality (1-v) + v*lam <= c*lam^v holds at every eigenvalue lam of X.
-spec(X) is the spectrum of the pencil (B, A), computed from a Cholesky
-factor A = LL* as eigvalsh(L^{-1}BL^{-*}) (Golub & Van Loan, section 8.7),
-once per pair: the certificates of one (A, B) share it.
-The explicit means stay public: they are the oracle the reduction is tested
-against.
+Congruence by L^{-1} maps (1-v)A + vB <= c * A #_v B to (1-v)I + vX <= cX^v,
+and both sides of the reduced claim are functions of X, so it holds exactly
+when the scalar inequality (1-v) + v*lam <= c*lam^v holds at every
+eigenvalue lam of X, computed as eigvalsh(X); the certificates of one pair
+share it.  The explicit means stay public: loewner_leq on them is the
+oracle the certificates are tested against.
 
 The sandwich claim with two deformation parameters exists in two variants.
 "as-stated" uses the constants exactly as the claim prints them (lower
@@ -63,8 +66,8 @@ class HermitianMatrix:
     Input is symmetrized ((X + X*)/2) on construction; anything farther than
     HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected rather
     than silently repaired.  Spectral data is computed on first use and
-    kept: the spectrum, the eigendecomposition, and the pencil spectrum with
-    the last partner B (see _pencil_spectrum).
+    kept: the spectrum, the eigendecomposition, and the pencil reduction with
+    the last partner B (see _pencil).
     """
 
     entries: np.ndarray
@@ -193,14 +196,20 @@ def _as_r(r):
     return r.r if isinstance(r, DeformParam) else float(r)
 
 
-def _power_entries(A, p):
-    """Entries of A^p from A's cached eigendecomposition, symmetrized as
-    HermitianMatrix stores them; requires A positive definite."""
-    w, Q = A._eigh
+def _require_pd(w):
+    """Reject an ascending spectrum w whose least eigenvalue is not above
+    PD_FLOOR relative to the largest magnitude."""
     if w[0] <= PD_FLOOR * max(abs(w[0]), abs(w[-1])) or w[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3g})"
         )
+
+
+def _power_entries(A, p):
+    """Entries of A^p from A's cached eigendecomposition, symmetrized as
+    HermitianMatrix stores them; requires A positive definite."""
+    w, Q = A._eigh
+    _require_pd(w)
     X = (Q * w**float(p)) @ Q.conj().T
     return 0.5 * (X + X.conj().T)
 
@@ -218,12 +227,21 @@ def weighted_arithmetic(A, B, v):
 
 
 def weighted_geometric(A, B, v):
-    """A^{1/2} (A^{-1/2} B A^{-1/2})^v A^{1/2} for positive definite A, B."""
+    """A #_v B = L (L^{-1}BL^{-*})^v L* with A = LL*, for positive definite A, B.
+
+    This is A^{1/2}(A^{-1/2}BA^{-1/2})^v A^{1/2}: the Kubo-Ando mean is
+    congruence invariant, so any factor of A gives it.  The factor and the
+    pencil matrix are the pair's shared reduction (see _pencil); B's
+    definiteness is read off spec(L^{-1}BL^{-*}), which is spec(A^{-1/2}BA^{-1/2}).
+    """
     _same_dim(A, B)
     v = _check_weight(v)
-    root, inv_root = _power_entries(A, 0.5), _power_entries(A, -0.5)
-    inner = HermitianMatrix(inv_root @ B.entries @ inv_root)
-    return HermitianMatrix(root @ _power_entries(inner, v) @ root)
+    _require_pd(A.eigenvalues())
+    _, L, X, _ = _pencil(A, B)
+    w, Q = np.linalg.eigh(X)
+    _require_pd(w)
+    C = L @ Q                                    # L X^v L* = C diag(w^v) C*
+    return HermitianMatrix((C * w**v) @ C.conj().T)
 
 
 def _relative(smallest, scale):
@@ -266,26 +284,40 @@ def validate_sandwich(A, B, s):
     )
 
 
-def _pencil_spectrum(A, B):
-    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*.
+def _pencil(A, B):
+    """The pair's reduction (weakref(B), L, X, lam) with A = LL* and
+    X = L^{-1}BL^{-*}, symmetrized; lam is spec(X), or None until asked for.
 
-    The result is read-only and kept on A for the last B it was computed
-    with, so the certificates of one pair share one reduction.  B is held
-    by weak reference: A does not keep it alive.
+    It is kept on A for the last B it was computed with, so the means and
+    the certificates of one pair share one Cholesky factor and two solves.
+    B is held by weak reference: A does not keep it alive.
     """
     memo = A.__dict__.get("_pencil")
     if memo is not None and memo[0]() is B:
-        return memo[1]
+        return memo
     try:
         L = np.linalg.cholesky(A.entries)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
     Y = np.linalg.solve(L, B.entries)            # L^{-1}B
     X = np.linalg.solve(L, Y.conj().T)           # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
-    lam = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
-    lam.setflags(write=False)
-    A.__dict__["_pencil"] = (weakref.ref(B), lam)
-    return lam
+    memo = (weakref.ref(B), L, 0.5 * (X + X.conj().T), None)
+    A.__dict__["_pencil"] = memo
+    return memo
+
+
+def _pencil_spectrum(A, B):
+    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*.
+
+    Computed once per pair on the shared reduction and read-only.
+    """
+    memo = _pencil(A, B)
+    if memo[3] is None:
+        lam = np.linalg.eigvalsh(memo[2])
+        lam.setflags(write=False)
+        memo = memo[:3] + (lam,)
+        A.__dict__["_pencil"] = memo
+    return memo[3]
 
 
 def _reduced_margin(left, right, tol):

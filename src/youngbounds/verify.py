@@ -18,8 +18,11 @@ and otherwise a later block replaces the incumbent only on a strictly
 better value, so ties keep the earliest point.  Every reported value is the
 value the whole-grid evaluation gives, bit for bit, and peak memory is set
 by the block, not by the grid.  A sweep reports a NaN margin (it is a
-violation); the witness search skips NaN values, which are evidence of
-neither sign, so its extrema are the first extrema of the NaN-free values.
+violation); the witness search skips non-finite values (NaN, and the
+infinities left where one side of a difference overflowed), which are
+evidence of neither sign, so its extrema are the first extrema of the
+finite values.  Overflow and invalid-operation warnings are expected past
+t ~ 1e154 and are silenced once per sweep or witness search.
 """
 
 import math
@@ -224,22 +227,23 @@ def _row_blocks(kernel, tg, vg):
         yield i0, np.broadcast_to(kernel(t_col, v_row), (t_col.shape[0], n_v))
 
 
-def _fold_extremum(best, block, i0, lower, skip_nan=False):
+def _fold_extremum(best, block, i0, lower, skip_nonfinite=False):
     """Fold a block's first argmin (lower) or argmax into best.
 
     best is the running (value, row, column), None before the first block.
     Blocks arrive in row-major order and combine as numpy's whole-array
     argmin/argmax: the first NaN wins, and otherwise a later block wins
     only on a strictly better value, so ties keep the earliest point.
-    With skip_nan, NaN values are passed over instead (best stays None
-    while every value seen is NaN); only a block whose plain argmin/argmax
-    lands on a NaN pays for the second, NaN-free search.
+    With skip_nonfinite, NaN and +-inf values are passed over instead (best
+    stays None while every value seen is non-finite); only a block whose
+    plain argmin/argmax lands on a non-finite value pays for the second,
+    finite-only search.
     """
     flat = int(np.argmin(block) if lower else np.argmax(block))
     i, j = divmod(flat, block.shape[1])
     value = float(block[i, j])
-    if skip_nan and math.isnan(value):
-        finite = np.flatnonzero(~np.isnan(block))
+    if skip_nonfinite and not math.isfinite(value):
+        finite = np.flatnonzero(np.isfinite(block))
         if finite.size == 0:
             return best
         values = block.ravel()[finite]
@@ -276,10 +280,11 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     vg = region.v_grid()
     n_violations = 0
     worst = None
-    for i0, block in _row_blocks(margin, tg, vg):
-        # Counted as not holding, like certify_point, so NaN margins count.
-        n_violations += block.size - int(np.count_nonzero(block >= -tol))
-        worst = _fold_extremum(worst, block, i0, lower=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, block in _row_blocks(margin, tg, vg):
+            # Counted as not holding, like certify_point, so NaN margins count.
+            n_violations += block.size - int(np.count_nonzero(block >= -tol))
+            worst = _fold_extremum(worst, block, i0, lower=True)
     value, i, j = worst
     return SweepReport(
         bound_id=bound_id,
@@ -307,13 +312,14 @@ def eval_diff(diff_id, p, r=None):
 def _grid_extrema(diff, tg, vg, r):
     """Best positive and negative values over the tensor grid, first hit wins.
 
-    NaN values are evidence of neither sign and are skipped; an extremum is
-    None when every value is NaN.
+    Non-finite values are evidence of neither sign and are skipped; an
+    extremum is None when no value is finite.
     """
     hi = lo = None
-    for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
-        hi = _fold_extremum(hi, block, i0, lower=False, skip_nan=True)
-        lo = _fold_extremum(lo, block, i0, lower=True, skip_nan=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
+            hi = _fold_extremum(hi, block, i0, lower=False, skip_nonfinite=True)
+            lo = _fold_extremum(lo, block, i0, lower=True, skip_nonfinite=True)
     if hi is None:
         return None, None
     pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))
@@ -353,7 +359,7 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     if pos is None:
         raise WitnessNotFoundError(
             f"{diff_id}: no sign change above delta={delta} found "
-            f"(every value on the {region.n_t}x{region.n_v} grid is NaN)"
+            f"(every value on the {region.n_t}x{region.n_v} grid is NaN or infinite)"
         )
 
     if log_t:

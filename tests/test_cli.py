@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import youngbounds
 from youngbounds import HermitianMatrix, cli, write_matrix
 from youngbounds.cli import main
 
@@ -199,7 +203,7 @@ def test_sweep_csv_matches_json(capsys):
     assert float(rows[1][4]) == res["argmin_point"]["t"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_nan_margins_exit_violation(capsys):
     code, env, err = run_json(capsys, "sweep", "--bound", "D1-exp", "--t-max", "1e300",
                               "--nt", "50", "--nv", "11")
@@ -256,17 +260,32 @@ def test_witness_not_found_exit(capsys):
     assert env["results"]["error"]["type"] == "witness-not-found"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_witness_nan_in_coarse_grid_is_skipped(capsys):
     code, env, err = run_json(capsys, "witness", "--diff", "diff-l", "--t-max", "1e300")
     assert code == 0 and env["status"] == "ok"
     res = env["results"]
-    assert not math.isnan(res["value_pos"]) and not math.isnan(res["value_neg"])
+    # neither NaN nor the -inf where D1-exp overflows is a witness value
+    assert math.isfinite(res["value_pos"]) and math.isfinite(res["value_neg"])
     assert res["value_pos"] > 1e-3 and res["value_neg"] < -1e-3
-    assert "nan" not in err
+    assert "nan" not in err and "inf" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_witness_past_overflow_writes_one_stderr_line():
+    # stderr is one summary line: numpy's overflow warnings must not reach it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(youngbounds.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "youngbounds.cli", "witness", "--diff", "diff-l",
+         "--t-max", "1e300"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("witness diff-l: ")
+    assert math.isfinite(json.loads(proc.stdout)["results"]["value_neg"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_witness_all_nan_window_exits_not_found(capsys):
     code, env, _ = run_json(capsys, "witness", "--diff", "diff-l",
                             "--t-min", "1e200", "--t-max", "1e300")

@@ -3,10 +3,12 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from youngbounds.errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from youngbounds.operators import HERMITIAN_TOL, _pencil_spectrum
+from youngbounds.operators import HERMITIAN_TOL, PD_FLOOR, _pencil_spectrum
 
 relaxed = settings(deadline=None)
 
@@ -452,15 +454,21 @@ def random_spec(rng, case):
     return SandwichSpec(m, m_prime, M_prime, M_prime * rng.uniform(1.0, 2.0), case)
 
 
-def test_spectral_verdicts_match_explicit_means():
+def sandwich_instances():
+    """330 seeded (k, A, B, v, s): dims 1-8 with every 110th of dim 64, both
+    cases, commuting and not, v on a 0.1 grid."""
     rng = np.random.default_rng(53)
-    n_instances, n_violated = 0, 0
     for k in range(330):
         dim = 64 if k % 110 == 109 else k % 8 + 1
         case = "i" if k % 2 == 0 else "ii"
-        v = (k % 11) / 10.0
         s = random_spec(rng, case)
         A, B = random_sandwich_pair(s, dim, rng, commuting=(k // 2) % 2 == 0)
+        yield k, A, B, (k % 11) / 10.0, s
+
+
+def test_spectral_verdicts_match_explicit_means():
+    n_instances, n_violated = 0, 0
+    for k, A, B, v, s in sandwich_instances():
         certs = spectral_certificates(A, B, v, s, k)
         factors = {key: (c.scalar_factor, "lower" if c.claim_id.endswith("lower") else "upper")
                    for key, c in certs.items()}
@@ -558,9 +566,9 @@ def test_margins_vanish_at_weight_ends(v):
             assert cert.min_eigen_margin == 0.0 and cert.holds
 
 
-def count_eig_calls(monkeypatch, fn):
+def count_calls(monkeypatch, fn, names=("eigh", "eigvalsh")):
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
@@ -576,12 +584,12 @@ def test_decomposition_counts(monkeypatch):
     def fresh():
         return HermitianMatrix(A.entries), HermitianMatrix(B.entries)
 
-    assert count_eig_calls(monkeypatch, lambda: validate_sandwich(*fresh(), s)) == 2
-    assert count_eig_calls(
+    assert count_calls(monkeypatch, lambda: validate_sandwich(*fresh(), s)) == 2
+    assert count_calls(
         monkeypatch, lambda: certify_corollary_one(*fresh(), 0.3, 0.5, s)) == 3
-    assert count_eig_calls(
+    assert count_calls(
         monkeypatch, lambda: certify_corollary_two(*fresh(), 0.3, -0.5, 0.5, s)) == 3
-    assert count_eig_calls(monkeypatch, lambda: weighted_geometric(*fresh(), 0.3)) == 2
+    assert count_calls(monkeypatch, lambda: weighted_geometric(*fresh(), 0.3)) == 2
 
     def all_three():
         a, b = fresh()
@@ -590,7 +598,137 @@ def test_decomposition_counts(monkeypatch):
             certify_corollary_two(a, b, 0.3, -0.5, 0.5, s, variant)
 
     # the certificates of one pair share its pencil spectrum: 2 + 1, not 2 + 3
-    assert count_eig_calls(monkeypatch, all_three) == 3
+    assert count_calls(monkeypatch, all_three) == 3
+
+
+def test_one_reduction_per_pair_for_means_and_certificates(monkeypatch):
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0, "ii")
+    A, B = random_sandwich_pair(s, 4, np.random.default_rng(73), commuting=False)
+
+    def certificates(a, b):
+        certify_corollary_one(a, b, 0.3, 0.5, s)
+        for variant in ("as-stated", "interval-extremal"):
+            certify_corollary_two(a, b, 0.3, -0.5, 0.5, s, variant)
+
+    def mean_first():
+        a, b = HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+        validate_sandwich(a, b, s)
+        weighted_geometric(a, b, 0.3)
+        certificates(a, b)
+
+    def certificates_first():
+        a, b = HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+        validate_sandwich(a, b, s)
+        certificates(a, b)
+        weighted_geometric(a, b, 0.3)
+
+    for everything in (mean_first, certificates_first):
+        # spec(A) and spec(B) for validation, eigh and eigvalsh of the pencil
+        # matrix: 4, where separate reductions for the mean took 5
+        assert count_calls(monkeypatch, everything) == 4
+        assert count_calls(monkeypatch, everything, ("cholesky",)) == 1
+        assert count_calls(monkeypatch, everything, ("solve",)) == 2
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8, 64])
+def test_pencil_spectrum_bits_do_not_depend_on_the_mean(dim):
+    rng = np.random.default_rng([97, dim])
+    s = random_spec(rng, "i")
+    A, B = random_sandwich_pair(s, dim, rng, commuting=False)
+    alone = HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+    after_mean = HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+    weighted_geometric(*after_mean, 0.3)
+    assert _pencil_spectrum(*alone).tobytes() == _pencil_spectrum(*after_mean).tobytes()
+    assert repr(spectral_certificates(*alone, 0.3, s, dim)) == \
+        repr(spectral_certificates(*after_mean, 0.3, s, dim))
+
+
+def geometric_by_square_roots(A, B, v):
+    """A^{1/2}(A^{-1/2}BA^{-1/2})^v A^{1/2} from two eigendecompositions, the
+    test oracle for the pencil form."""
+    root, inv_root = hermitian_power(A, 0.5).entries, hermitian_power(A, -0.5).entries
+    inner = HermitianMatrix(inv_root @ B.entries @ inv_root)
+    return HermitianMatrix(root @ hermitian_power(inner, v).entries @ root)
+
+
+def relative_error(X, reference):
+    return np.linalg.norm(X - reference) / np.linalg.norm(reference)
+
+
+def test_geometric_mean_matches_the_square_root_form():
+    for k, A, B, v, _ in sandwich_instances():
+        assert relative_error(weighted_geometric(A, B, v).entries,
+                              geometric_by_square_roots(A, B, v).entries) <= 1e-13, k
+    rng = np.random.default_rng(101)
+    for v in (0.0, 0.3, 0.5, 1.0):
+        A, B = random_hpd(64, rng), random_hpd(64, rng, (0.1, 10.0))
+        assert relative_error(weighted_geometric(A, B, v).entries,
+                              geometric_by_square_roots(A, B, v).entries) <= 1e-13, v
+
+
+def high_precision_geometric(A, B, v):
+    """A^{1/2}(A^{-1/2}BA^{-1/2})^v A^{1/2} in 50-digit arithmetic."""
+    with mp.workdps(50):
+        w, Q = mp.eigh(mp.matrix(A.entries.tolist()))
+        n = A.dim
+        root = Q * mp.diag([mp.sqrt(w[i]) for i in range(n)]) * Q.H
+        inv_root = Q * mp.diag([1 / mp.sqrt(w[i]) for i in range(n)]) * Q.H
+        inner = inv_root * mp.matrix(B.entries.tolist()) * inv_root
+        u, P = mp.eigh((inner + inner.H) / 2)
+        G = root * P * mp.diag([u[i] ** v for i in range(n)]) * P.H * root
+        return np.array([[complex(G[i, j]) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e10])
+def test_geometric_mean_on_ill_conditioned_a_matches_high_precision(cond):
+    rng = np.random.default_rng([103, int(math.log10(cond))])
+    for v in (0.3, 0.7):
+        U = haar_unitary(5, rng)
+        A = HermitianMatrix((U * np.geomspace(1.0, 1.0 / cond, 5)) @ U.conj().T)
+        B = random_hpd(5, rng)
+        reference = high_precision_geometric(A, B, v)
+        assert relative_error(weighted_geometric(A, B, v).entries, reference) <= cond * 1e-15
+
+
+def nearly_singular(rng, dim, smallest):
+    U = haar_unitary(dim, rng)
+    return HermitianMatrix((U * np.r_[smallest, rng.uniform(0.5, 2.0, dim - 1)]) @ U.conj().T)
+
+
+def not_pd_message(fn):
+    """The NotPositiveDefiniteError message fn raises, with the eigenvalue
+    (rounding-level for singular input) cut out; None when fn returns."""
+    try:
+        fn()
+    except NotPositiveDefiniteError as exc:
+        return re.sub(r"min eigenvalue \S+\)", "min eigenvalue ...)", str(exc))
+    return None
+
+
+def test_geometric_mean_rejects_the_inputs_the_square_root_form_rejected():
+    # PD_FLOOR is 1e-12 relative; each smallest eigenvalue sits well to one side
+    # of it for A, and for B once A (spectrum in [0.5, 2]) is factored out.
+    rng = np.random.default_rng(107)
+    outcomes = set()
+    for smallest in (-1e-3, 0.0, 1e-15, 1e-14, 1e-13, 1e-11, 1e-10, 1e-6):
+        for dim in (2, 5):
+            near = nearly_singular(rng, dim, smallest)
+            for A, B in ((near, random_hpd(dim, rng)), (random_hpd(dim, rng), near)):
+                expected = not_pd_message(lambda: geometric_by_square_roots(A, B, 0.4))
+                assert not_pd_message(lambda: weighted_geometric(A, B, 0.4)) == expected, \
+                    (smallest, dim)
+                outcomes.add(expected)
+            # With B = 2A the pencil is 2I, so only A's own spectrum can reject
+            # the pair.  Where A passes, the square-root form is no oracle: its
+            # A^{-1/2}BA^{-1/2} fails the Hermitian check; the mean is 2^v A.
+            twice = HermitianMatrix(2.0 * near.entries)
+            if smallest < PD_FLOOR:
+                assert not_pd_message(lambda: weighted_geometric(near, twice, 0.4)) == \
+                    not_pd_message(lambda: geometric_by_square_roots(near, twice, 0.4))
+            else:
+                assert relative_error(weighted_geometric(near, twice, 0.4).entries,
+                                      2.0**0.4 * near.entries) <= 1e-14
+    assert outcomes == {"matrix is not positive definite (min eigenvalue ...)", None}
 
 
 def test_pencil_spectrum_rejects_indefinite():

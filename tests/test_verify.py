@@ -227,43 +227,53 @@ def test_blocked_witness_search_equals_full_grid(diff_id, n, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blocked_extrema_skip_nan_values():
-    # NaN past t ~ 1.34e154 in later blocks: the extrema are those of the
-    # NaN-free values, first occurrence in row-major order.
+    # NaN and -inf (one side overflowed) past t ~ 1e3 in later blocks: the
+    # extrema are those of the finite values, first occurrence in row-major order.
     diff = verify._DIFF_BY_ID["diff-l"]
     region = Region(1e-3, 1e300, 0.0, 1.0, LOG, 700, 101)
     tg, vg = region.t_grid(), region.v_grid()
     values = np.broadcast_to(diff.kernel(tg[:, None], vg[None, :], None), (tg.size, vg.size))
-    assert np.isnan(values).any() and not np.isnan(values).all()
-    ihi, jhi = divmod(int(np.nanargmax(values)), vg.size)
-    ilo, jlo = divmod(int(np.nanargmin(values)), vg.size)
+    assert np.isnan(values).any() and np.isinf(values).any()
+    finite = np.flatnonzero(np.isfinite(values))
+    ihi, jhi = divmod(int(finite[np.argmax(values.ravel()[finite])]), vg.size)
+    ilo, jlo = divmod(int(finite[np.argmin(values.ravel()[finite])]), vg.size)
     expected = ((float(values[ihi, jhi]), float(tg[ihi]), float(vg[jhi])),
                 (float(values[ilo, jlo]), float(tg[ilo]), float(vg[jlo])))
     blocked = verify._grid_extrema(diff, tg, vg, None)
-    assert not any(math.isnan(value) for value, _, _ in blocked)
+    assert all(math.isfinite(value) for value, _, _ in blocked)
     assert repr(blocked) == repr(expected)
 
 
 def test_nan_skipping_fold_never_lands_on_a_nan():
-    # np.nanargmax would read NaN as -inf here and return the NaN at (0, 0).
-    block = np.array([[np.nan, -np.inf], [-np.inf, np.nan]])
-    assert verify._fold_extremum(None, block, 5, lower=False, skip_nan=True) == \
-        (-np.inf, 5, 1)
-    assert verify._fold_extremum(None, -block, 5, lower=True, skip_nan=True) == \
-        (np.inf, 5, 1)
+    # Neither NaN nor an infinity is a value to compare: the fold takes the
+    # finite extremum, which np.nanargmax (NaN read as -inf) would not.
+    block = np.array([[np.nan, -np.inf, 2.0], [np.inf, np.nan, -3.0]])
+    assert verify._fold_extremum(None, block, 5, lower=False, skip_nonfinite=True) == \
+        (2.0, 5, 2)
+    assert verify._fold_extremum(None, block, 5, lower=True, skip_nonfinite=True) == \
+        (-3.0, 6, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_block = np.full((2, 3), bad)
+        bad_block[0, 1] = np.nan
+        assert verify._fold_extremum(None, bad_block, 0, lower=True,
+                                     skip_nonfinite=True) is None
+        held = (1.0, 0, 2)
+        assert verify._fold_extremum(held, bad_block, 2, lower=False,
+                                     skip_nonfinite=True) == held
+    # without skip_nonfinite the first NaN still wins, as a sweep needs
     nan_block = np.full((2, 3), np.nan)
-    assert verify._fold_extremum(None, nan_block, 0, lower=True, skip_nan=True) is None
-    held = (1.0, 0, 2)
-    assert verify._fold_extremum(held, nan_block, 2, lower=True, skip_nan=True) == held
-    # without skip_nan the first NaN still wins, as a sweep needs
     assert math.isnan(verify._fold_extremum(held, nan_block, 2, lower=True)[0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_witness_search_skips_nan_values():
     # The coarse grid of [0.1, 1e300] holds NaN past t ~ 1.34e154; before NaN
     # was skipped it won both extrema and the search failed with "best +nan".
+    # -inf, where D1-exp overflows, is skipped too: it was reported as the
+    # negative witness at (3.35e6, 0.025).  The expected overflow warns nowhere.
     w = find_sign_change("diff-l", Region(0.1, 1e300, 0.0, 1.0, LOG, 41, 41), 1e-3)
     assert w.value_pos > 1e-3 and w.value_neg < -1e-3
+    assert math.isfinite(w.value_pos) and math.isfinite(w.value_neg)
     assert eval_diff("diff-l", w.point_pos) == w.value_pos
     assert eval_diff("diff-l", w.point_neg) == w.value_neg
 
