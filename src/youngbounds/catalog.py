@@ -2,10 +2,13 @@
 
 Each entry records which side it bounds (upper entries satisfy
 R(t, v) <= bound, lower entries bound <= R(t, v)), on which t-range it is
-valid, and how to evaluate it.  Three entries carry a deformation parameter;
-when the caller omits it the tightest admissible value is used (r = 1 for
-C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by the monotonicity
-of exp_r in r).
+valid, and how to evaluate it.  The catalog is data: one row per entry, a
+member of one of five families (exp_r of v(1-v)(t-1)^2/t or of two
+half-squares, the Kantorovich power, the FM polynomial) with its parameter.
+Ten entries are deformed families at a fixed r in {-1, 0, 1}.  Three carry
+r as a parameter; when the caller omits it the tightest admissible value is
+used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by
+the monotonicity of exp_r in r).
 
 t = 1 belongs to both the t <= 1 and the t >= 1 regions; every entry
 evaluates to exactly 1 there.
@@ -75,76 +78,64 @@ def _guarded_reciprocal(den):
     return 1.0 / den
 
 
-def _k_d1(t, v, r):
-    return _exp(v * (1.0 - v) * _identity_arg(t))
+def _sq(s):
+    return (s - 1.0) * (s - 1.0)
 
 
-def _k_kupper(t, v, r):
-    return _pow(_kantorovich(t), np.maximum(v, 1.0 - v))
+def _inv_sq(t):
+    return (1.0 / t - 1.0) * (1.0 / t - 1.0)
 
 
-def _k_klower(t, v, r):
-    return _pow(_kantorovich(t), np.minimum(v, 1.0 - v))
+# The square of each half-square family on each region: (s-1)^2 with
+# s = min{1,t}/max{1,t} (lo) or max{1,t}/min{1,t} (hi).  On a half-line s is
+# exactly t or 1/t, so there the plain forms give the same bits at less cost.
+_SQUARES = {
+    "half-lo": {T_LE_1: _sq, T_GE_1: _inv_sq,
+                ALL_T: lambda t: _sq(np.minimum(1.0, t) / np.maximum(1.0, t))},
+    "half-hi": {T_LE_1: _inv_sq, T_GE_1: _sq,
+                ALL_T: lambda t: _sq(np.maximum(1.0, t) / np.minimum(1.0, t))},
+}
 
 
-def _k_d2_sq(t, v, r):
-    return _exp(0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)))
+def _kernel(family, region, param):
+    """kernel(t, v, r) of one member of a family on one region.
 
-
-def _k_d2_invsq(t, v, r):
-    return _exp(0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0)))
-
-
-def _k_fm_m(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) * _pow(0.5 * (t + 1.0), -v - 1.0)
-
-
-def _k_fm_M(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) * _pow(t, -v - 1.0)
-
-
-def _k_t31(t, v, r):
-    return 1.0 + v * (1.0 - v) * _identity_arg(t)
-
-
-def _k_c33(t, v, r):
-    return _dexp(r, v * (1.0 - v) * _identity_arg(t))
-
-
-def _k_t36_lo_sq(t, v, r):
-    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0)))
-
-
-def _k_t36_lo_invsq(t, v, r):
-    return _guarded_reciprocal(1.0 - 0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0)))
-
-
-def _k_t36_hi_invsq(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * ((1.0 / t - 1.0) * (1.0 / t - 1.0))
-
-
-def _k_t36_hi_sq(t, v, r):
-    return 1.0 + 0.5 * v * (1.0 - v) * ((t - 1.0) * (t - 1.0))
-
-
-def _k_c38_lo(t, v, r):
-    ratio = np.minimum(1.0, t) / np.maximum(1.0, t)
-    return _dexp(r, 0.5 * v * (1.0 - v) * ((1.0 - ratio) * (1.0 - ratio)))
-
-
-def _k_c38_hi(t, v, r):
-    ratio = np.maximum(1.0, t) / np.minimum(1.0, t)
-    return _dexp(r, 0.5 * v * (1.0 - v) * ((1.0 - ratio) * (1.0 - ratio)))
+    The deformed families are exp_r(c v(1-v) s(t)): c = 1 and s = (t-1)^2/t
+    for "expr" (1 * v is exact), c = 1/2 and the family's square otherwise.
+    Their param is r, None for the caller's.  A fixed r in {0, 1, -1} is
+    written out in the argument's expression, so numpy can reuse its
+    temporary.  K-power and FM take the weight picker and the base.
+    """
+    if family == "K-power":
+        return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v))
+    if family == "FM":
+        return lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0)
+    c, s = (1.0, _identity_arg) if family == "expr" else (0.5, _SQUARES[family][region])
+    if param is None:
+        return lambda t, v, r: _dexp(r, c * v * (1.0 - v) * s(t))
+    if param == 0.0:
+        return lambda t, v, r: _exp(c * v * (1.0 - v) * s(t))
+    if param == 1.0:
+        return lambda t, v, r: 1.0 + c * v * (1.0 - v) * s(t)
+    # r = -1.  Off the entry's region 1 - x reaches 0, where the guard
+    # raises and _dexp would return inf.
+    return lambda t, v, r: _guarded_reciprocal(1.0 - c * v * (1.0 - v) * s(t))
 
 
 class _Entry:
-    """BoundSpec plus its kernel and admissible deformation interval."""
+    """One catalog row: its BoundSpec, kernel and admissible r interval.
 
-    def __init__(self, spec, kernel, r_interval=None):
-        self.spec = spec
-        self.kernel = kernel
-        self.r_interval = r_interval  # (lo, hi, lo_open) with hi closed
-        self.default_r = spec.deform.r if spec.deform is not None else None
+    param is the family parameter, or (default r, (lo, hi, lo_open)) for a
+    deformed entry whose r the caller may choose, hi closed.
+    """
+
+    def __init__(self, bid, side, region, family, param, description):
+        deform = self.r_interval = self.default_r = None
+        if isinstance(param, tuple):  # r is the caller's
+            self.default_r, self.r_interval = param
+            deform, param = DeformParam(self.default_r), None
+        self.spec = BoundSpec(bid, side, region, deform, description)
+        self.kernel = _kernel(family, region, param)
 
     def admit(self, deform):
         """Resolve the deformation to a float r, checking admissibility."""
@@ -164,49 +155,47 @@ class _Entry:
         return deform.r
 
 
-def _entry(bid, side, region, kernel, default_r=None, r_interval=None, description=""):
-    deform = DeformParam(default_r) if default_r is not None else None
-    return _Entry(BoundSpec(bid, side, region, deform, description), kernel, r_interval)
-
-
-_CATALOG = (
-    _entry("D1-exp", UPPER, ALL_T, _k_d1,
-           description="exponential upper bound exp(v(1-v)(t-1)^2/t)"),
-    _entry("K-upper", UPPER, ALL_T, _k_kupper,
-           description="Kantorovich power upper bound K(t)^max{v,1-v}"),
-    _entry("K-lower", LOWER, ALL_T, _k_klower,
-           description="Kantorovich power lower bound K(t)^min{v,1-v}"),
-    _entry("D2-lo-le1", LOWER, T_LE_1, _k_d2_sq,
-           description="exponential lower bound exp((v(1-v)/2)(t-1)^2) for t <= 1"),
-    _entry("D2-hi-le1", UPPER, T_LE_1, _k_d2_invsq,
-           description="exponential upper bound exp((v(1-v)/2)(1/t-1)^2) for t <= 1"),
-    _entry("D2-lo-ge1", LOWER, T_GE_1, _k_d2_invsq,
-           description="exponential lower bound exp((v(1-v)/2)(1/t-1)^2) for t >= 1"),
-    _entry("D2-hi-ge1", UPPER, T_GE_1, _k_d2_sq,
-           description="exponential upper bound exp((v(1-v)/2)(t-1)^2) for t >= 1"),
-    _entry("FM-m", LOWER, T_LE_1, _k_fm_m,
-           description="polynomial lower bound 1 + (v(1-v)(t-1)^2/2)((t+1)/2)^(-v-1) for t <= 1"),
-    _entry("FM-M", UPPER, T_LE_1, _k_fm_M,
-           description="polynomial upper bound 1 + (v(1-v)(t-1)^2/2) t^(-v-1) for t <= 1"),
-    _entry("T31-poly", UPPER, ALL_T, _k_t31,
-           description="polynomial upper bound 1 + v(1-v)(t-1)^2/t"),
-    _entry("C33-expr", UPPER, ALL_T, _k_c33, default_r=1.0, r_interval=(0.0, 1.0, True),
-           description="deformed-exponential upper bound exp_r(v(1-v)(t-1)^2/t), 0 < r <= 1"),
-    _entry("T36-lo-le1", LOWER, T_LE_1, _k_t36_lo_sq,
-           description="reciprocal lower bound 1/(1 - (v(1-v)/2)(t-1)^2) for t <= 1"),
-    _entry("T36-hi-le1", UPPER, T_LE_1, _k_t36_hi_invsq,
-           description="polynomial upper bound 1 + (v(1-v)/2)(1/t-1)^2 for t <= 1"),
-    _entry("T36-lo-ge1", LOWER, T_GE_1, _k_t36_lo_invsq,
-           description="reciprocal lower bound 1/(1 - (v(1-v)/2)(1/t-1)^2) for t >= 1"),
-    _entry("T36-hi-ge1", UPPER, T_GE_1, _k_t36_hi_sq,
-           description="polynomial upper bound 1 + (v(1-v)/2)(t-1)^2 for t >= 1"),
-    _entry("C38-lo", LOWER, ALL_T, _k_c38_lo, default_r=-1.0, r_interval=(-1.0, 0.0, False),
-           description="deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), "
-                       "-1 <= r < 0"),
-    _entry("C38-hi", UPPER, ALL_T, _k_c38_hi, default_r=1.0, r_interval=(0.0, 1.0, True),
-           description="deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), "
-                       "0 < r <= 1"),
-)
+# One row per entry.  Ten entries are deformed families at a fixed r:
+# D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-* at r = 0,
+# and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1.
+_CATALOG = tuple(_Entry(*row) for row in (
+    ("D1-exp", UPPER, ALL_T, "expr", 0.0,
+     "exponential upper bound exp(v(1-v)(t-1)^2/t)"),
+    ("K-upper", UPPER, ALL_T, "K-power", np.maximum,
+     "Kantorovich power upper bound K(t)^max{v,1-v}"),
+    ("K-lower", LOWER, ALL_T, "K-power", np.minimum,
+     "Kantorovich power lower bound K(t)^min{v,1-v}"),
+    ("D2-lo-le1", LOWER, T_LE_1, "half-lo", 0.0,
+     "exponential lower bound exp((v(1-v)/2)(t-1)^2) for t <= 1"),
+    ("D2-hi-le1", UPPER, T_LE_1, "half-hi", 0.0,
+     "exponential upper bound exp((v(1-v)/2)(1/t-1)^2) for t <= 1"),
+    ("D2-lo-ge1", LOWER, T_GE_1, "half-lo", 0.0,
+     "exponential lower bound exp((v(1-v)/2)(1/t-1)^2) for t >= 1"),
+    ("D2-hi-ge1", UPPER, T_GE_1, "half-hi", 0.0,
+     "exponential upper bound exp((v(1-v)/2)(t-1)^2) for t >= 1"),
+    ("FM-m", LOWER, T_LE_1, "FM", lambda t: 0.5 * (t + 1.0),
+     "polynomial lower bound 1 + (v(1-v)(t-1)^2/2)((t+1)/2)^(-v-1) for t <= 1"),
+    ("FM-M", UPPER, T_LE_1, "FM", lambda t: t,
+     "polynomial upper bound 1 + (v(1-v)(t-1)^2/2) t^(-v-1) for t <= 1"),
+    ("T31-poly", UPPER, ALL_T, "expr", 1.0,
+     "polynomial upper bound 1 + v(1-v)(t-1)^2/t"),
+    ("C33-expr", UPPER, ALL_T, "expr", (1.0, (0.0, 1.0, True)),
+     "deformed-exponential upper bound exp_r(v(1-v)(t-1)^2/t), 0 < r <= 1"),
+    ("T36-lo-le1", LOWER, T_LE_1, "half-lo", -1.0,
+     "reciprocal lower bound 1/(1 - (v(1-v)/2)(t-1)^2) for t <= 1"),
+    ("T36-hi-le1", UPPER, T_LE_1, "half-hi", 1.0,
+     "polynomial upper bound 1 + (v(1-v)/2)(1/t-1)^2 for t <= 1"),
+    ("T36-lo-ge1", LOWER, T_GE_1, "half-lo", -1.0,
+     "reciprocal lower bound 1/(1 - (v(1-v)/2)(1/t-1)^2) for t >= 1"),
+    ("T36-hi-ge1", UPPER, T_GE_1, "half-hi", 1.0,
+     "polynomial upper bound 1 + (v(1-v)/2)(t-1)^2 for t >= 1"),
+    ("C38-lo", LOWER, ALL_T, "half-lo", (-1.0, (-1.0, 0.0, False)),
+     "deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), "
+     "-1 <= r < 0"),
+    ("C38-hi", UPPER, ALL_T, "half-hi", (1.0, (0.0, 1.0, True)),
+     "deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), "
+     "0 < r <= 1"),
+))
 
 _BY_ID = {e.spec.id: e for e in _CATALOG}
 

@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import DeformParam, _dexp, kantorovich
+from .scalar import DeformParam, _check_threshold, _dexp, kantorovich
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -168,8 +168,8 @@ class OperatorCertificate:
     min_eigen_margin is min(right - left) / max(|left|, |right|), which is
     what loewner_leq reports for (diag(left), diag(right)); it does not
     change when A, B and the sandwich are scaled together.  It equals the
-    margin of the explicit means when A = I.  holds <=> margin >= -tol.
-    variant is None for the single-parameter claim.
+    margin of the explicit means when A = I.  holds <=> margin >= -tol, and
+    tol is finite and >= 0.  variant is None for the single-parameter claim.
     """
 
     claim_id: str
@@ -254,10 +254,11 @@ def loewner_leq(A, B, tol=1e-10):
 
     Returns (holds, margin) where margin is the smallest eigenvalue of B - A
     divided by max(||A||_2, ||B||_2) (undivided when both are 0) and
-    holds <=> margin >= -tol.  The margin does not change when A and B are
-    scaled together.
+    holds <=> margin >= -tol, for a finite tol >= 0.  The margin does not
+    change when A and B are scaled together.
     """
     _same_dim(A, B)
+    _check_threshold("tol", tol)
     smallest = float(np.linalg.eigvalsh(B.entries - A.entries)[0])
     margin = _relative(smallest, max(A.norm2(), B.norm2()))
     return margin >= -tol, margin
@@ -338,6 +339,7 @@ def certify_corollary_one(A, B, v, r, s, tol=1e-10):
     r = _as_r(r)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"the single-parameter claim requires r in (0, 1], got {r}")
+    _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
     factor = float(_dexp(r, 4.0 * v * (1.0 - v) * (kantorovich(s.h) - 1.0)))
@@ -366,6 +368,7 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
         raise DomainError(
             f"variant must be 'as-stated' or 'interval-extremal', got {variant!r}"
         )
+    _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
 

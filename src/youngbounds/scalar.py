@@ -77,6 +77,12 @@ class DeformParam:
         object.__setattr__(self, "r", r)
 
 
+def _check_threshold(name, value):
+    """Reject a NaN, negative or infinite tolerance: it would fix the verdict."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def _pow(t, v):
     """t**v as exp(v*log t); t and v may be arrays, t > 0 assumed."""
     return np.exp(v * np.log(t))

@@ -6,7 +6,8 @@ Three jobs live here:
   violation count and the worst margin;
 - find_sign_change: look for floating-point evidence that a difference
   function takes both signs (so neither of the two compared bounds
-  dominates the other);
+  dominates the other).  Six differences are bound pairs, a Kantorovich
+  power entry minus a catalog entry; diff-ropt probes exp_r against R;
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
@@ -26,13 +27,14 @@ t ~ 1e154 and are silenced once per sweep or witness search.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import EvalPoint, _dexp, _ratio
+from .scalar import EvalPoint, _check_threshold, _dexp, _ratio
 
 LINEAR = "linear"
 LOG = "log"
@@ -59,6 +61,11 @@ class Region:
     n_v: int = 41
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_t), operator.index(self.n_v)
+        except TypeError:
+            raise RegionError(
+                f"grid sizes must be integers, got {self.n_t!r}x{self.n_v!r}") from None
         if self.t_scale not in (LINEAR, LOG):
             raise RegionError(f"t_scale must be {LINEAR!r} or {LOG!r}, got {self.t_scale!r}")
         if not 0.0 < self.t_min <= self.t_max < np.inf:
@@ -108,46 +115,29 @@ class _Diff:
         self.needs_r = needs_r
 
 
-def _d_l(t, v, r):
-    return catalog._k_kupper(t, v, None) - catalog._k_d1(t, v, None)
+def _pair(diff_id, lhs_id, rhs_id):
+    """lhs - rhs on the rhs entry's region; each lhs is a K entry, valid for all t."""
+    lhs, rhs = catalog._BY_ID[lhs_id].kernel, catalog._BY_ID[rhs_id]
+    rhs_kernel = rhs.kernel
+    return _Diff(diff_id, rhs.spec.region, lambda t, v, r: lhs(t, v, None) - rhs_kernel(t, v, None))
 
 
-def _d_u1(t, v, r):
-    return catalog._k_kupper(t, v, None) - catalog._k_t31(t, v, None)
-
-
-def _d_u2(t, v, r):
-    return catalog._k_kupper(t, v, None) - catalog._k_t36_hi_invsq(t, v, None)
-
-
-def _d_u3(t, v, r):
-    return catalog._k_kupper(t, v, None) - catalog._k_t36_hi_sq(t, v, None)
-
-
-def _d_l1(t, v, r):
-    return catalog._k_klower(t, v, None) - catalog._k_t36_lo_sq(t, v, None)
-
-
-def _d_l2(t, v, r):
-    return catalog._k_klower(t, v, None) - catalog._k_t36_lo_invsq(t, v, None)
-
-
-def _d_ropt(t, v, r):
+def _ropt_probe(t, v, r):
     # The optimality probe: exp_r of the exponential bound's argument minus
-    # the ratio itself, with r allowed outside [-1, 1].
+    # the ratio itself, with r allowed outside [-1, 1].  The argument is
+    # divided last, which rounds differently from _identity_arg.
     x = v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) / t
     return _dexp(r, x) - _ratio(t, v)
 
 
-_DIFFS = (
-    _Diff("diff-l", catalog.ALL_T, _d_l),
-    _Diff("diff-u1", catalog.ALL_T, _d_u1),
-    _Diff("diff-u2", catalog.T_LE_1, _d_u2),
-    _Diff("diff-u3", catalog.T_GE_1, _d_u3),
-    _Diff("diff-l1", catalog.T_LE_1, _d_l1),
-    _Diff("diff-l2", catalog.T_GE_1, _d_l2),
-    _Diff("diff-ropt", catalog.ALL_T, _d_ropt, needs_r=True),
-)
+_DIFFS = tuple(_pair(*row) for row in (
+    ("diff-l", "K-upper", "D1-exp"),
+    ("diff-u1", "K-upper", "T31-poly"),
+    ("diff-u2", "K-upper", "T36-hi-le1"),
+    ("diff-u3", "K-upper", "T36-hi-ge1"),
+    ("diff-l1", "K-lower", "T36-lo-le1"),
+    ("diff-l2", "K-lower", "T36-lo-ge1"),
+)) + (_Diff("diff-ropt", catalog.ALL_T, _ropt_probe, needs_r=True),)
 
 _DIFF_BY_ID = {d.id: d for d in _DIFFS}
 
@@ -261,13 +251,14 @@ def _fold_extremum(best, block, i0, lower, skip_nonfinite=False):
 def sweep(bound_id, region, tol=1e-12, deform=None):
     """Certify one catalog bound at every grid point of a Region.
 
-    The window must lie inside the bound's validity region.  Returns a
-    SweepReport; a positive n_violations means some margin fell below -tol
-    or is NaN (which, for in-region input, would contradict the underlying
-    theorem).
+    The window must lie inside the bound's validity region, and tol must be
+    finite and >= 0.  Returns a SweepReport; a positive n_violations means
+    some margin fell below -tol or is NaN (which, for in-region input, would
+    contradict the underlying theorem).
     """
     entry = catalog._lookup(bound_id)
     _check_window(entry.spec.region, region.t_min, region.t_max, bound_id)
+    _check_threshold("tol", tol)
     r = entry.admit(deform)
     upper = entry.spec.side == catalog.UPPER
 
@@ -338,7 +329,7 @@ def _refine_axis(center, step, lo, hi, log_scale):
 
 
 def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
-    """Search a Region for points where the difference exceeds +-delta.
+    """Search a Region for points where the difference exceeds +-delta >= 0.
 
     Coarse scan on the Region grid first; then up to refine_depth rounds of
     10x local refinement around the incumbent extremum of each sign.  Both
@@ -350,6 +341,7 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     """
     diff = _lookup_diff(diff_id)
     _check_window(diff.region, region.t_min, region.t_max, diff_id)
+    _check_threshold("delta", delta)
     if diff.needs_r and r is None:
         raise DomainError(f"{diff_id} requires an explicit r")
     r_value = float(r) if r is not None else None

@@ -1,4 +1,5 @@
-"""Catalog checks: census, evaluation, certificates, envelopes, the chain."""
+"""Catalog checks: census, evaluation, certificates, envelopes, the chain,
+and a reference kernel per entry that the catalog must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from youngbounds import (
     bound_ids,
     certify_point,
     chain_check,
+    eval_diff,
     evaluate,
     evaluate_grid,
     get_bound,
@@ -19,7 +21,7 @@ from youngbounds import (
     tightest,
     young_ratio,
 )
-from youngbounds import scalar
+from youngbounds import scalar, verify
 from youngbounds.catalog import ALL_T, LOWER, T_GE_1, T_LE_1, UPPER
 from youngbounds.errors import DomainError, RegionError, UnknownBoundError
 
@@ -253,3 +255,143 @@ def test_cached_ratio_is_not_part_of_point_identity():
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == "EvalPoint(t=0.3, v=0.4)"
     assert {used: 1}[fresh] == 1
+
+
+# Reference kernels: every entry's formula written out on its own, apart
+# from the family rows the catalog builds them from.  The catalog must give
+# the same bits, in grids and at points.
+def _ref_exp(x):
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
+def _ref_sq(t):
+    return (t - 1.0) * (t - 1.0)
+
+
+def _ref_inv_sq(t):
+    return (1.0 / t - 1.0) * (1.0 / t - 1.0)
+
+
+REFERENCE = {
+    "D1-exp": lambda t, v, r: _ref_exp(v * (1.0 - v) * scalar._identity_arg(t)),
+    "K-upper": lambda t, v, r: scalar._pow(scalar._kantorovich(t), np.maximum(v, 1.0 - v)),
+    "K-lower": lambda t, v, r: scalar._pow(scalar._kantorovich(t), np.minimum(v, 1.0 - v)),
+    "D2-lo-le1": lambda t, v, r: _ref_exp(0.5 * v * (1.0 - v) * _ref_sq(t)),
+    "D2-hi-le1": lambda t, v, r: _ref_exp(0.5 * v * (1.0 - v) * _ref_inv_sq(t)),
+    "D2-lo-ge1": lambda t, v, r: _ref_exp(0.5 * v * (1.0 - v) * _ref_inv_sq(t)),
+    "D2-hi-ge1": lambda t, v, r: _ref_exp(0.5 * v * (1.0 - v) * _ref_sq(t)),
+    "FM-m": lambda t, v, r: (1.0 + 0.5 * v * (1.0 - v) * _ref_sq(t)
+                             * scalar._pow(0.5 * (t + 1.0), -v - 1.0)),
+    "FM-M": lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _ref_sq(t) * scalar._pow(t, -v - 1.0),
+    "T31-poly": lambda t, v, r: 1.0 + v * (1.0 - v) * scalar._identity_arg(t),
+    "C33-expr": lambda t, v, r: scalar._dexp(r, v * (1.0 - v) * scalar._identity_arg(t)),
+    "T36-lo-le1": lambda t, v, r: 1.0 / (1.0 - 0.5 * v * (1.0 - v) * _ref_sq(t)),
+    "T36-hi-le1": lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _ref_inv_sq(t),
+    "T36-lo-ge1": lambda t, v, r: 1.0 / (1.0 - 0.5 * v * (1.0 - v) * _ref_inv_sq(t)),
+    "T36-hi-ge1": lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _ref_sq(t),
+    "C38-lo": lambda t, v, r: scalar._dexp(r, 0.5 * v * (1.0 - v) * (
+        (1.0 - np.minimum(1.0, t) / np.maximum(1.0, t))
+        * (1.0 - np.minimum(1.0, t) / np.maximum(1.0, t)))),
+    "C38-hi": lambda t, v, r: scalar._dexp(r, 0.5 * v * (1.0 - v) * (
+        (1.0 - np.maximum(1.0, t) / np.minimum(1.0, t))
+        * (1.0 - np.maximum(1.0, t) / np.minimum(1.0, t)))),
+}
+
+# Caller-chosen r per deformed entry, the ends of each interval included;
+# 1e-11 is below the switch to the exponential limit.
+CALLER_R = {
+    "C33-expr": (1e-11, 0.25, 0.5, 1.0),
+    "C38-lo": (-1.0, -0.5, -1e-11),
+    "C38-hi": (1e-11, 0.5, 1.0),
+}
+
+# Each difference minus the reference it is built from.
+REFERENCE_PAIRS = {
+    "diff-l": ("K-upper", "D1-exp"),
+    "diff-u1": ("K-upper", "T31-poly"),
+    "diff-u2": ("K-upper", "T36-hi-le1"),
+    "diff-u3": ("K-upper", "T36-hi-ge1"),
+    "diff-l1": ("K-lower", "T36-lo-le1"),
+    "diff-l2": ("K-lower", "T36-lo-ge1"),
+}
+
+
+def _oracle_grid(region):
+    """Seeded (t column, v row) inside a region, with its edge values."""
+    rng = np.random.default_rng(7)
+    lo, hi = {ALL_T: (-300.0, 308.0), T_LE_1: (-300.0, 0.0), T_GE_1: (0.0, 308.0)}[region]
+    t = 10.0 ** rng.uniform(lo, hi, 60)
+    edges = {ALL_T: [1e-300, 1e-6, 1.0, 1e154, 1.4e154, 1e200, 1.7e308],
+             T_LE_1: [1e-300, 1e-154, 1e-6, 0.5, 1.0],
+             T_GE_1: [1.0, 2.0, 1e6, 1e154, 1.4e154, 1e200, 1.7e308]}[region]
+    t = np.concatenate([edges, t, 10.0 ** rng.uniform(-2.0, 2.0, 40)])
+    t = t[(t <= 1.0) if region == T_LE_1 else (t >= 1.0) if region == T_GE_1 else t > 0.0]
+    v = np.concatenate([[0.0, 0.5, 1.0], rng.random(12)])
+    return t[:, None], v[None, :]
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def test_reference_oracle_covers_the_catalog():
+    assert tuple(REFERENCE) == EXPECTED_IDS
+    assert {s.id for s in list_bounds() if s.deform is not None} == set(CALLER_R)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bid", EXPECTED_IDS)
+def test_grid_values_equal_the_reference_bitwise(bid):
+    spec = get_bound(bid)
+    t, v = _oracle_grid(spec.region)
+    default_r = spec.deform.r if spec.deform is not None else None
+    cases = [(None, default_r)] + [(DeformParam(r), r) for r in CALLER_R.get(bid, ())]
+    for deform, r in cases:
+        got = evaluate_grid(bid, t, v, deform)
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(REFERENCE[bid](t, v, r), got.shape)
+        assert got.shape == (t.size, v.size)
+        assert got.tobytes() == want.tobytes(), (bid, r)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bid", EXPECTED_IDS)
+def test_point_values_equal_the_reference_bitwise(bid):
+    spec = get_bound(bid)
+    t, v = _oracle_grid(spec.region)
+    default_r = spec.deform.r if spec.deform is not None else None
+    cases = [(None, default_r)] + [(DeformParam(r), r) for r in CALLER_R.get(bid, ())]
+    for ti in t[::3, 0].tolist():
+        for vj in v[0, ::2].tolist():
+            p = EvalPoint(ti, vj)
+            for deform, r in cases:
+                want = _bits(REFERENCE[bid](ti, vj, r))
+                assert _bits(evaluate(bid, p, deform)) == want, (bid, p, r)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("diff_id", REFERENCE_PAIRS)
+def test_differences_are_k_minus_the_reference_bitwise(diff_id):
+    lhs, rhs = REFERENCE_PAIRS[diff_id]
+    diff = verify._DIFF_BY_ID[diff_id]
+    assert diff.region == get_bound(rhs).region
+    t, v = _oracle_grid(diff.region)
+    with np.errstate(all="ignore"):
+        want = REFERENCE[lhs](t, v, None) - REFERENCE[rhs](t, v, None)
+        got = np.broadcast_to(diff.kernel(t, v, None), want.shape)
+    assert got.tobytes() == want.tobytes()
+    for ti in t[::3, 0].tolist():
+        for vj in v[0, ::2].tolist():
+            point = REFERENCE[lhs](ti, vj, None) - REFERENCE[rhs](ti, vj, None)
+            assert _bits(eval_diff(diff_id, EvalPoint(ti, vj))) == _bits(point), (diff_id, ti, vj)
+
+
+def test_reciprocal_entries_raise_off_their_regions():
+    # Evaluated off its half-line the reciprocal's denominator reaches 0 and
+    # below; evaluate_grid (region unchecked) raises rather than return inf.
+    v = np.array([0.5])
+    with pytest.raises(DomainError, match="nonpositive"):
+        evaluate_grid("T36-lo-le1", np.array([0.5, 10.0]), v)
+    with pytest.raises(DomainError, match="nonpositive"):
+        evaluate_grid("T36-lo-ge1", np.array([2.0, 0.1]), v)

@@ -222,6 +222,13 @@ def test_sweep_error_exits(capsys):
     assert code == 3 and env["results"]["error"]["type"] == "RegionError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_sweep_invalid_tolerance_exits_domain(capsys, tol):
+    code, env, _ = run_json(capsys, "sweep", "--bound", "T31-poly", "--tol", tol)
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"]["type"] == "DomainError"
+
+
 def test_witness_found(capsys):
     code, env, err = run_json(capsys, "witness", "--diff", "diff-u1")
     assert code == 0 and env["status"] == "ok"
@@ -301,6 +308,22 @@ def test_witness_usage_and_domain_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "witness", "--diff", "diff-u1", "--nv", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("delta", ["-1", "nan"])
+def test_witness_invalid_delta_exits_domain(capsys, delta):
+    code, env, _ = run_json(capsys, "witness", "--diff", "diff-u2", "--delta", delta,
+                            "--t-min", "0.9", "--t-max", "1", "--v-max", "0.01")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"]["type"] == "DomainError"
+
+
+def test_operator_invalid_tolerance_exits_domain(capsys, scalar_pair):
+    a, b = scalar_pair
+    code, env, _ = run_json(capsys, "operator", "--a", a, "--b", b, "--v", "0.5",
+                            "--claim", "one", "--m", "1", "--mprime", "1",
+                            "--Mprime", "4", "--M", "4", "--tol", "nan")
+    assert code == 3 and env["results"]["error"]["type"] == "DomainError"
 
 
 def test_operator_claim_one(capsys, scalar_pair):

@@ -281,6 +281,22 @@ def test_corollary_one_accepts_deform_param_and_rejects_bad_r():
         certify_corollary_one(A, B, 1.5, 1.0, s)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_thresholds_must_be_finite_and_nonnegative(tol):
+    A = HermitianMatrix.diagonal([1.0])
+    B = HermitianMatrix.diagonal([4.0])
+    s = SandwichSpec(1.0, 1.0, 4.0, 4.0)
+    # the pair holds at the default tolerance
+    assert certify_corollary_one(A, B, 0.5, 1.0, s).holds
+    with pytest.raises(DomainError, match="tol"):
+        loewner_leq(A, B, tol)
+    with pytest.raises(DomainError, match="tol"):
+        certify_corollary_one(A, B, 0.5, 1.0, s, tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        certify_corollary_two(A, B, 0.5, -1.0, 1.0, s, tol=tol)
+    assert loewner_leq(A, B, 0.0) == (True, 0.75)
+
+
 def test_corollary_one_requires_valid_sandwich():
     eye = HermitianMatrix.identity(2)
     with pytest.raises(SandwichViolationError):

@@ -73,6 +73,13 @@ def test_region_validation():
         Region(0.1, 1.0, 0.0, 1.0, LOG, 1, 41)
     with pytest.raises(RegionError):
         Region(0.1, 1.0, 0.0, 1.0, LOG, 41, 1)
+    # grid sizes are integers: not floats, even whole ones, and not strings
+    with pytest.raises(RegionError):
+        Region(0.1, 10.0, 0.0, 1.0, LOG, 40.0, 41)
+    with pytest.raises(RegionError):
+        Region(0.1, 10.0, 0.0, 1.0, LOG, 41, "41")
+    numpy_sized = Region(0.1, 10.0, 0.0, 1.0, LOG, np.int64(5), np.int32(3))
+    assert sweep("T31-poly", numpy_sized).n_points == 15
 
 
 def test_region_defaults_and_grids():
@@ -112,6 +119,17 @@ def test_sweep_rejects_window_outside_validity_region():
         sweep("FM-m", Region(0.1, 2.0, 0.0, 1.0))
     with pytest.raises(RegionError):
         sweep("T36-lo-ge1", Region(0.5, 10.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+def test_sweep_rejects_invalid_tolerance(tol):
+    with pytest.raises(DomainError, match="tol"):
+        sweep("T31-poly", Region(0.1, 10.0, 0.0, 1.0, LOG, 5, 3), tol=tol)
+
+
+def test_sweep_accepts_zero_tolerance():
+    region = Region(1.0, 1.0, 0.5, 0.5, LINEAR, 2, 2)
+    assert sweep("K-lower", region, tol=0.0).n_violations == 0
 
 
 def test_sweep_deform_passthrough():
@@ -471,6 +489,15 @@ def test_optimality_probe_witness_needs_wide_window():
 def test_witness_requires_r_for_probe():
     with pytest.raises(DomainError):
         find_sign_change("diff-ropt", Region(0.1, 10.0, 0.0, 1.0), 1e-3)
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, math.inf])
+def test_witness_search_rejects_invalid_delta(delta):
+    # delta = -1 made any two values a "sign change"; nan and inf can never
+    # be exceeded.  Each is an input error, not a search outcome.
+    region = Region(0.9, 1.0, 0.0, 0.01)
+    with pytest.raises(DomainError, match="delta"):
+        find_sign_change("diff-u2", region, delta)
 
 
 def test_witness_absent_when_single_signed():
