@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import DeformParam, EvalPoint, _any, _dexp, _identity_arg, _kantorovich, _pow
+from .scalar import (DeformParam, EvalPoint, _any, _check_threshold, _dexp, _identity_arg,
+                     _kantorovich, _pow)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -259,7 +260,11 @@ def evaluate_grid(bound_id, t, v, deform=None):
 
 
 def certify_point(bound_id, p, deform=None, tol=1e-12):
-    """Check the named inequality at one point and report the signed margin."""
+    """Check the named inequality at one point and report the signed margin.
+
+    tol must be finite and >= 0 (DomainError otherwise).
+    """
+    _check_threshold("tol", tol)
     entry = _lookup(bound_id)
     bound_value = _value(entry, p, deform)
     ratio_value = p.ratio

@@ -5,7 +5,9 @@ comparison table), sweep (grid certification of one bound), witness
 (sign-change search for a difference function), operator (matrix-pair
 certificates).  Every parsed run prints exactly one machine-readable
 envelope to stdout (JSON by default, CSV rows with --format csv) plus a
-one-line human summary on stderr.
+human summary on stderr, one line per checked claim.  Each command returns
+(holds, results, summary); main derives status and exit code from holds, and
+the CSV is a projection of the results record (_CSV_LAYOUT).
 
 Exit codes are a stable contract: 0 ok, 1 an inequality failed to hold,
 2 usage, 3 domain/region/sandwich/file error, 4 witness not found.
@@ -16,6 +18,8 @@ import csv
 import functools
 import json
 import sys
+
+import numpy as np
 
 from . import catalog, operators, verify
 from .errors import (
@@ -51,21 +55,53 @@ def _csv_cell(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit(args, command, results, status, csv_header, csv_rows):
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": _inputs_echo(args),
-        "results": results,
-        "status": status,
-    }
+# The CSV is a projection of the results record: per command, the key of its
+# record list in results (None: results is the one record) and the record
+# keys that become columns, in order.  Each record is one row.  A point
+# {t, v} under key k becomes two columns, k with "point" read as t and as v.
+_CSV_LAYOUT = {
+    "eval": (None,
+             ("bound_id", "point", "r", "ratio_value", "bound_value", "margin", "holds", "tol")),
+    "remarks": ("rows", ("label", "paper_value", "computed", "abs_error")),
+    "sweep": (None, ("bound_id", "n_points", "n_violations", "min_margin", "argmin_point")),
+    "witness": (None, ("diff_id", "point_pos", "value_pos", "point_neg", "value_neg", "delta")),
+    "operator": ("certificates",
+                 ("claim_id", "variant", "scalar_factor", "min_eigen_margin", "holds", "tol")),
+    "error": ("error", ("type", "message")),
+}
+_CSV_NAMES = {"type": "error_type"}  # column names that differ from their record key
+
+
+def _write_csv(layout, results):
+    key, columns = layout
+    records = results if key is None else results[key]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for i, record in enumerate(records if isinstance(records, list) else [records]):
+        names, cells = [], []
+        for column in columns:
+            value = record[column]
+            if isinstance(value, dict):
+                names += [column.replace("point", coord) for coord in value]
+                cells += value.values()
+            else:
+                names.append(_CSV_NAMES.get(column, column))
+                cells.append(value)
+        if i == 0:
+            writer.writerow(names)
+        writer.writerow([_csv_cell(cell) for cell in cells])
+
+
+def _emit(args, results, status):
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+        _write_csv(_CSV_LAYOUT["error" if status == "error" else args.command], results)
     else:
-        print(json.dumps(envelope, indent=2))
+        print(json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": _inputs_echo(args),
+            "results": results,
+            "status": status,
+        }, indent=2))
 
 
 def _inputs_echo(args):
@@ -73,16 +109,17 @@ def _inputs_echo(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit_error(args, error_type, message, exit_code):
-    results = {"error": {"type": error_type, "message": message}}
-    _emit(args, args.command, results, "error",
-          ["error_type", "message"], [[error_type, message]])
-    print(f"error: {message}", file=sys.stderr)
-    return exit_code
+def _fields(obj):
+    """A dataclass as a results record; nested dataclasses become records too."""
+    record = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        record[name] = _fields(value) if hasattr(value, "__dataclass_fields__") else value
+    return record
 
 
-def _point_payload(p):
-    return {"t": p.t, "v": p.v}
+def _error(error_type, exc, code):
+    return "error", code, {"error": {"type": error_type, "message": str(exc)}}, f"error: {exc}"
 
 
 def _cmd_eval(args):
@@ -94,7 +131,7 @@ def _cmd_eval(args):
     results = {
         "bound_id": cert.bound_id,
         "side": spec.side,
-        "point": _point_payload(cert.point),
+        "point": _fields(cert.point),
         "r": r_used,
         "ratio_value": cert.ratio_value,
         "bound_value": cert.bound_value,
@@ -102,16 +139,10 @@ def _cmd_eval(args):
         "holds": cert.holds,
         "tol": cert.tol,
     }
-    status = "ok" if cert.holds else "violation"
-    _emit(args, "eval", results, status,
-          ["bound_id", "t", "v", "r", "ratio_value", "bound_value", "margin", "holds", "tol"],
-          [[cert.bound_id, cert.point.t, cert.point.v, r_used, cert.ratio_value,
-            cert.bound_value, cert.margin, cert.holds, cert.tol]])
-    print(f"eval {cert.bound_id} at (t={cert.point.t:.9g}, v={cert.point.v:.9g}): "
-          f"ratio {cert.ratio_value:.9g}, bound {cert.bound_value:.9g}, "
-          f"margin {cert.margin:.9g}, {'holds' if cert.holds else 'VIOLATED'}",
-          file=sys.stderr)
-    return EXIT_OK if cert.holds else EXIT_VIOLATION
+    summary = (f"eval {cert.bound_id} at (t={cert.point.t:.9g}, v={cert.point.v:.9g}): "
+               f"ratio {cert.ratio_value:.9g}, bound {cert.bound_value:.9g}, "
+               f"margin {cert.margin:.9g}, {'holds' if cert.holds else 'VIOLATED'}")
+    return cert.holds, results, summary
 
 
 def _cmd_remarks(args):
@@ -119,20 +150,13 @@ def _cmd_remarks(args):
     max_err = max(row.abs_error for row in rows)
     ok = max_err <= 1e-6
     results = {
-        "rows": [
-            {"label": r.label, "paper_value": r.paper_value,
-             "computed": r.computed, "abs_error": r.abs_error}
-            for r in rows
-        ],
+        "rows": [_fields(row) for row in rows],
         "max_abs_error": max_err,
         "tolerance": 1e-6,
     }
-    _emit(args, "remarks", results, "ok" if ok else "violation",
-          ["label", "paper_value", "computed", "abs_error"],
-          [[r.label, r.paper_value, r.computed, r.abs_error] for r in rows])
-    print(f"remarks: {len(rows)} rows, max abs error {max_err:.9g} "
-          f"({'within' if ok else 'EXCEEDS'} 1e-06)", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    summary = (f"remarks: {len(rows)} rows, max abs error {max_err:.9g} "
+               f"({'within' if ok else 'EXCEEDS'} 1e-06)")
+    return ok, results, summary
 
 
 def _build_region(args, t_window):
@@ -147,64 +171,30 @@ def _cmd_sweep(args):
     region = _build_region(args, _SWEEP_WINDOWS[spec.region])
     deform = DeformParam(args.r) if args.r is not None else None
     report = verify.sweep(args.bound, region, args.tol, deform)
-    ok = report.n_violations == 0
     results = {
         "bound_id": report.bound_id,
-        "region": {
-            "t_min": region.t_min, "t_max": region.t_max,
-            "v_min": region.v_min, "v_max": region.v_max,
-            "t_scale": region.t_scale, "n_t": region.n_t, "n_v": region.n_v,
-        },
+        "region": _fields(region),
         "n_points": report.n_points,
         "n_violations": report.n_violations,
         "min_margin": report.min_margin,
-        "argmin_point": _point_payload(report.argmin_point),
+        "argmin_point": _fields(report.argmin_point),
         "tol": args.tol,
     }
-    _emit(args, "sweep", results, "ok" if ok else "violation",
-          ["bound_id", "n_points", "n_violations", "min_margin", "argmin_t", "argmin_v"],
-          [[report.bound_id, report.n_points, report.n_violations, report.min_margin,
-            report.argmin_point.t, report.argmin_point.v]])
-    print(f"sweep {report.bound_id}: {report.n_violations} violations over "
-          f"{report.n_points} points, min margin {report.min_margin:.9g} at "
-          f"(t={report.argmin_point.t:.9g}, v={report.argmin_point.v:.9g})",
-          file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    summary = (f"sweep {report.bound_id}: {report.n_violations} violations over "
+               f"{report.n_points} points, min margin {report.min_margin:.9g} at "
+               f"(t={report.argmin_point.t:.9g}, v={report.argmin_point.v:.9g})")
+    return report.n_violations == 0, results, summary
 
 
 def _cmd_witness(args):
     t_lo, t_hi, preset_delta = verify.DIFF_PRESETS[args.diff]
     delta = args.delta if args.delta is not None else preset_delta
     region = _build_region(args, (t_lo, t_hi))
-    witness = verify.find_sign_change(args.diff, region, delta, args.depth, r=args.r)
-    results = {
-        "diff_id": witness.diff_id,
-        "point_pos": _point_payload(witness.point_pos),
-        "point_neg": _point_payload(witness.point_neg),
-        "value_pos": witness.value_pos,
-        "value_neg": witness.value_neg,
-        "delta": witness.delta,
-    }
-    _emit(args, "witness", results, "ok",
-          ["diff_id", "t_pos", "v_pos", "value_pos", "t_neg", "v_neg", "value_neg", "delta"],
-          [[witness.diff_id, witness.point_pos.t, witness.point_pos.v, witness.value_pos,
-            witness.point_neg.t, witness.point_neg.v, witness.value_neg, witness.delta]])
-    print(f"witness {witness.diff_id}: +{witness.value_pos:.9g} at "
-          f"(t={witness.point_pos.t:.9g}, v={witness.point_pos.v:.9g}) and "
-          f"{witness.value_neg:.9g} at (t={witness.point_neg.t:.9g}, "
-          f"v={witness.point_neg.v:.9g})", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cert_payload(cert):
-    return {
-        "claim_id": cert.claim_id,
-        "scalar_factor": cert.scalar_factor,
-        "min_eigen_margin": cert.min_eigen_margin,
-        "holds": cert.holds,
-        "variant": cert.variant,
-        "tol": cert.tol,
-    }
+    w = verify.find_sign_change(args.diff, region, delta, args.depth, r=args.r)
+    summary = (f"witness {w.diff_id}: +{w.value_pos:.9g} at "
+               f"(t={w.point_pos.t:.9g}, v={w.point_pos.v:.9g}) and "
+               f"{w.value_neg:.9g} at (t={w.point_neg.t:.9g}, v={w.point_neg.v:.9g})")
+    return True, _fields(w), summary
 
 
 def _cmd_operator(args):
@@ -219,23 +209,17 @@ def _cmd_operator(args):
         r2 = args.r2 if args.r2 is not None else 1.0
         certs = list(operators.certify_corollary_two(A, B, args.v, r1, r2, spec,
                                                      args.variant, args.tol))
-    ok = all(c.holds for c in certs)
     results = {
         "claim": args.claim,
         "dim": A.dim,
         "h": spec.h,
         "h_prime": spec.h_prime,
-        "certificates": [_cert_payload(c) for c in certs],
+        "certificates": [_fields(c) for c in certs],
     }
-    _emit(args, "operator", results, "ok" if ok else "violation",
-          ["claim_id", "variant", "scalar_factor", "min_eigen_margin", "holds", "tol"],
-          [[c.claim_id, c.variant, c.scalar_factor, c.min_eigen_margin, c.holds, c.tol]
-           for c in certs])
-    for c in certs:
-        print(f"{c.claim_id}: factor {c.scalar_factor:.9g}, margin "
-              f"{c.min_eigen_margin:.9g}, {'holds' if c.holds else 'VIOLATED'}",
-              file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    summary = "\n".join(f"{c.claim_id}: factor {c.scalar_factor:.9g}, margin "
+                        f"{c.min_eigen_margin:.9g}, {'holds' if c.holds else 'VIOLATED'}"
+                        for c in certs)
+    return all(c.holds for c in certs), results, summary
 
 
 def _add_format(sub):
@@ -335,12 +319,19 @@ def main(argv=None):
         print("error: depth must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # Past t ~ 1e154 squares overflow and some entries turn NaN; the
+        # envelope reports that, so numpy's warnings would only add noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            holds, results, summary = args.func(args)
+        status, code = ("ok", EXIT_OK) if holds else ("violation", EXIT_VIOLATION)
     except WitnessNotFoundError as exc:
-        return _emit_error(args, "witness-not-found", str(exc), EXIT_NOT_FOUND)
+        status, code, results, summary = _error("witness-not-found", exc, EXIT_NOT_FOUND)
     except (RegionError, DomainError, SandwichViolationError,
             NotPositiveDefiniteError, DimensionMismatchError, OSError) as exc:
-        return _emit_error(args, type(exc).__name__, str(exc), EXIT_DOMAIN)
+        status, code, results, summary = _error(type(exc).__name__, exc, EXIT_DOMAIN)
+    _emit(args, results, status)
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

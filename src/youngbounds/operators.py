@@ -66,8 +66,8 @@ class HermitianMatrix:
     Input is symmetrized ((X + X*)/2) on construction; anything farther than
     HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected rather
     than silently repaired.  Spectral data is computed on first use and
-    kept: the spectrum, the eigendecomposition, and the pencil reduction with
-    the last partner B (see _pencil).
+    kept: the spectrum and the pencil reduction with the last partner B (see
+    _pencil).
     """
 
     entries: np.ndarray
@@ -106,10 +106,6 @@ class HermitianMatrix:
         w = np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
         return w
-
-    @cached_property
-    def _eigh(self):
-        return np.linalg.eigh(self.entries)
 
     def eigenvalues(self):
         """Real eigenvalues in ascending order (computed once, read-only)."""
@@ -205,18 +201,12 @@ def _require_pd(w):
         )
 
 
-def _power_entries(A, p):
-    """Entries of A^p from A's cached eigendecomposition, symmetrized as
-    HermitianMatrix stores them; requires A positive definite."""
-    w, Q = A._eigh
-    _require_pd(w)
-    X = (Q * w**float(p)) @ Q.conj().T
-    return 0.5 * (X + X.conj().T)
-
-
 def hermitian_power(A, p):
     """A^p by eigendecomposition; requires A positive definite."""
-    return HermitianMatrix(_power_entries(A, p))
+    w, Q = np.linalg.eigh(A.entries)
+    _require_pd(w)
+    X = (Q * w**float(p)) @ Q.conj().T
+    return HermitianMatrix(0.5 * (X + X.conj().T))
 
 
 def weighted_arithmetic(A, B, v):

@@ -108,18 +108,20 @@ class NonOrderingWitness:
 
 
 class _Diff:
-    def __init__(self, diff_id, region, kernel, needs_r=False):
+    def __init__(self, diff_id, region, kernel, preset, needs_r=False):
         self.id = diff_id
         self.region = region
         self.kernel = kernel
+        self.preset = preset
         self.needs_r = needs_r
 
 
-def _pair(diff_id, lhs_id, rhs_id):
+def _pair(diff_id, lhs_id, rhs_id, *preset):
     """lhs - rhs on the rhs entry's region; each lhs is a K entry, valid for all t."""
     lhs, rhs = catalog._BY_ID[lhs_id].kernel, catalog._BY_ID[rhs_id]
     rhs_kernel = rhs.kernel
-    return _Diff(diff_id, rhs.spec.region, lambda t, v, r: lhs(t, v, None) - rhs_kernel(t, v, None))
+    return _Diff(diff_id, rhs.spec.region,
+                 lambda t, v, r: lhs(t, v, None) - rhs_kernel(t, v, None), preset)
 
 
 def _ropt_probe(t, v, r):
@@ -130,28 +132,21 @@ def _ropt_probe(t, v, r):
     return _dexp(r, x) - _ratio(t, v)
 
 
+# (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
+# delta).  The l1/l2 sign changes peak near 8e-4, hence the smaller delta there.
 _DIFFS = tuple(_pair(*row) for row in (
-    ("diff-l", "K-upper", "D1-exp"),
-    ("diff-u1", "K-upper", "T31-poly"),
-    ("diff-u2", "K-upper", "T36-hi-le1"),
-    ("diff-u3", "K-upper", "T36-hi-ge1"),
-    ("diff-l1", "K-lower", "T36-lo-le1"),
-    ("diff-l2", "K-lower", "T36-lo-ge1"),
-)) + (_Diff("diff-ropt", catalog.ALL_T, _ropt_probe, needs_r=True),)
+    ("diff-l", "K-upper", "D1-exp", 0.1, 10.0, 1e-3),
+    ("diff-u1", "K-upper", "T31-poly", 0.1, 10.0, 1e-3),
+    ("diff-u2", "K-upper", "T36-hi-le1", 0.1, 1.0, 1e-3),
+    ("diff-u3", "K-upper", "T36-hi-ge1", 1.0, 10.0, 1e-3),
+    ("diff-l1", "K-lower", "T36-lo-le1", 0.1, 1.0, 1e-4),
+    ("diff-l2", "K-lower", "T36-lo-ge1", 1.0, 10.0, 1e-4),
+)) + (_Diff("diff-ropt", catalog.ALL_T, _ropt_probe, (0.1, 10.0, 1e-3), needs_r=True),)
 
 _DIFF_BY_ID = {d.id: d for d in _DIFFS}
 
 # Default search window [t_lo, t_hi] and threshold delta per difference id.
-# The l1/l2 sign changes peak near 8e-4, hence the smaller delta there.
-DIFF_PRESETS = {
-    "diff-l": (0.1, 10.0, 1e-3),
-    "diff-u1": (0.1, 10.0, 1e-3),
-    "diff-u2": (0.1, 1.0, 1e-3),
-    "diff-u3": (1.0, 10.0, 1e-3),
-    "diff-l1": (0.1, 1.0, 1e-4),
-    "diff-l2": (1.0, 10.0, 1e-4),
-    "diff-ropt": (0.1, 10.0, 1e-3),
-}
+DIFF_PRESETS = {d.id: d.preset for d in _DIFFS}
 
 # Published comparison values: (label, diff id, t, v, r, published value).
 # The published figures carry six significant digits.

@@ -143,6 +143,19 @@ def test_certify_point_degenerate_at_one():
     assert cert.margin == 0.0 and cert.holds
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, np.inf, -np.inf])
+def test_certify_point_rejects_invalid_tolerance(tol):
+    # nan made every point fail and inf made every point hold, whatever the
+    # margin; each is an input error, not a verdict.
+    with pytest.raises(DomainError, match="tol"):
+        certify_point("T31-poly", EvalPoint(2.0, 0.5), tol=tol)
+
+
+def test_certify_point_accepts_zero_tolerance():
+    cert = certify_point("T31-poly", EvalPoint(2.0, 0.5), tol=0.0)
+    assert cert.holds and cert.tol == 0.0
+
+
 @given(st.sampled_from(EXPECTED_IDS), st.data())
 @relaxed
 def test_entries_bound_the_ratio_on_their_regions(bid, data):

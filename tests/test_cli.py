@@ -103,6 +103,19 @@ def test_eval_json_handles_infinite_values(capsys):
         assert env["results"]["holds"] is True
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bound,t,v", [
+    ("C38-hi", "1e-300", "0.3"), ("C38-hi", "1e200", "0.3"), ("C38-hi", "1.7e308", "0.3"),
+    ("K-lower", "1e200", "0"), ("K-lower", "1e200", "1"), ("FM-M", "1e-300", "0.3"),
+])
+def test_eval_past_overflow_writes_one_stderr_line(capsys, bound, t, v):
+    # the envelope reports inf and nan; numpy's warnings must not reach stderr
+    code, env, err = run_json(capsys, "eval", "--bound", bound, "--t", t, "--v", v)
+    assert code == (1 if bound == "K-lower" else 0)
+    assert env["status"] == ("violation" if code else "ok")
+    assert len(err.splitlines()) == 1 and err.startswith(f"eval {bound} at ")
+
+
 def test_eval_error_exits(capsys):
     code, env, err = run_json(capsys, "eval", "--bound", "FM-M", "--t", "2", "--v", "0.5")
     assert code == 3
@@ -446,3 +459,60 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         cli._parser.cache_clear()
     assert len(calls) == 1
     assert fresh() is not fresh()
+
+
+def _operator_argv(claim, *extra):
+    def argv(pair):
+        a, b = pair
+        return ("operator", "--a", a, "--b", b, "--v", "0.4", "--claim", claim,
+                "--m", "1", "--mprime", "1", "--Mprime", "2", "--M", "6", *extra)
+    return argv
+
+
+# One call per command, verdict and error kind; each maps the end-hitting
+# matrix pair to an argument list.
+PROJECTION_CALLS = {
+    "eval": lambda pair: ("eval", "--bound", "C33-expr", "--t", "0.5", "--v", "0.3"),
+    "eval-inf": lambda pair: ("eval", "--bound", "D1-exp", "--t", "1e200", "--v", "0.5"),
+    "eval-nan": lambda pair: ("eval", "--bound", "K-lower", "--t", "1e200", "--v", "0"),
+    "remarks": lambda pair: ("remarks",),
+    "sweep": lambda pair: ("sweep", "--bound", "K-upper", "--nt", "20", "--nv", "11"),
+    "sweep-nan": lambda pair: ("sweep", "--bound", "D1-exp", "--t-max", "1e300",
+                               "--nt", "50", "--nv", "11"),
+    "witness": lambda pair: ("witness", "--diff", "diff-l1"),
+    "operator-one": _operator_argv("one"),
+    "operator-two": _operator_argv("two"),
+    "operator-two-extremal": _operator_argv("two", "--variant", "interval-extremal"),
+    "error-region": lambda pair: ("eval", "--bound", "FM-M", "--t", "2", "--v", "0.5"),
+    "error-not-found": lambda pair: ("witness", "--diff", "diff-l", "--t-min", "0.9",
+                                     "--t-max", "1.1", "--v-min", "0.49", "--v-max", "0.51",
+                                     "--delta", "0.5"),
+    "error-file": lambda pair: ("operator", "--a", pair[0] + ".missing", "--b", pair[1],
+                                "--v", "0.4", "--claim", "one", "--m", "1", "--mprime", "1",
+                                "--Mprime", "2", "--M", "6"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", PROJECTION_CALLS)
+def test_csv_is_the_projection_of_json(capsys, end_hitting_pair, name):
+    argv = PROJECTION_CALLS[name](end_hitting_pair)
+    code, env, _ = run_json(capsys, *argv)
+    code2, rows, _ = run_csv(capsys, *argv)
+    assert code == code2
+    results = env["results"]
+    if env["status"] == "error":
+        error = results["error"]
+        records = [{"error_type": error["type"], "message": error["message"]}]
+    else:
+        key = {"remarks": "rows", "operator": "certificates"}.get(env["command"])
+        records = [results] if key is None else results[key]
+    header, body = rows[0], rows[1:]
+    assert len(body) == len(records)
+    for record, row in zip(records, body):
+        # a point {t, v} under key k is the columns k with "point" read as t and v
+        flat = dict(record)
+        for key, value in record.items():
+            if isinstance(value, dict) and set(value) == {"t", "v"}:
+                flat.update((key.replace("point", c), x) for c, x in value.items())
+        assert row == [cli._csv_cell(flat[column]) for column in header]

@@ -331,6 +331,19 @@ def test_diff_census():
     assert set(DIFF_PRESETS) == set(diff_ids())
 
 
+def test_diff_presets_in_registry_order():
+    # each difference's window and threshold sit on its registry row
+    assert list(DIFF_PRESETS.items()) == [
+        ("diff-l", (0.1, 10.0, 1e-3)),
+        ("diff-u1", (0.1, 10.0, 1e-3)),
+        ("diff-u2", (0.1, 1.0, 1e-3)),
+        ("diff-u3", (1.0, 10.0, 1e-3)),
+        ("diff-l1", (0.1, 1.0, 1e-4)),
+        ("diff-l2", (1.0, 10.0, 1e-4)),
+        ("diff-ropt", (0.1, 10.0, 1e-3)),
+    ]
+
+
 def test_eval_diff_known_values():
     assert eval_diff("diff-l", EvalPoint(0.5, 0.2)) == pytest.approx(
         0.015521451668861985, rel=1e-12
