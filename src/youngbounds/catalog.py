@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import (DeformParam, EvalPoint, _any, _check_threshold, _dexp, _identity_arg,
-                     _kantorovich, _pow)
+from .scalar import (DeformParam, EvalPoint, _admit_r, _any, _check_threshold, _dexp,
+                     _identity_arg, _kantorovich, _pow)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -124,36 +124,27 @@ def _kernel(family, region, param):
 
 
 class _Entry:
-    """One catalog row: its BoundSpec, kernel and admissible r interval.
+    """One catalog row: its BoundSpec and kernel.
 
-    param is the family parameter, or (default r, (lo, hi, lo_open)) for a
-    deformed entry whose r the caller may choose, hi closed.
+    param is the family parameter, or None for a deformed entry whose r the
+    caller may choose within scalar._admit_r's interval for its side.
     """
 
     def __init__(self, bid, side, region, family, param, description):
-        deform = self.r_interval = self.default_r = None
-        if isinstance(param, tuple):  # r is the caller's
-            self.default_r, self.r_interval = param
-            deform, param = DeformParam(self.default_r), None
+        deform = self.default_r = None
+        if param is None:  # r is the caller's, by default the tightest
+            self.default_r = _admit_r(bid, side == UPPER)
+            deform = DeformParam(self.default_r)
         self.spec = BoundSpec(bid, side, region, deform, description)
         self.kernel = _kernel(family, region, param)
 
     def admit(self, deform):
-        """Resolve the deformation to a float r, checking admissibility."""
-        if self.r_interval is None:
+        """Resolve the deformation (a DeformParam, a float or None) to a float r."""
+        if self.default_r is None:
             if deform is not None:
                 raise DomainError(f"{self.spec.id} takes no deformation parameter")
             return None
-        if deform is None:
-            deform = self.spec.deform
-        lo, hi, lo_open = self.r_interval
-        ok = (lo < deform.r if lo_open else lo <= deform.r) and deform.r <= hi
-        if not ok:
-            bracket = "(" if lo_open else "["
-            raise DomainError(
-                f"{self.spec.id} requires r in {bracket}{lo}, {hi}], got {deform.r}"
-            )
-        return deform.r
+        return _admit_r(self.spec.id, self.spec.side == UPPER, deform)
 
 
 # One row per entry.  Ten entries are deformed families at a fixed r:
@@ -180,7 +171,7 @@ _CATALOG = tuple(_Entry(*row) for row in (
      "polynomial upper bound 1 + (v(1-v)(t-1)^2/2) t^(-v-1) for t <= 1"),
     ("T31-poly", UPPER, ALL_T, "expr", 1.0,
      "polynomial upper bound 1 + v(1-v)(t-1)^2/t"),
-    ("C33-expr", UPPER, ALL_T, "expr", (1.0, (0.0, 1.0, True)),
+    ("C33-expr", UPPER, ALL_T, "expr", None,
      "deformed-exponential upper bound exp_r(v(1-v)(t-1)^2/t), 0 < r <= 1"),
     ("T36-lo-le1", LOWER, T_LE_1, "half-lo", -1.0,
      "reciprocal lower bound 1/(1 - (v(1-v)/2)(t-1)^2) for t <= 1"),
@@ -190,10 +181,10 @@ _CATALOG = tuple(_Entry(*row) for row in (
      "reciprocal lower bound 1/(1 - (v(1-v)/2)(1/t-1)^2) for t >= 1"),
     ("T36-hi-ge1", UPPER, T_GE_1, "half-hi", 1.0,
      "polynomial upper bound 1 + (v(1-v)/2)(t-1)^2 for t >= 1"),
-    ("C38-lo", LOWER, ALL_T, "half-lo", (-1.0, (-1.0, 0.0, False)),
+    ("C38-lo", LOWER, ALL_T, "half-lo", None,
      "deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), "
      "-1 <= r < 0"),
-    ("C38-hi", UPPER, ALL_T, "half-hi", (1.0, (0.0, 1.0, True)),
+    ("C38-hi", UPPER, ALL_T, "half-hi", None,
      "deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), "
      "0 < r <= 1"),
 ))
@@ -247,7 +238,8 @@ def evaluate(bound_id, p, deform=None):
     """Value of the named bound at an EvalPoint.
 
     deform must be omitted for entries without a deformation parameter;
-    for C33-expr/C38-hi/C38-lo it defaults to the tightest admissible value.
+    for C33-expr/C38-hi/C38-lo it is a DeformParam or a float r, and
+    defaults to the tightest admissible value.
     """
     return _value(_lookup(bound_id), p, deform)
 

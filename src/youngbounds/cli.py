@@ -31,7 +31,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .operators import SandwichSpec
-from .scalar import DeformParam, EvalPoint
+from .scalar import EvalPoint
 
 SCHEMA_VERSION = "2"
 
@@ -124,8 +124,7 @@ def _error(error_type, exc, code):
 
 def _cmd_eval(args):
     point = EvalPoint(args.t, args.v)
-    deform = DeformParam(args.r) if args.r is not None else None
-    cert = catalog.certify_point(args.bound, point, deform, tol=1e-12)
+    cert = catalog.certify_point(args.bound, point, args.r, tol=1e-12)
     spec = catalog.get_bound(args.bound)
     r_used = args.r if args.r is not None else (spec.deform.r if spec.deform else None)
     results = {
@@ -169,8 +168,7 @@ def _build_region(args, t_window):
 def _cmd_sweep(args):
     spec = catalog.get_bound(args.bound)
     region = _build_region(args, _SWEEP_WINDOWS[spec.region])
-    deform = DeformParam(args.r) if args.r is not None else None
-    report = verify.sweep(args.bound, region, args.tol, deform)
+    report = verify.sweep(args.bound, region, args.tol, args.r)
     results = {
         "bound_id": report.bound_id,
         "region": _fields(region),
@@ -198,16 +196,17 @@ def _cmd_witness(args):
 
 
 def _cmd_operator(args):
+    stray = [f"--{name}" for name in (("r1", "r2") if args.claim == "one" else ("r",))
+             if getattr(args, name) is not None]
+    if stray:
+        raise DomainError(f"claim {args.claim} takes no {' or '.join(stray)}")
     A = operators.read_matrix(args.a)
     B = operators.read_matrix(args.b)
     spec = SandwichSpec(args.m, args.mprime, args.Mprime, args.M, args.case)
     if args.claim == "one":
-        r = args.r if args.r is not None else 1.0
-        certs = [operators.certify_corollary_one(A, B, args.v, r, spec, args.tol)]
+        certs = [operators.certify_corollary_one(A, B, args.v, args.r, spec, args.tol)]
     else:
-        r1 = args.r1 if args.r1 is not None else -1.0
-        r2 = args.r2 if args.r2 is not None else 1.0
-        certs = list(operators.certify_corollary_two(A, B, args.v, r1, r2, spec,
+        certs = list(operators.certify_corollary_two(A, B, args.v, args.r1, args.r2, spec,
                                                      args.variant, args.tol))
     results = {
         "claim": args.claim,

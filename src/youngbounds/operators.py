@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import DeformParam, _check_threshold, _dexp, kantorovich
+from .scalar import _admit_r, _check_threshold, _dexp, kantorovich
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -188,10 +188,6 @@ def _check_weight(v):
     return v
 
 
-def _as_r(r):
-    return r.r if isinstance(r, DeformParam) else float(r)
-
-
 def _require_pd(w):
     """Reject an ascending spectrum w whose least eigenvalue is not above
     PD_FLOOR relative to the largest magnitude."""
@@ -311,31 +307,42 @@ def _pencil_spectrum(A, B):
     return memo[3]
 
 
-def _reduced_margin(left, right, tol):
-    """(holds, margin) of loewner_leq(diag(left), diag(right)), from the vectors."""
-    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
-    margin = _relative(float((right - left).min()), scale)
-    return margin >= -tol, margin
+def _certify(A, B, v, s, tol, variant, claims):
+    """Certificates of the pair for claims of rows (claim_id, upper, r, c, arg).
+
+    Each claim has the factor exp_r(c v(1-v) arg), the catalog's deformed
+    shape, and compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
+    arithmetic <= factor * geometric for an upper claim, the reverse for a
+    lower one.  The margin is loewner_leq's for (diag(left), diag(right)).
+    """
+    _check_threshold("tol", tol)
+    if not validate_sandwich(A, B, s):
+        raise SandwichViolationError("matrices do not satisfy the declared sandwich")
+    lam = _pencil_spectrum(A, B)
+    arithmetic, geometric = (1.0 - v) + v * lam, lam**v
+    certificates = []
+    for claim_id, upper, r, c, arg in claims:
+        factor = float(_dexp(r, c * v * (1.0 - v) * arg))
+        left, right = ((arithmetic, factor * geometric) if upper
+                       else (factor * geometric, arithmetic))
+        scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+        margin = _relative(float((right - left).min()), scale)
+        certificates.append(
+            OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol))
+    return certificates
 
 
 def certify_corollary_one(A, B, v, r, s, tol=1e-10):
     """Certify arithmetic mean <= exp_r(4v(1-v)(K(h)-1)) * geometric mean.
 
     K is evaluated at h = M/m, the worst point of the admissible spectral
-    interval in either case (K(1/h) = K(h)).  Requires 0 < r <= 1 and a
-    validated sandwich.
+    interval in either case (K(1/h) = K(h)).  r is an upper bound's (None
+    for the tightest, 1), and the sandwich must validate.
     """
     v = _check_weight(v)
-    r = _as_r(r)
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"the single-parameter claim requires r in (0, 1], got {r}")
-    _check_threshold("tol", tol)
-    if not validate_sandwich(A, B, s):
-        raise SandwichViolationError("matrices do not satisfy the declared sandwich")
-    factor = float(_dexp(r, 4.0 * v * (1.0 - v) * (kantorovich(s.h) - 1.0)))
-    lam = _pencil_spectrum(A, B)
-    holds, margin = _reduced_margin((1.0 - v) + v * lam, factor * lam**v, tol)
-    return OperatorCertificate("corollary-one", factor, margin, holds, None, tol)
+    r = _admit_r("corollary-one", True, r)
+    claim = ("corollary-one", True, r, 4.0, kantorovich(s.h) - 1.0)
+    return _certify(A, B, v, s, tol, None, (claim,))[0]
 
 
 def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
@@ -344,43 +351,25 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
     lower: exp_{r1}((v(1-v)/2) * arg_lo) * geometric <= arithmetic,
     upper: arithmetic <= exp_{r2}((v(1-v)/2) * arg_hi) * geometric,
     with (arg_lo, arg_hi) = (((h-1)/h)^2, (h'-1)^2) as stated and
-    (((h'-1)/h')^2, (h-1)^2) for the interval-extremal variant.
-    Requires -1 <= r1 < 0 and 0 < r2 <= 1.
+    (((h'-1)/h')^2, (h-1)^2) for the interval-extremal variant.  r1 is a
+    lower bound's and r2 an upper bound's (None for the tightest, -1 and 1).
     """
     v = _check_weight(v)
-    r1 = _as_r(r1)
-    if not -1.0 <= r1 < 0.0:
-        raise DomainError(f"the lower deformation requires r in [-1, 0), got {r1}")
-    r2 = _as_r(r2)
-    if not 0.0 < r2 <= 1.0:
-        raise DomainError(f"the upper deformation requires r in (0, 1], got {r2}")
+    r1 = _admit_r("corollary-two-lower", False, r1)
+    r2 = _admit_r("corollary-two-upper", True, r2)
     if variant not in ("as-stated", "interval-extremal"):
         raise DomainError(
             f"variant must be 'as-stated' or 'interval-extremal', got {variant!r}"
         )
-    _check_threshold("tol", tol)
-    if not validate_sandwich(A, B, s):
-        raise SandwichViolationError("matrices do not satisfy the declared sandwich")
-
     h, hp = s.h, s.h_prime
     if variant == "as-stated":
         arg_lo, arg_hi = ((h - 1.0) / h) ** 2, (hp - 1.0) ** 2
     else:
         arg_lo, arg_hi = ((hp - 1.0) / hp) ** 2, (h - 1.0) ** 2
-    half = 0.5 * v * (1.0 - v)
-    lower_factor = float(_dexp(r1, half * arg_lo))
-    upper_factor = float(_dexp(r2, half * arg_hi))
-
-    lam = _pencil_spectrum(A, B)
-    arithmetic, geometric = (1.0 - v) + v * lam, lam**v
-    lo_holds, lo_margin = _reduced_margin(lower_factor * geometric, arithmetic, tol)
-    hi_holds, hi_margin = _reduced_margin(arithmetic, upper_factor * geometric, tol)
-    return (
-        OperatorCertificate("corollary-two-lower", lower_factor, lo_margin, lo_holds,
-                            variant, tol),
-        OperatorCertificate("corollary-two-upper", upper_factor, hi_margin, hi_holds,
-                            variant, tol),
-    )
+    return tuple(_certify(A, B, v, s, tol, variant, (
+        ("corollary-two-lower", False, r1, 0.5, arg_lo),
+        ("corollary-two-upper", True, r2, 0.5, arg_hi),
+    )))
 
 
 def haar_unitary(dim, rng):

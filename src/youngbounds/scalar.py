@@ -26,8 +26,10 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below this magnitude exp_r switches to its r -> 0 limit exp(x).
-R_ZERO_SWITCH = 1e-10
+# Below this magnitude exp_r switches to its r -> 0 limit exp(x).  The two
+# differ by about |r| x^2 / 2 relative, under 2^-53 wherever exp(x) is finite
+# (|x| <= 745); above it log1p(r x)/r is the accurate form.
+R_ZERO_SWITCH = 1e-22
 
 # Outside [1/RATIO_LOG_FORM, RATIO_LOG_FORM] the ratio is evaluated fully in
 # log space to avoid overflow of the separate numerator and t^v factors.
@@ -75,6 +77,22 @@ class DeformParam:
         if not math.isfinite(r) or not -1.0 <= r <= 1.0:
             raise DomainError(f"deformation parameter must lie in [-1, 1], got {self.r!r}")
         object.__setattr__(self, "r", r)
+
+
+def _admit_r(owner, upper, r=None):
+    """The float r of owner's exp_r bound, given a float, a DeformParam or None.
+
+    exp_r decreases in r, so an upper bound takes r in (0, 1] and a lower
+    bound r in [-1, 0); None gives the tightest end, 1 or -1.  Any other r
+    raises DomainError naming owner.
+    """
+    if r is None:
+        return 1.0 if upper else -1.0
+    r = r.r if isinstance(r, DeformParam) else float(r)
+    if (0.0 < r <= 1.0) if upper else (-1.0 <= r < 0.0):
+        return r
+    interval = "(0.0, 1.0]" if upper else "[-1.0, 0.0)"
+    raise DomainError(f"{owner} requires r in {interval}, got {r}")
 
 
 def _check_threshold(name, value):

@@ -43,9 +43,11 @@ LOG = "log"
 # +-1-step window around the incumbent extremum.
 _REFINE_POINTS = 21
 
-# Grid points per evaluation block: 128 KiB per float64 temporary, so a
-# block's working set stays in cache whatever the grid size.
-_BLOCK_POINTS = 1 << 14
+# Grid points per evaluation block: 64 KiB per float64 temporary.  At
+# 128 KiB the temporaries sat at glibc's mmap threshold, so each block's
+# memory went back to the OS and was faulted in again (about 950 minor
+# faults per wide 600x301 sweep); at 64 KiB the heap reuses it, with none.
+_BLOCK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)

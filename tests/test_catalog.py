@@ -312,11 +312,11 @@ REFERENCE = {
 }
 
 # Caller-chosen r per deformed entry, the ends of each interval included;
-# 1e-11 is below the switch to the exponential limit.
+# 1e-23 is below the switch to the exponential limit, 1e-11 above it.
 CALLER_R = {
-    "C33-expr": (1e-11, 0.25, 0.5, 1.0),
-    "C38-lo": (-1.0, -0.5, -1e-11),
-    "C38-hi": (1e-11, 0.5, 1.0),
+    "C33-expr": (1e-23, 1e-11, 0.25, 0.5, 1.0),
+    "C38-lo": (-1.0, -0.5, -1e-11, -1e-23),
+    "C38-hi": (1e-23, 1e-11, 0.5, 1.0),
 }
 
 # Each difference minus the reference it is built from.

@@ -412,6 +412,27 @@ def test_operator_csv(capsys, scalar_pair):
     assert rows[1][4] == "true"
 
 
+def test_eval_c38_lo_rejects_r_zero(capsys):
+    # exp_r at r = 0 is the upper-side limit; the lower entry takes -1 <= r < 0.
+    code, env, _ = run_json(capsys, "eval", "--bound", "C38-lo", "--t", "2", "--v", "0.5",
+                            "--r", "0")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"] == {
+        "type": "DomainError", "message": "C38-lo requires r in [-1.0, 0.0), got 0.0"}
+
+
+@pytest.mark.parametrize("claim, flag", [("two", "--r=0.5"), ("one", "--r1=-0.5"),
+                                         ("one", "--r2=0.5")])
+def test_operator_rejects_the_other_claims_r(capsys, scalar_pair, claim, flag):
+    a, b = scalar_pair
+    code, env, _ = run_json(capsys, "operator", "--a", a, "--b", b, "--v", "0.5",
+                            "--claim", claim, flag, "--m", "1", "--mprime", "1",
+                            "--Mprime", "4", "--M", "4")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"] == {
+        "type": "DomainError", "message": f"claim {claim} takes no {flag.split('=')[0]}"}
+
+
 def test_operator_error_exits(capsys, scalar_pair, tmp_path):
     a, b = scalar_pair
     # declared sandwich does not match the matrices

@@ -12,6 +12,10 @@ import pytest
 from youngbounds import (
     DeformParam,
     EvalPoint,
+    HermitianMatrix,
+    SandwichSpec,
+    certify_corollary_one,
+    certify_corollary_two,
     deformed_exp,
     eval_diff,
     evaluate,
@@ -68,3 +72,59 @@ def test_difference_matches_high_precision():
     assert eval_diff("diff-l", p) == pytest.approx(float(hp), rel=1e-11)
     # and the published rounding of that value is honest to its six figures
     assert abs(float(hp) - 0.0155215) <= 1e-6
+
+
+def _hp_dexp(r, x):
+    r = mp.mpf(r)
+    return (1 + r * x) ** (1 / r)
+
+
+# r at the ends of each side's interval, mid-interval, and on either side of
+# 1e-10, where exp_r used to be replaced by exp.
+UPPER_R = (1.0, 0.5, 9.9e-11, 1e-12)
+LOWER_R = tuple(-r for r in UPPER_R)
+
+
+def _half_line(x):
+    """t = 1 + sqrt(8x) >= 1: there C38-hi's exp_r argument is x at v = 1/2."""
+    return 1.0 + (8.0 * x) ** 0.5
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0, 50.0])
+def test_deformed_entries_match_high_precision_across_r(x):
+    v = mp.mpf(0.5)
+    for t in (_half_line(x), 1.0 / _half_line(x)):
+        p = EvalPoint(t, 0.5)
+        lo, hi = min(mp.mpf(p.t), 1), max(mp.mpf(p.t), 1)
+        args = {"C33-expr": v * (1 - v) * (mp.mpf(p.t) - 1) ** 2 / mp.mpf(p.t),
+                "C38-lo": v * (1 - v) / 2 * (1 - lo / hi) ** 2,
+                "C38-hi": v * (1 - v) / 2 * (1 - hi / lo) ** 2}
+        for bid, rs in (("C33-expr", UPPER_R), ("C38-lo", LOWER_R), ("C38-hi", UPPER_R)):
+            for r in rs:
+                want = float(_hp_dexp(r, args[bid]))
+                assert evaluate(bid, p, DeformParam(r)) == pytest.approx(want, rel=1e-13), (
+                    bid, t, r)
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0, 50.0])
+def test_operator_factors_match_high_precision_across_r(x):
+    # m = m' = 1, so h = M and h' = M' exactly; the as-stated upper argument
+    # is x at v = 1/2.
+    hp_, h_ = _half_line(x), 2.0 * _half_line(x)
+    s = SandwichSpec(1.0, 1.0, hp_, h_)
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([hp_])
+    v = mp.mpf(0.5)
+    h, hp = mp.mpf(h_), mp.mpf(hp_)
+    k_minus_1 = (h - 1) ** 2 / (4 * h)
+    args = {"as-stated": (((h - 1) / h) ** 2, (hp - 1) ** 2),
+            "interval-extremal": (((hp - 1) / hp) ** 2, (h - 1) ** 2)}
+    for r, r1 in zip(UPPER_R, LOWER_R):
+        one = certify_corollary_one(A, B, 0.5, r, s)
+        want = float(_hp_dexp(r, 4 * v * (1 - v) * k_minus_1))
+        assert one.scalar_factor == pytest.approx(want, rel=1e-13), r
+        for variant, (arg_lo, arg_hi) in args.items():
+            lower, upper = certify_corollary_two(A, B, 0.5, r1, r, s, variant)
+            want_lo = float(_hp_dexp(r1, v * (1 - v) / 2 * arg_lo))
+            want_hi = float(_hp_dexp(r, v * (1 - v) / 2 * arg_hi))
+            assert lower.scalar_factor == pytest.approx(want_lo, rel=1e-13), (variant, r1)
+            assert upper.scalar_factor == pytest.approx(want_hi, rel=1e-13), (variant, r)

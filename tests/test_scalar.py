@@ -1,6 +1,7 @@
 """Kernel-level checks: value types, mean ratio, Kantorovich constant, exp_r."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import strategies as st
 from youngbounds import (
     DeformParam,
     EvalPoint,
+    HermitianMatrix,
+    SandwichSpec,
+    certify_corollary_one,
+    certify_corollary_two,
     deformed_exp,
     deformed_exp_raw,
+    evaluate,
     kantorovich,
     kantorovich_identity_arg,
     young_ratio,
@@ -141,8 +147,8 @@ def test_deformed_exp_at_zero_is_one():
 
 def test_deformed_exp_zero_limit_switch():
     x = 0.7
-    assert deformed_exp(DeformParam(1e-11), x) == math.exp(x)
-    assert deformed_exp(DeformParam(-1e-11), x) == math.exp(x)
+    assert deformed_exp(DeformParam(1e-23), x) == math.exp(x)
+    assert deformed_exp(DeformParam(-1e-23), x) == math.exp(x)
 
 
 def test_deformed_exp_boundary_values():
@@ -229,3 +235,37 @@ def test_support_midpoint_power_inequality(u, v):
     # ((t+1)/2)^(v+1) >= t^2 for t <= 1
     t = 10.0**u
     assert (0.5 * (t + 1.0)) ** (v + 1.0) >= t * t - 1e-15
+
+
+# Every owner of a deformation parameter, as (upper, value or certificate at r).
+_P = EvalPoint(2.0, 0.5)
+_A, _B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
+_S = SandwichSpec(1.0, 1.0, 4.0, 4.0)
+R_OWNERS = {
+    "C33-expr": (True, lambda r: evaluate("C33-expr", _P, r)),
+    "C38-lo": (False, lambda r: evaluate("C38-lo", _P, r)),
+    "C38-hi": (True, lambda r: evaluate("C38-hi", _P, r)),
+    "corollary-one": (True, lambda r: certify_corollary_one(_A, _B, 0.5, r, _S)),
+    "corollary-two-lower": (False, lambda r: certify_corollary_two(_A, _B, 0.5, r, None, _S)),
+    "corollary-two-upper": (True, lambda r: certify_corollary_two(_A, _B, 0.5, None, r, _S)),
+}
+SIDES = {True: ("(0.0, 1.0]", {0.5, 1.0}), False: ("[-1.0, 0.0)", {-1.0, -0.5})}
+
+
+@pytest.mark.parametrize("r", [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("owner", R_OWNERS)
+def test_each_r_owner_admits_exactly_its_side(owner, r):
+    upper, at = R_OWNERS[owner]
+    interval, admitted = SIDES[upper]
+    if r in admitted:
+        assert at(r) == at(DeformParam(r))
+    else:
+        message = f"{owner} requires r in {interval}, got {r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            at(r)
+
+
+@pytest.mark.parametrize("owner", R_OWNERS)
+def test_omitted_r_is_the_tightest_end(owner):
+    upper, at = R_OWNERS[owner]
+    assert at(None) == at(1.0 if upper else -1.0)
