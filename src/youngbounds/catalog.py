@@ -66,11 +66,6 @@ class ChainLink:
     margin: float
 
 
-def _exp(x):
-    with np.errstate(over="ignore"):
-        return np.exp(x)
-
-
 def _guarded_reciprocal(den):
     # Mathematically den >= 7/8 on each entry's own region (v(1-v) <= 1/4 and
     # the squared factor < 1); the guard only fires on misconfigured input.
@@ -115,7 +110,7 @@ def _kernel(family, region, param):
     if param is None:
         return lambda t, v, r: _dexp(r, c * v * (1.0 - v) * s(t))
     if param == 0.0:
-        return lambda t, v, r: _exp(c * v * (1.0 - v) * s(t))
+        return lambda t, v, r: np.exp(c * v * (1.0 - v) * s(t))
     if param == 1.0:
         return lambda t, v, r: 1.0 + c * v * (1.0 - v) * s(t)
     # r = -1.  Off the entry's region 1 - x reaches 0, where the guard

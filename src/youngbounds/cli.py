@@ -318,8 +318,8 @@ def main(argv=None):
         print("error: depth must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        # Past t ~ 1e154 squares overflow and some entries turn NaN; the
-        # envelope reports that, so numpy's warnings would only add noise.
+        # Overflow (exp past t ~ 2.8e3, squares past t ~ 1e154) and NaN are
+        # in the envelope; numpy's warnings would only add noise.
         with np.errstate(over="ignore", invalid="ignore"):
             holds, results, summary = args.func(args)
         status, code = ("ok", EXIT_OK) if holds else ("violation", EXIT_VIOLATION)

@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import _admit_r, _check_threshold, _dexp, kantorovich
+from .scalar import _admit_r, _check_threshold, _dexp, _kantorovich
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -64,10 +64,10 @@ class HermitianMatrix:
     """An immutable Hermitian matrix.
 
     Input is symmetrized ((X + X*)/2) on construction; anything farther than
-    HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected rather
-    than silently repaired.  Spectral data is computed on first use and
-    kept: the spectrum and the pencil reduction with the last partner B (see
-    _pencil).
+    HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected, not
+    repaired, as is an empty or non-square matrix.  Spectral data is computed
+    on first use and kept: the spectrum and the pencil reduction with the
+    last partner B (see _pencil).
     """
 
     entries: np.ndarray
@@ -77,6 +77,8 @@ class HermitianMatrix:
         X = np.array(self.entries, dtype=complex)
         if X.ndim != 2 or X.shape[0] != X.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {X.shape}")
+        if X.size == 0:
+            raise DimensionMismatchError(f"expected a non-empty matrix, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise DomainError("matrix entries must be finite")
         XH = X.conj().T
@@ -114,7 +116,7 @@ class HermitianMatrix:
     def norm2(self):
         """Spectral norm (largest absolute eigenvalue)."""
         w = self._spectrum
-        return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+        return float(max(abs(w[0]), abs(w[-1])))
 
     def is_real(self):
         return bool(np.all(self.entries.imag == 0.0))
@@ -314,6 +316,7 @@ def _certify(A, B, v, s, tol, variant, claims):
     shape, and compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
     lower one.  The margin is loewner_leq's for (diag(left), diag(right)).
+    A factor that is not a finite double (h or h' too large) raises DomainError.
     """
     _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
@@ -322,7 +325,10 @@ def _certify(A, B, v, s, tol, variant, claims):
     arithmetic, geometric = (1.0 - v) + v * lam, lam**v
     certificates = []
     for claim_id, upper, r, c, arg in claims:
-        factor = float(_dexp(r, c * v * (1.0 - v) * arg))
+        factor = float(_dexp(r, c * v * (1.0 - v) * arg)) if math.isfinite(arg) else math.nan
+        if not math.isfinite(factor):
+            raise DomainError(f"{claim_id}: no finite scalar factor at h = {s.h!r}, "
+                              f"h' = {s.h_prime!r} (argument {arg!r})")
         left, right = ((arithmetic, factor * geometric) if upper
                        else (factor * geometric, arithmetic))
         scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
@@ -341,7 +347,7 @@ def certify_corollary_one(A, B, v, r, s, tol=1e-10):
     """
     v = _check_weight(v)
     r = _admit_r("corollary-one", True, r)
-    claim = ("corollary-one", True, r, 4.0, kantorovich(s.h) - 1.0)
+    claim = ("corollary-one", True, r, 4.0, _kantorovich(s.h) - 1.0)
     return _certify(A, B, v, s, tol, None, (claim,))[0]
 
 
@@ -361,11 +367,12 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
         raise DomainError(
             f"variant must be 'as-stated' or 'interval-extremal', got {variant!r}"
         )
-    h, hp = s.h, s.h_prime
-    if variant == "as-stated":
-        arg_lo, arg_hi = ((h - 1.0) / h) ** 2, (hp - 1.0) ** 2
-    else:
-        arg_lo, arg_hi = ((hp - 1.0) / hp) ** 2, (h - 1.0) ** 2
+    lo, hi = (s.h, s.h_prime) if variant == "as-stated" else (s.h_prime, s.h)
+    arg_lo = ((lo - 1.0) / lo) ** 2
+    try:
+        arg_hi = (hi - 1.0) ** 2
+    except OverflowError:  # hi past ~1.34e154: _certify rejects the inf
+        arg_hi = math.inf
     return tuple(_certify(A, B, v, s, tol, variant, (
         ("corollary-two-lower", False, r1, 0.5, arg_lo),
         ("corollary-two-upper", True, r2, 0.5, arg_hi),

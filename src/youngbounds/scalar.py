@@ -112,17 +112,17 @@ def _any(mask):
 
 
 def _ratio(t, v):
-    """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats."""
+    """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats, overflowing in no branch."""
     num = (1.0 - v) + v * t
     extreme = (t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)
     if not _any(extreme):
         # Inside the window num and t^-v both lie in [1e-3, 1e3]: no overflow.
         return num * np.exp(-v * np.log(t))
-    with np.errstate(over="ignore"):
-        plain = num * np.exp(-v * np.log(t))
-        # Fully-log form where t is extreme; num > 0 always, log is safe.
-        logged = np.exp(np.log(num) - v * np.log(t))
-        return np.where(extreme, logged, plain)
+    # Fully-log form where t is extreme (num > 0, so log is safe).  np.where
+    # evaluates the plain form there too, at t = 1: below t ~ 1e-308 its t^-v
+    # would overflow.
+    plain = num * np.exp(-v * np.log(np.where(extreme, 1.0, t)))
+    return np.where(extreme, np.exp(np.log(num) - v * np.log(t)), plain)
 
 
 def _kantorovich(t):
@@ -143,21 +143,19 @@ def _dexp(r, x):
 
     Requires 1 + r*x >= 0.  The boundary 1 + r*x = 0 maps to the limit
     value: 0 for r > 0, +inf for r < 0 (log1p(-1) = -inf does it for us).
+    numpy reports the pole as a divide by zero, under the caller's np.errstate.
     """
     r = float(r)
     if abs(r) < R_ZERO_SWITCH:
-        with np.errstate(over="ignore"):
-            return np.exp(x)
+        return np.exp(x)
     arg = 1.0 + r * x
     if _any(arg < 0.0):
         raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
     if r == 1.0:
         return 1.0 + x
     if r == -1.0:
-        with np.errstate(divide="ignore"):
-            return np.divide(1.0, 1.0 - x)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(np.log1p(r * x) / r)
+        return np.divide(1.0, 1.0 - x)
+    return np.exp(np.log1p(r * x) / r)
 
 
 def young_ratio(p):

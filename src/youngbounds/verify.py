@@ -22,8 +22,8 @@ by the block, not by the grid.  A sweep reports a NaN margin (it is a
 violation); the witness search skips non-finite values (NaN, and the
 infinities left where one side of a difference overflowed), which are
 evidence of neither sign, so its extrema are the first extrema of the
-finite values.  Overflow and invalid-operation warnings are expected past
-t ~ 1e154 and are silenced once per sweep or witness search.
+finite values.  The kernels leave numpy's error state alone; sweep and
+find_sign_change silence overflow and invalid operations once per call.
 """
 
 import math
@@ -304,10 +304,9 @@ def _grid_extrema(diff, tg, vg, r):
     extremum is None when no value is finite.
     """
     hi = lo = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
-            hi = _fold_extremum(hi, block, i0, lower=False, skip_nonfinite=True)
-            lo = _fold_extremum(lo, block, i0, lower=True, skip_nonfinite=True)
+    for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
+        hi = _fold_extremum(hi, block, i0, lower=False, skip_nonfinite=True)
+        lo = _fold_extremum(lo, block, i0, lower=True, skip_nonfinite=True)
     if hi is None:
         return None, None
     pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))
@@ -344,13 +343,6 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     r_value = float(r) if r is not None else None
 
     log_t = region.t_scale == LOG
-    pos, neg = _grid_extrema(diff, region.t_grid(), region.v_grid(), r_value)
-    if pos is None:
-        raise WitnessNotFoundError(
-            f"{diff_id}: no sign change above delta={delta} found "
-            f"(every value on the {region.n_t}x{region.n_v} grid is NaN or infinite)"
-        )
-
     if log_t:
         t_step = (np.log10(region.t_max) - np.log10(region.t_min)) / (region.n_t - 1)
     else:
@@ -360,21 +352,28 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     def found(best_pos, best_neg):
         return best_pos[0] > delta and best_neg[0] < -delta
 
-    depth = 0
-    while not found(pos, neg) and depth < refine_depth:
-        for side, best in (("pos", pos), ("neg", neg)):
-            tw = _refine_axis(best[1], t_step, region.t_min, region.t_max, log_t)
-            vw = _refine_axis(best[2], v_step, region.v_min, region.v_max, False)
-            sub_pos, sub_neg = _grid_extrema(diff, tw, vw, r_value)
-            if sub_pos is None:
-                continue
-            if side == "pos" and sub_pos[0] > pos[0]:
-                pos = sub_pos
-            if side == "neg" and sub_neg[0] < neg[0]:
-                neg = sub_neg
-        t_step /= 10.0
-        v_step /= 10.0
-        depth += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, neg = _grid_extrema(diff, region.t_grid(), region.v_grid(), r_value)
+        if pos is None:
+            raise WitnessNotFoundError(
+                f"{diff_id}: no sign change above delta={delta} found "
+                f"(every value on the {region.n_t}x{region.n_v} grid is NaN or infinite)"
+            )
+        depth = 0
+        while not found(pos, neg) and depth < refine_depth:
+            for side, best in (("pos", pos), ("neg", neg)):
+                tw = _refine_axis(best[1], t_step, region.t_min, region.t_max, log_t)
+                vw = _refine_axis(best[2], v_step, region.v_min, region.v_max, False)
+                sub_pos, sub_neg = _grid_extrema(diff, tw, vw, r_value)
+                if sub_pos is None:
+                    continue
+                if side == "pos" and sub_pos[0] > pos[0]:
+                    pos = sub_pos
+                if side == "neg" and sub_neg[0] < neg[0]:
+                    neg = sub_neg
+            t_step /= 10.0
+            v_step /= 10.0
+            depth += 1
 
     if not found(pos, neg):
         raise WitnessNotFoundError(

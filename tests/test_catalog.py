@@ -103,6 +103,17 @@ def test_evaluate_error_paths():
         evaluate("T31-poly", p_le, DeformParam(1.0))
 
 
+def test_point_queries_report_overflow_under_the_callers_error_state():
+    # D1-exp overflows past t ~ 2.8e3 at v = 1/2; the kernel leaves the
+    # decision to warn, raise or ignore to the caller.
+    p = EvalPoint(1e4, 0.5)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            evaluate("D1-exp", p)
+    with np.errstate(over="ignore"):
+        assert evaluate("D1-exp", p) == np.inf
+
+
 def test_deformed_entries_tighten_as_r_grows():
     p = EvalPoint(0.4, 0.3)
     uppers = [evaluate("C33-expr", p, DeformParam(r)) for r in (0.1, 0.5, 1.0)]

@@ -116,6 +116,14 @@ def test_eval_past_overflow_writes_one_stderr_line(capsys, bound, t, v):
     assert len(err.splitlines()) == 1 and err.startswith(f"eval {bound} at ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_exp_overflow_writes_one_stderr_line(capsys):
+    # D1-exp overflows past t ~ 2.8e3 at v = 1/2; main, not the kernel, silences it
+    code, env, err = run_json(capsys, "eval", "--bound", "D1-exp", "--t", "1e4", "--v", "0.5")
+    assert code == 0 and env["results"]["bound_value"] == math.inf
+    assert len(err.splitlines()) == 1 and err.startswith("eval D1-exp at ")
+
+
 def test_eval_error_exits(capsys):
     code, env, err = run_json(capsys, "eval", "--bound", "FM-M", "--t", "2", "--v", "0.5")
     assert code == 3
@@ -456,6 +464,23 @@ def test_operator_error_exits(capsys, scalar_pair, tmp_path):
                             "--claim", "one", "--m", "1", "--mprime", "1",
                             "--Mprime", "4", "--M", "4")
     assert code == 3 and env["results"]["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("claim, variant, claim_id", [
+    ("one", "as-stated", "corollary-one"),
+    ("two", "interval-extremal", "corollary-two-upper"),
+])
+def test_operator_past_overflow_exits_domain(capsys, scalar_pair, claim, variant, claim_id):
+    # h = 1e160: the claim's square overflows; an error, not a verdict or a traceback.
+    a, b = scalar_pair
+    code, env, err = run_json(capsys, "operator", "--a", a, "--b", b, "--v", "0.5",
+                              "--claim", claim, "--variant", variant, "--m", "1",
+                              "--mprime", "1", "--Mprime", "2", "--M", "1e160")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"]["type"] == "DomainError"
+    assert env["results"]["error"]["message"].startswith(
+        f"{claim_id}: no finite scalar factor at h = 1e+160")
+    assert len(err.splitlines()) == 1
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -82,6 +82,16 @@ def test_hermitian_rejects_bad_input():
         HermitianMatrix([[1.0, 1.0], [1.0 + 1.5e-12, 1.0]])
 
 
+def test_hermitian_rejects_empty_matrix():
+    # read_matrix refuses "dim 0"; construction refuses it the same way.
+    for empty in (np.zeros((0, 0)), np.empty((0, 0), dtype=complex)):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+            HermitianMatrix(empty)
+    with pytest.raises(DimensionMismatchError):
+        HermitianMatrix.identity(0)
+
+
 def _hermitian_with_skew(rng, dim, complex_):
     """A Hermitian matrix plus a skew part well inside HERMITIAN_TOL."""
     X = rng.standard_normal((dim, dim))
@@ -367,6 +377,48 @@ def test_corollary_two_parameter_validation():
         certify_corollary_two(A, B, 0.5, -1.0, 0.0, s)
     with pytest.raises(DomainError):
         certify_corollary_two(A, B, 0.5, -1.0, 1.0, s, "middle")
+
+
+# Past h ~ 1.34e154 the claims' squares overflow, and at M/m = inf their
+# argument is nan: no verdict can be read off an infinite or nan factor.
+@pytest.mark.parametrize("big, spec, claim, variant, message", [
+    (4.0, (1.0, 1.0, 2.0, 1e160), "one", None,
+     r"^corollary-one: no finite scalar factor at h = 1e\+160, h' = 2\.0 \(argument inf\)$"),
+    (4.0, (1.0, 1.0, 2.0, 1e160), "two", "interval-extremal",
+     r"^corollary-two-upper: no finite scalar factor at h = 1e\+160, h' = 2\.0 "),
+    (2e160, (1.0, 1.0, 1e160, 3e160), "two", "as-stated",
+     r"^corollary-two-upper: no finite scalar factor at h = 3e\+160, h' = 1e\+160 "),
+    (4.0, (1e-200, 1.0, 2.0, 1e200), "one", None,
+     r"^corollary-one: no finite scalar factor at h = inf, h' = 2\.0 \(argument nan\)$"),
+    (4.0, (1e-200, 1.0, 2.0, 1e200), "two", "as-stated",
+     r"^corollary-two-lower: no finite scalar factor at h = inf, "),
+])
+def test_claims_without_a_finite_factor_raise_domain_error(big, spec, claim, variant, message):
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([big])
+    s = SandwichSpec(*spec)
+    with pytest.raises(DomainError, match=message):
+        if claim == "one":
+            certify_corollary_one(A, B, 0.5, None, s)
+        else:
+            certify_corollary_two(A, B, 0.5, None, None, s, variant)
+
+
+def test_claim_factor_overflow_at_a_finite_argument_raises_domain_error():
+    # exp_r at r = 1e-3 of about 2.5e5 overflows although h = 1e6 is modest.
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
+    s = SandwichSpec(1.0, 1.0, 2.0, 1e6)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=r"^corollary-one: no finite scalar factor "):
+            certify_corollary_one(A, B, 0.5, 1e-3, s)
+
+
+def test_claims_just_below_overflow_keep_the_printed_square():
+    # (h - 1)^2 = 1e300 is finite: the factor is the ** form, bit for bit.
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
+    s = SandwichSpec(1.0, 1.0, 2.0, 1e150)
+    lower, upper = certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
+    assert upper.scalar_factor == 1.0 + 0.5 * 0.5 * (1.0 - 0.5) * (1e150 - 1.0) ** 2
+    assert lower.holds and upper.holds
 
 
 def test_corollary_two_extremal_random_instances():

@@ -23,6 +23,7 @@ from youngbounds import (
     young_ratio,
 )
 from youngbounds.errors import DomainError
+from youngbounds.scalar import _ratio
 
 # Log-uniform t across the six-decade working range, plain uniform weight.
 log_ts = st.floats(-3.0, 3.0)
@@ -156,6 +157,28 @@ def test_deformed_exp_boundary_values():
     assert deformed_exp(DeformParam(0.5), -2.0) == 0.0
     assert deformed_exp(DeformParam(-0.5), 2.0) == math.inf
     assert deformed_exp(DeformParam(-1.0), 1.0) == math.inf
+
+
+def test_kernels_leave_the_callers_error_state_alone():
+    # The kernels never enter np.errstate: overflow and the pole at the
+    # domain boundary reach the caller as numpy reports them.
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            deformed_exp(DeformParam(0.0), 800.0)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            deformed_exp(DeformParam(-1.0), 1.0)
+    with np.errstate(over="ignore"):
+        assert deformed_exp(DeformParam(0.0), 800.0) == math.inf
+
+
+def test_ratio_discards_no_overflowing_branch():
+    # Below t ~ 1e-308 the plain form's t^-v overflows; the log form is the
+    # one returned there, and the discarded branch must not raise either.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert young_ratio(EvalPoint(5e-324, 1.0)) == 1.0
+        values = _ratio(np.array([5e-324, 1e-300, 0.5, 1.0, 7.0, 1e300]), 0.5)
+    assert np.isfinite(values).all() and values[3] == 1.0
 
 
 def test_deformed_exp_rejects_outside_domain():

@@ -305,6 +305,19 @@ def test_witness_search_on_an_all_nan_window_finds_nothing():
         find_sign_change("diff-l", region, 1e-3)
 
 
+def test_sweeps_and_witness_searches_own_their_error_state():
+    # Both silence overflow and invalid values once per call, whatever the
+    # caller's np.errstate; the results are those of the default state.
+    region = Region(1e-3, 1e300, 0.0, 1.0, LOG, 700, 101)
+    window = Region(0.1, 1e300, 0.0, 1.0, LOG, 41, 41)
+    expected = (repr(sweep("K-lower", region)),
+                repr(find_sign_change("diff-l", window, 1e-3)))
+    with np.errstate(over="raise", invalid="raise"):
+        got = (repr(sweep("K-lower", region)),
+               repr(find_sign_change("diff-l", window, 1e-3)))
+    assert got == expected
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
