@@ -119,7 +119,7 @@ def _kernel(family, region, param):
 
 
 class _Entry:
-    """One catalog row: its BoundSpec and kernel.
+    """One catalog row: its BoundSpec, family and kernel.
 
     param is the family parameter, or None for a deformed entry whose r the
     caller may choose within scalar._admit_r's interval for its side.
@@ -131,6 +131,7 @@ class _Entry:
             self.default_r = _admit_r(bid, side == UPPER)
             deform = DeformParam(self.default_r)
         self.spec = BoundSpec(bid, side, region, deform, description)
+        self.family = family
         self.kernel = _kernel(family, region, param)
 
     def admit(self, deform):
@@ -275,11 +276,7 @@ def tightest(side, p):
         if entry.spec.side != side or not _in_region(entry.spec.region, p.t):
             continue
         value = _default_value(entry, p)
-        if best is None:
-            best = (entry.spec.id, value)
-        elif side == UPPER and value < best[1]:
-            best = (entry.spec.id, value)
-        elif side == LOWER and value > best[1]:
+        if best is None or (value < best[1] if side == UPPER else value > best[1]):
             best = (entry.spec.id, value)
     return best
 

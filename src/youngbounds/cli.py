@@ -125,13 +125,12 @@ def _error(error_type, exc, code):
 def _cmd_eval(args):
     point = EvalPoint(args.t, args.v)
     cert = catalog.certify_point(args.bound, point, args.r, tol=1e-12)
-    spec = catalog.get_bound(args.bound)
-    r_used = args.r if args.r is not None else (spec.deform.r if spec.deform else None)
+    entry = catalog._lookup(args.bound)
     results = {
         "bound_id": cert.bound_id,
-        "side": spec.side,
+        "side": entry.spec.side,
         "point": _fields(cert.point),
-        "r": r_used,
+        "r": entry.admit(args.r),
         "ratio_value": cert.ratio_value,
         "bound_value": cert.bound_value,
         "margin": cert.margin,

@@ -23,15 +23,14 @@ eigenvalue lam of X, computed as eigvalsh(X); the certificates of one pair
 share it.  The explicit means stay public: loewner_leq on them is the
 oracle the certificates are tested against.
 
-The sandwich claim with two deformation parameters exists in two variants.
-"as-stated" uses the constants exactly as the claim prints them (lower
-argument ((h-1)/h)^2, upper argument (h'-1)^2 with h = M/m, h' = M'/m').
-"interval-extremal" takes instead the extremal value of the pointwise
-scalar bound over the full admissible spectral interval of A^{-1/2}BA^{-1/2}
-(lower argument ((h'-1)/h')^2, upper argument (h-1)^2).  The extremal
-variant is the one guaranteed by the pointwise bounds; the as-stated
-constants can fail when h' < h and the spectrum reaches the interval ends,
-so callers should inspect both margins rather than assume.
+Each claim's factor is a catalog row read at an end of the interval [h', h]
+(h = M/m, h' = M'/m'; case ii's spectrum lies in [1/h, 1/h'], and the rows
+are equal at t and 1/t): corollary one is C33-expr at h, corollary two
+C38-lo and C38-hi at ends its variant picks.  "as-stated" reads them at h
+and h', the constants as the claim prints them; "interval-extremal" at h'
+and h, the extremal values of the pointwise bounds over the interval, which
+they guarantee.  The as-stated constants can fail when h' < h and the
+spectrum reaches the interval ends, so inspect both margins.
 """
 
 import math
@@ -41,13 +40,14 @@ from functools import cached_property
 
 import numpy as np
 
+from . import catalog
 from .errors import (
     DimensionMismatchError,
     DomainError,
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import _admit_r, _check_threshold, _dexp, _kantorovich
+from .scalar import _admit_r, _check_threshold
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -309,11 +309,28 @@ def _pencil_spectrum(A, B):
     return memo[3]
 
 
-def _certify(A, B, v, s, tol, variant, claims):
-    """Certificates of the pair for claims of rows (claim_id, upper, r, c, arg).
+class _Claim:
+    """A claim read off a catalog row: the row's side, and its t >= 1 kernel,
+    which gives the row's bits at every end of [h', h] (all >= 1) for less."""
 
-    Each claim has the factor exp_r(c v(1-v) arg), the catalog's deformed
-    shape, and compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
+    def __init__(self, claim_id, bound_id):
+        entry = catalog._lookup(bound_id)
+        self.id, self.bound_id, self.upper = claim_id, bound_id, entry.spec.side == catalog.UPPER
+        self.kernel = catalog._kernel(entry.family, catalog.T_GE_1, None)
+
+    def admit(self, r):
+        return _admit_r(self.id, self.upper, r)
+
+
+_ONE = _Claim("corollary-one", "C33-expr")
+_TWO = (_Claim("corollary-two-lower", "C38-lo"), _Claim("corollary-two-upper", "C38-hi"))
+
+
+def _certify(A, B, v, s, tol, variant, claims):
+    """Yield the pair's certificates for rows (claim, end, r), each factor the
+    claim's row at t = end with the admitted r.
+
+    Each compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
     lower one.  The margin is loewner_leq's for (diag(left), diag(right)).
     A factor that is not a finite double (h or h' too large) raises DomainError.
@@ -323,60 +340,45 @@ def _certify(A, B, v, s, tol, variant, claims):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
     lam = _pencil_spectrum(A, B)
     arithmetic, geometric = (1.0 - v) + v * lam, lam**v
-    certificates = []
-    for claim_id, upper, r, c, arg in claims:
-        factor = float(_dexp(r, c * v * (1.0 - v) * arg)) if math.isfinite(arg) else math.nan
+    for claim, end, r in claims:
+        factor = float(claim.kernel(end, v, r))
         if not math.isfinite(factor):
-            raise DomainError(f"{claim_id}: no finite scalar factor at h = {s.h!r}, "
-                              f"h' = {s.h_prime!r} (argument {arg!r})")
-        left, right = ((arithmetic, factor * geometric) if upper
+            raise DomainError(f"{claim.id}: no finite scalar factor at h = {s.h!r}, "
+                              f"h' = {s.h_prime!r} ({claim.bound_id} at t = {end!r})")
+        left, right = ((arithmetic, factor * geometric) if claim.upper
                        else (factor * geometric, arithmetic))
         scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
         margin = _relative(float((right - left).min()), scale)
-        certificates.append(
-            OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol))
-    return certificates
+        yield OperatorCertificate(claim.id, factor, margin, margin >= -tol, variant, tol)
 
 
 def certify_corollary_one(A, B, v, r, s, tol=1e-10):
-    """Certify arithmetic mean <= exp_r(4v(1-v)(K(h)-1)) * geometric mean.
+    """Certify arithmetic mean <= C33-expr(h) * geometric mean.
 
-    K is evaluated at h = M/m, the worst point of the admissible spectral
-    interval in either case (K(1/h) = K(h)).  r is an upper bound's (None
-    for the tightest, 1), and the sandwich must validate.
+    C33-expr(h) = exp_r(4v(1-v)(K(h)-1)), at h = M/m, the worst end of the
+    spectral interval in either case.  r is an upper bound's (None for the
+    tightest, 1), and the sandwich must validate.
     """
     v = _check_weight(v)
-    r = _admit_r("corollary-one", True, r)
-    claim = ("corollary-one", True, r, 4.0, _kantorovich(s.h) - 1.0)
-    return _certify(A, B, v, s, tol, None, (claim,))[0]
+    return next(_certify(A, B, v, s, tol, None, ((_ONE, s.h, _ONE.admit(r)),)))
 
 
 def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
     """Certify the two-sided sandwich claim; returns (lower, upper) certificates.
 
-    lower: exp_{r1}((v(1-v)/2) * arg_lo) * geometric <= arithmetic,
-    upper: arithmetic <= exp_{r2}((v(1-v)/2) * arg_hi) * geometric,
-    with (arg_lo, arg_hi) = (((h-1)/h)^2, (h'-1)^2) as stated and
-    (((h'-1)/h')^2, (h-1)^2) for the interval-extremal variant.  r1 is a
+    lower: C38-lo(lo) * geometric <= arithmetic, with r1,
+    upper: arithmetic <= C38-hi(hi) * geometric, with r2, at the ends
+    (lo, hi) = (h, h') as stated and (h', h) interval-extremal.  r1 is a
     lower bound's and r2 an upper bound's (None for the tightest, -1 and 1).
     """
     v = _check_weight(v)
-    r1 = _admit_r("corollary-two-lower", False, r1)
-    r2 = _admit_r("corollary-two-upper", True, r2)
+    rs = _TWO[0].admit(r1), _TWO[1].admit(r2)
     if variant not in ("as-stated", "interval-extremal"):
         raise DomainError(
             f"variant must be 'as-stated' or 'interval-extremal', got {variant!r}"
         )
-    lo, hi = (s.h, s.h_prime) if variant == "as-stated" else (s.h_prime, s.h)
-    arg_lo = ((lo - 1.0) / lo) ** 2
-    try:
-        arg_hi = (hi - 1.0) ** 2
-    except OverflowError:  # hi past ~1.34e154: _certify rejects the inf
-        arg_hi = math.inf
-    return tuple(_certify(A, B, v, s, tol, variant, (
-        ("corollary-two-lower", False, r1, 0.5, arg_lo),
-        ("corollary-two-upper", True, r2, 0.5, arg_hi),
-    )))
+    ends = (s.h, s.h_prime) if variant == "as-stated" else (s.h_prime, s.h)
+    return tuple(_certify(A, B, v, s, tol, variant, zip(_TWO, ends, rs)))
 
 
 def haar_unitary(dim, rng):

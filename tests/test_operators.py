@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import youngbounds
 from youngbounds import (
     DeformParam,
+    EvalPoint,
     HermitianMatrix,
     SandwichSpec,
     certify_corollary_one,
     certify_corollary_two,
+    evaluate,
     haar_unitary,
     hermitian_power,
     loewner_leq,
@@ -379,19 +381,18 @@ def test_corollary_two_parameter_validation():
         certify_corollary_two(A, B, 0.5, -1.0, 1.0, s, "middle")
 
 
-# Past h ~ 1.34e154 the claims' squares overflow, and at M/m = inf their
-# argument is nan: no verdict can be read off an infinite or nan factor.
+# Past h ~ 1.34e154 the rows' squares overflow, and at M/m = inf C33-expr is
+# inf/inf = nan: no verdict can be read off an infinite or nan factor.
 @pytest.mark.parametrize("big, spec, claim, variant, message", [
     (4.0, (1.0, 1.0, 2.0, 1e160), "one", None,
-     r"^corollary-one: no finite scalar factor at h = 1e\+160, h' = 2\.0 \(argument inf\)$"),
+     r"^corollary-one: no finite scalar factor at h = 1e\+160, h' = 2\.0 "
+     r"\(C33-expr at t = 1e\+160\)$"),
     (4.0, (1.0, 1.0, 2.0, 1e160), "two", "interval-extremal",
      r"^corollary-two-upper: no finite scalar factor at h = 1e\+160, h' = 2\.0 "),
     (2e160, (1.0, 1.0, 1e160, 3e160), "two", "as-stated",
      r"^corollary-two-upper: no finite scalar factor at h = 3e\+160, h' = 1e\+160 "),
     (4.0, (1e-200, 1.0, 2.0, 1e200), "one", None,
-     r"^corollary-one: no finite scalar factor at h = inf, h' = 2\.0 \(argument nan\)$"),
-    (4.0, (1e-200, 1.0, 2.0, 1e200), "two", "as-stated",
-     r"^corollary-two-lower: no finite scalar factor at h = inf, "),
+     r"^corollary-one: no finite scalar factor at h = inf, h' = 2\.0 \(C33-expr at t = inf\)$"),
 ])
 def test_claims_without_a_finite_factor_raise_domain_error(big, spec, claim, variant, message):
     A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([big])
@@ -401,6 +402,16 @@ def test_claims_without_a_finite_factor_raise_domain_error(big, spec, claim, var
             certify_corollary_one(A, B, 0.5, None, s)
         else:
             certify_corollary_two(A, B, 0.5, None, None, s, variant)
+
+
+def test_as_stated_lower_claim_at_infinite_h_is_the_rows_limit():
+    # C38-lo at t = inf reads (1/t - 1)^2 = 1 exactly: 1/(1 - v(1-v)/2) = 8/7.
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
+    s = SandwichSpec(1e-200, 1.0, 2.0, 1e200)
+    assert s.h == math.inf
+    lower, upper = certify_corollary_two(A, B, 0.5, None, None, s, "as-stated")
+    assert lower.scalar_factor == 8.0 / 7.0 and lower.holds
+    assert upper.scalar_factor == 1.125 and not upper.holds
 
 
 def test_claim_factor_overflow_at_a_finite_argument_raises_domain_error():
@@ -632,6 +643,52 @@ def test_margins_vanish_at_weight_ends(v):
         A, B = random_sandwich_pair(s, k + 2, rng, commuting=k < 2)
         for cert in spectral_certificates(A, B, v, s, k).values():
             assert cert.min_eigen_margin == 0.0 and cert.holds
+
+
+# Each claim's factor is a catalog row read at an end of [h', h]; the variant
+# picks the ends of corollary two.
+CLAIM_ROWS = {
+    ("corollary-one", None): ("C33-expr", "h"),
+    ("corollary-two-lower", "as-stated"): ("C38-lo", "h"),
+    ("corollary-two-upper", "as-stated"): ("C38-hi", "h_prime"),
+    ("corollary-two-lower", "interval-extremal"): ("C38-lo", "h_prime"),
+    ("corollary-two-upper", "interval-extremal"): ("C38-hi", "h"),
+}
+
+
+@relaxed
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    case=st.sampled_from(["i", "ii"]),
+    v=st.floats(0.0, 1.0),
+    # r at the closed end of each side's interval, inside it, and at the
+    # open end's nearest double
+    r=st.sampled_from([1.0, 0.375, 5e-324]),
+)
+def test_claim_factors_are_catalog_rows_at_an_end(seed, dim, case, v, r):
+    rng = np.random.default_rng(seed)
+    s = random_spec(rng, case)
+    A, B = random_sandwich_pair(s, dim, rng, commuting=seed % 2 == 0)
+    certs = [certify_corollary_one(A, B, v, r, s)]
+    for variant in ("as-stated", "interval-extremal"):
+        certs += certify_corollary_two(A, B, v, -r, r, s, variant)
+    for cert in certs:
+        bound_id, end = CLAIM_ROWS[cert.claim_id, cert.variant]
+        r_claim = -r if cert.claim_id.endswith("lower") else r
+        want = evaluate(bound_id, EvalPoint(getattr(s, end), v), r_claim)
+        assert cert.scalar_factor == want, (cert, bound_id, end)
+
+
+# Case ii's spectrum lies in [1/h, 1/h'], and the claim rows are equal at t
+# and 1/t, so the ends h and h' serve both cases.
+@relaxed
+@given(e=st.floats(0.0, 150.0), v=st.floats(0.0, 1.0),
+       bound_id=st.sampled_from(["C33-expr", "C38-lo", "C38-hi"]))
+def test_claim_rows_are_equal_at_t_and_its_reciprocal(e, v, bound_id):
+    t = 10.0**e
+    at_t = evaluate(bound_id, EvalPoint(t, v))
+    assert evaluate(bound_id, EvalPoint(1.0 / t, v)) == pytest.approx(at_t, rel=1e-14)
 
 
 def count_calls(monkeypatch, fn, names=("eigh", "eigvalsh")):
