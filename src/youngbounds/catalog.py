@@ -8,19 +8,21 @@ half-squares, the Kantorovich power, the FM polynomial) with its parameter.
 Ten entries are deformed families at a fixed r in {-1, 0, 1}.  Three carry
 r as a parameter; when the caller omits it the tightest admissible value is
 used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by
-the monotonicity of exp_r in r).
+the monotonicity of exp_r in r).  Every deformed entry, fixed r or not, is
+one scalar._dexp call.
 
-t = 1 belongs to both the t <= 1 and the t >= 1 regions; every entry
-evaluates to exactly 1 there.
+Each region is a closed t-interval (_REGION_T): t = 1 belongs to both the
+t <= 1 and the t >= 1 regions; every entry evaluates to exactly 1 there.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import (DeformParam, EvalPoint, _admit_r, _any, _check_threshold, _dexp,
-                     _identity_arg, _kantorovich, _pow)
+from .scalar import (DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp, _identity_arg,
+                     _kantorovich, _pow)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -28,6 +30,9 @@ LOWER = "lower"
 ALL_T = "all-t"
 T_LE_1 = "t-le-1"
 T_GE_1 = "t-ge-1"
+
+# The closed t-interval of each region.
+_REGION_T = {ALL_T: (0.0, math.inf), T_LE_1: (0.0, 1.0), T_GE_1: (1.0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,6 @@ class ChainLink:
     margin: float
 
 
-def _guarded_reciprocal(den):
-    # Mathematically den >= 7/8 on each entry's own region (v(1-v) <= 1/4 and
-    # the squared factor < 1); the guard only fires on misconfigured input.
-    if _any(den <= 0.0):
-        raise DomainError("reciprocal bound denominator is nonpositive")
-    return 1.0 / den
-
-
 def _sq(s):
     return (s - 1.0) * (s - 1.0)
 
@@ -96,26 +93,18 @@ _SQUARES = {
 def _kernel(family, region, param):
     """kernel(t, v, r) of one member of a family on one region.
 
-    The deformed families are exp_r(c v(1-v) s(t)): c = 1 and s = (t-1)^2/t
-    for "expr" (1 * v is exact), c = 1/2 and the family's square otherwise.
-    Their param is r, None for the caller's.  A fixed r in {0, 1, -1} is
-    written out in the argument's expression, so numpy can reuse its
-    temporary.  K-power and FM take the weight picker and the base.
+    The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
+    c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
+    family's square otherwise.  Their param is the fixed r, or None for the
+    caller's (a fixed-r entry is called with r = None).  K-power and FM take
+    the weight picker and the base.
     """
     if family == "K-power":
         return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v))
     if family == "FM":
         return lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0)
     c, s = (1.0, _identity_arg) if family == "expr" else (0.5, _SQUARES[family][region])
-    if param is None:
-        return lambda t, v, r: _dexp(r, c * v * (1.0 - v) * s(t))
-    if param == 0.0:
-        return lambda t, v, r: np.exp(c * v * (1.0 - v) * s(t))
-    if param == 1.0:
-        return lambda t, v, r: 1.0 + c * v * (1.0 - v) * s(t)
-    # r = -1.  Off the entry's region 1 - x reaches 0, where the guard
-    # raises and _dexp would return inf.
-    return lambda t, v, r: _guarded_reciprocal(1.0 - c * v * (1.0 - v) * s(t))
+    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t))
 
 
 class _Entry:
@@ -196,11 +185,13 @@ def _lookup(bound_id):
 
 
 def _in_region(region, t):
-    if region == T_LE_1:
-        return t <= 1.0
-    if region == T_GE_1:
-        return t >= 1.0
-    return True
+    lo, hi = _REGION_T[region]
+    return lo <= t <= hi
+
+
+def _margin(side, bound, ratio):
+    """bound - R for an upper row, R - bound for a lower one: >= 0 where it holds."""
+    return bound - ratio if side == UPPER else ratio - bound
 
 
 def bound_ids():
@@ -256,10 +247,7 @@ def certify_point(bound_id, p, deform=None, tol=1e-12):
     entry = _lookup(bound_id)
     bound_value = _value(entry, p, deform)
     ratio_value = p.ratio
-    if entry.spec.side == UPPER:
-        margin = bound_value - ratio_value
-    else:
-        margin = ratio_value - bound_value
+    margin = _margin(entry.spec.side, bound_value, ratio_value)
     return Certificate(bound_id, p, ratio_value, bound_value, margin, margin >= -tol, tol)
 
 

@@ -41,12 +41,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_FOUND = 4
 
-# Default sweep windows per validity region (t-range clamped to [1e-3, 1e3]).
-_SWEEP_WINDOWS = {
-    catalog.ALL_T: (1e-3, 1e3),
-    catalog.T_LE_1: (1e-3, 1.0),
-    catalog.T_GE_1: (1.0, 1e3),
-}
+# Default sweep windows per validity region: its t-interval clamped to [1e-3, 1e3].
+_SWEEP_WINDOWS = {region: (max(lo, 1e-3), min(hi, 1e3))
+                  for region, (lo, hi) in catalog._REGION_T.items()}
 
 
 def _csv_cell(value):

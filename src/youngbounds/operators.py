@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import _admit_r, _check_threshold
+from .scalar import _admit_r, _admit_v, _check_threshold
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -184,10 +184,7 @@ def _same_dim(A, B):
 
 
 def _check_weight(v):
-    v = float(v)
-    if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-        raise DomainError(f"weight must lie in [0, 1], got {v!r}")
-    return v
+    return _admit_v("weight", float(v))  # the message quotes v as a float
 
 
 def _require_pd(w):
@@ -315,11 +312,11 @@ class _Claim:
 
     def __init__(self, claim_id, bound_id):
         entry = catalog._lookup(bound_id)
-        self.id, self.bound_id, self.upper = claim_id, bound_id, entry.spec.side == catalog.UPPER
+        self.id, self.bound_id, self.side = claim_id, bound_id, entry.spec.side
         self.kernel = catalog._kernel(entry.family, catalog.T_GE_1, None)
 
     def admit(self, r):
-        return _admit_r(self.id, self.upper, r)
+        return _admit_r(self.id, self.side == catalog.UPPER, r)
 
 
 _ONE = _Claim("corollary-one", "C33-expr")
@@ -332,23 +329,24 @@ def _certify(A, B, v, s, tol, variant, claims):
 
     Each compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
-    lower one.  The margin is loewner_leq's for (diag(left), diag(right)).
-    A factor that is not a finite double (h or h' too large) raises DomainError.
+    lower one, the row's catalog._margin with R the arithmetic.  The margin
+    is loewner_leq's for the two diagonals.  A factor that is not a finite
+    double (h or h' too large) raises DomainError.
     """
     _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
     lam = _pencil_spectrum(A, B)
     arithmetic, geometric = (1.0 - v) + v * lam, lam**v
+    arithmetic_scale = float(np.abs(arithmetic).max())
     for claim, end, r in claims:
         factor = float(claim.kernel(end, v, r))
         if not math.isfinite(factor):
             raise DomainError(f"{claim.id}: no finite scalar factor at h = {s.h!r}, "
                               f"h' = {s.h_prime!r} ({claim.bound_id} at t = {end!r})")
-        left, right = ((arithmetic, factor * geometric) if claim.upper
-                       else (factor * geometric, arithmetic))
-        scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
-        margin = _relative(float((right - left).min()), scale)
+        bound = factor * geometric
+        scale = max(arithmetic_scale, float(np.abs(bound).max()))
+        margin = _relative(float(catalog._margin(claim.side, bound, arithmetic).min()), scale)
         yield OperatorCertificate(claim.id, factor, margin, margin >= -tol, variant, tol)
 
 

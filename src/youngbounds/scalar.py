@@ -44,14 +44,8 @@ class EvalPoint:
     v: float
 
     def __post_init__(self):
-        t = float(self.t)
-        v = float(self.v)
-        if not math.isfinite(t) or t <= 0.0:
-            raise DomainError(f"t must be a finite positive real, got {self.t!r}")
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
-            raise DomainError(f"v must lie in [0, 1], got {self.v!r}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "t", _admit_t(self.t))
+        object.__setattr__(self, "v", _admit_v("v", self.v))
 
     @cached_property
     def ratio(self):
@@ -77,6 +71,30 @@ class DeformParam:
         if not math.isfinite(r) or not -1.0 <= r <= 1.0:
             raise DomainError(f"deformation parameter must lie in [-1, 1], got {self.r!r}")
         object.__setattr__(self, "r", r)
+
+
+def _admit_t(t):
+    """t as a float if it is a finite positive real; DomainError quoting t otherwise."""
+    value = float(t)
+    if not math.isfinite(value) or value <= 0.0:
+        raise DomainError(f"t must be a finite positive real, got {t!r}")
+    return value
+
+
+def _admit_v(name, v):
+    """v as a float if it lies in [0, 1]; DomainError naming and quoting it otherwise."""
+    value = float(v)
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
+    return value
+
+
+def _finite_r(owner, r):
+    """r as a float if it is finite; DomainError naming owner otherwise."""
+    r = float(r)
+    if not math.isfinite(r):
+        raise DomainError(f"{owner} requires a finite r, got {r}")
+    return r
 
 
 def _admit_r(owner, upper, r=None):
@@ -106,16 +124,11 @@ def _pow(t, v):
     return np.exp(v * np.log(t))
 
 
-def _any(mask):
-    """np.any for a mask that may be a Python or numpy bool, at a bool's cost."""
-    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def _ratio(t, v):
     """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats, overflowing in no branch."""
     num = (1.0 - v) + v * t
     extreme = (t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)
-    if not _any(extreme):
+    if not (extreme.any() if isinstance(extreme, np.ndarray) else extreme):
         # Inside the window num and t^-v both lie in [1e-3, 1e3]: no overflow.
         return num * np.exp(-v * np.log(t))
     # Fully-log form where t is extreme (num > 0, so log is safe).  np.where
@@ -139,22 +152,26 @@ def _identity_arg(t):
 
 
 def _dexp(r, x):
-    """exp_r(x) = (1+rx)^(1/r) for scalar r and float/array x.
+    """exp_r(x) = (1+rx)^(1/r) for a float r and float/array x.
 
     Requires 1 + r*x >= 0.  The boundary 1 + r*x = 0 maps to the limit
-    value: 0 for r > 0, +inf for r < 0 (log1p(-1) = -inf does it for us).
-    numpy reports the pole as a divide by zero, under the caller's np.errstate.
+    value: 0 for r > 0, +inf for r < 0, which numpy reports as a divide by
+    zero under the caller's np.errstate.  1 * x and -1 * x are exact, so at
+    r = +-1 the code forms 1 + x or 1 - x and returns it or its reciprocal.
     """
-    r = float(r)
     if abs(r) < R_ZERO_SWITCH:
         return np.exp(x)
-    arg = 1.0 + r * x
-    if _any(arg < 0.0):
+    arg = 1.0 + x if r == 1.0 else 1.0 - x if r == -1.0 else 1.0 + r * x
+    # fmin skips NaN, so one pass finds the least defined 1 + r*x; the
+    # initial value lets an empty array through.
+    least = np.fmin.reduce(arg, axis=None, initial=np.inf) if isinstance(arg, np.ndarray) else arg
+    if least < 0.0:
         raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
     if r == 1.0:
-        return 1.0 + x
+        return arg
     if r == -1.0:
-        return np.divide(1.0, 1.0 - x)
+        # Python's float division raises at the pole, numpy's gives inf.
+        return np.divide(1.0, arg) if least == 0.0 else 1.0 / arg
     return np.exp(np.log1p(r * x) / r)
 
 
@@ -165,10 +182,7 @@ def young_ratio(p):
 
 def kantorovich(t):
     """Kantorovich constant (t+1)^2/(4t) for t > 0; K(1/t) = K(t) >= 1."""
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"t must be a finite positive real, got {t!r}")
-    return float(_kantorovich(t))
+    return float(_kantorovich(_admit_t(float(t))))  # the message quotes t as a float
 
 
 def deformed_exp(r, x):
@@ -179,16 +193,13 @@ def deformed_exp(r, x):
 def deformed_exp_raw(r, x):
     """exp_r(x) for a bare float r with no [-1, 1] admissibility check.
 
-    Exists for optimality probes at r slightly above 1; the domain
-    requirement 1 + r*x >= 0 still applies.
+    Exists for optimality probes at r slightly above 1; r must still be
+    finite, and the domain requirement 1 + r*x >= 0 still applies.
     """
-    out = _dexp(float(r), x)
+    out = _dexp(_finite_r("deformed_exp_raw", r), x)
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def kantorovich_identity_arg(t):
     """(t-1)^2/t, which equals 4*(kantorovich(t) - 1)."""
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"t must be a finite positive real, got {t!r}")
-    return float(_identity_arg(t))
+    return float(_identity_arg(_admit_t(float(t))))  # the message quotes t as a float

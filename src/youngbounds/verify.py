@@ -34,7 +34,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import EvalPoint, _check_threshold, _dexp, _ratio
+from .scalar import EvalPoint, _check_threshold, _dexp, _finite_r, _ratio
 
 LINEAR = "linear"
 LOG = "log"
@@ -194,10 +194,21 @@ def _lookup_diff(diff_id):
 
 
 def _check_window(region_kind, t_lo, t_hi, what):
-    if region_kind == catalog.T_LE_1 and t_hi > 1.0:
-        raise RegionError(f"{what} is restricted to t <= 1, window reaches t={t_hi}")
-    if region_kind == catalog.T_GE_1 and t_lo < 1.0:
-        raise RegionError(f"{what} is restricted to t >= 1, window reaches t={t_lo}")
+    lo, hi = catalog._REGION_T[region_kind]
+    if t_hi > hi:
+        raise RegionError(f"{what} is restricted to t <= {hi:g}, window reaches t={t_hi}")
+    if t_lo < lo:
+        raise RegionError(f"{what} is restricted to t >= {lo:g}, window reaches t={t_lo}")
+
+
+def _admit_diff_r(diff, r):
+    """diff's kernel's r: a finite float for diff-ropt, which requires one
+    (DomainError otherwise); None for the bound pairs, which ignore r."""
+    if not diff.needs_r:
+        return None
+    if r is None:
+        raise DomainError(f"{diff.id} requires an explicit r")
+    return _finite_r(diff.id, r)
 
 
 def _row_blocks(kernel, tg, vg):
@@ -257,12 +268,10 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     _check_window(entry.spec.region, region.t_min, region.t_max, bound_id)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
-    upper = entry.spec.side == catalog.UPPER
+    side = entry.spec.side
 
     def margin(t, v):
-        if upper:
-            return entry.kernel(t, v, r) - _ratio(t, v)
-        return _ratio(t, v) - entry.kernel(t, v, r)
+        return catalog._margin(side, entry.kernel(t, v, r), _ratio(t, v))
 
     tg = region.t_grid()
     vg = region.v_grid()
@@ -286,15 +295,13 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
 def eval_diff(diff_id, p, r=None):
     """Signed value of one difference function at an EvalPoint.
 
-    r is consumed only by diff-ropt (where it is required and may exceed 1);
-    the other differences have no free parameter.
+    r is consumed only by diff-ropt (where it is required, must be finite
+    and may exceed 1); the other differences have no free parameter.
     """
     diff = _lookup_diff(diff_id)
     if not catalog._in_region(diff.region, p.t):
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
-    if diff.needs_r and r is None:
-        raise DomainError(f"{diff_id} requires an explicit r")
-    return float(diff.kernel(p.t, p.v, float(r) if r is not None else None))
+    return float(diff.kernel(p.t, p.v, _admit_diff_r(diff, r)))
 
 
 def _grid_extrema(diff, tg, vg, r):
@@ -338,9 +345,7 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     diff = _lookup_diff(diff_id)
     _check_window(diff.region, region.t_min, region.t_max, diff_id)
     _check_threshold("delta", delta)
-    if diff.needs_r and r is None:
-        raise DomainError(f"{diff_id} requires an explicit r")
-    r_value = float(r) if r is not None else None
+    r_value = _admit_diff_r(diff, r)
 
     log_t = region.t_scale == LOG
     if log_t:

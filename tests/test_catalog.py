@@ -412,10 +412,20 @@ def test_differences_are_k_minus_the_reference_bitwise(diff_id):
 
 
 def test_reciprocal_entries_raise_off_their_regions():
-    # Evaluated off its half-line the reciprocal's denominator reaches 0 and
-    # below; evaluate_grid (region unchecked) raises rather than return inf.
+    # Evaluated off its half-line the reciprocal's 1 - x falls below 0;
+    # evaluate_grid (region unchecked) raises exp_r's domain error there.
     v = np.array([0.5])
-    with pytest.raises(DomainError, match="nonpositive"):
+    with pytest.raises(DomainError, match="exp_r undefined"):
         evaluate_grid("T36-lo-le1", np.array([0.5, 10.0]), v)
-    with pytest.raises(DomainError, match="nonpositive"):
+    with pytest.raises(DomainError, match="exp_r undefined"):
         evaluate_grid("T36-lo-ge1", np.array([2.0, 0.1]), v)
+
+
+def test_reciprocal_entries_are_inf_at_their_pole():
+    # At t = 4.265986323710904 and v = 1/4, (v(1-v)/2)(t-1)^2 rounds to
+    # exactly 1: the off-region reciprocal row is at exp_r's pole, +inf.
+    pole = 4.265986323710904
+    assert 0.5 * 0.25 * 0.75 * ((pole - 1.0) * (pole - 1.0)) == 1.0
+    with np.errstate(divide="ignore"):
+        assert evaluate_grid("T36-lo-le1", np.array([pole]), np.array([0.25]))[0] == np.inf
+        assert evaluate_grid("T36-lo-ge1", np.array([1.0 / pole]), np.array([0.25]))[0] == np.inf

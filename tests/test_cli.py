@@ -193,9 +193,11 @@ def test_sweep_window_follows_validity_region(capsys):
     code, env, _ = run_json(capsys, "sweep", "--bound", "FM-m", "--nt", "40", "--nv", "11")
     assert code == 0
     assert env["results"]["region"]["t_max"] == 1.0
+    assert env["results"]["region"]["t_min"] == 1e-3
     code, env, _ = run_json(capsys, "sweep", "--bound", "T36-lo-ge1", "--nt", "40", "--nv", "11")
     assert code == 0
     assert env["results"]["region"]["t_min"] == 1.0
+    assert env["results"]["region"]["t_max"] == 1e3
 
 
 def test_sweep_deformed_entry(capsys):
@@ -329,6 +331,14 @@ def test_witness_usage_and_domain_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "witness", "--diff", "diff-u1", "--nv", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+def test_witness_non_finite_r_exits_domain(capsys, r):
+    code, env, _ = run_json(capsys, "witness", "--diff", "diff-ropt", f"--r={r}")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"] == {"type": "DomainError",
+                                       "message": f"diff-ropt requires a finite r, got {r}"}
 
 
 @pytest.mark.parametrize("delta", ["-1", "nan"])

@@ -174,6 +174,9 @@ def test_arithmetic_mean():
         weighted_arithmetic(A, HermitianMatrix.identity(3), 0.5)
     with pytest.raises(DomainError):
         weighted_arithmetic(A, B, 1.5)
+    # The point's v rule, naming the weight and quoting it as a float.
+    with pytest.raises(DomainError, match=r"^weight must lie in \[0, 1\], got 2\.0$"):
+        weighted_arithmetic(A, B, 2)
 
 
 def test_geometric_mean_known_values():

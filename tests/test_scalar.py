@@ -23,7 +23,7 @@ from youngbounds import (
     young_ratio,
 )
 from youngbounds.errors import DomainError
-from youngbounds.scalar import _ratio
+from youngbounds.scalar import _dexp, _ratio
 
 # Log-uniform t across the six-decade working range, plain uniform weight.
 log_ts = st.floats(-3.0, 3.0)
@@ -193,6 +193,61 @@ def test_deformed_exp_raw_allows_r_above_one():
     assert deformed_exp_raw(1.001, 2.0) < 3.0
     arr = deformed_exp_raw(1.001, np.array([0.0, 2.0]))
     assert arr.shape == (2,) and arr[0] == 1.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_deformed_exp_raw_rejects_a_non_finite_r(r):
+    message = f"deformed_exp_raw requires a finite r, got {r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        deformed_exp_raw(r, 0.5)
+    with pytest.raises(DomainError, match="finite r"):
+        deformed_exp_raw(r, np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("r, bad", [(-1.0, 2.0), (0.5, -3.0), (1.0, -1.5), (-0.5, 4.0)])
+def test_dexp_domain_check_sees_past_nan(r, bad):
+    # One NaN-skipping reduction finds the negative 1 + r*x on either side
+    # of a NaN, and in a 2-d block.
+    for x in ([math.nan, bad], [bad, math.nan], [[0.0, math.nan], [bad, 0.0]]):
+        with pytest.raises(DomainError, match="exp_r undefined"):
+            _dexp(r, np.array(x))
+    assert np.isnan(_dexp(r, np.array([math.nan, 0.0])))[0]
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0, 0.5, -0.5, 1e-23])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+def test_dexp_of_an_empty_array_is_empty(r, shape):
+    # fmin.reduce has no identity: the check must still pass an empty input.
+    out = _dexp(r, np.empty(shape))
+    assert isinstance(out, np.ndarray) and out.shape == shape
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0, 0.5, -0.5, 1e-23, 1.001])
+@pytest.mark.parametrize("x", [0.0, 0.3, -0.9, 0.99, 1.0, -1.0, -2.0, 2.0, 800.0, math.nan])
+def test_dexp_agrees_on_a_float_a_0d_array_and_a_1_element_array(r, x):
+    def outcome(arg):
+        try:
+            with np.errstate(all="ignore"):
+                return float(np.asarray(_dexp(r, arg)).reshape(-1)[0]).hex()
+        except DomainError as exc:
+            return str(exc)
+
+    assert outcome(x) == outcome(np.array(x)) == outcome(np.array([x]))
+
+
+def test_point_admission_messages():
+    # One t rule and one v rule, each quoting the value it was given.
+    cases = [
+        (lambda: EvalPoint(-1, 0.5), "t must be a finite positive real, got -1"),
+        (lambda: EvalPoint(math.inf, 0.5), "t must be a finite positive real, got inf"),
+        (lambda: EvalPoint(2.0, 2), "v must lie in [0, 1], got 2"),
+        (lambda: EvalPoint(2.0, math.nan), "v must lie in [0, 1], got nan"),
+        (lambda: kantorovich(-1), "t must be a finite positive real, got -1.0"),
+        (lambda: kantorovich_identity_arg(0), "t must be a finite positive real, got 0.0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @given(st.floats(1e-3, 10.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))

@@ -1,6 +1,7 @@
 """Sweep, sign-change search, and reference-table checks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -515,6 +516,25 @@ def test_optimality_probe_witness_needs_wide_window():
 def test_witness_requires_r_for_probe():
     with pytest.raises(DomainError):
         find_sign_change("diff-ropt", Region(0.1, 10.0, 0.0, 1.0), 1e-3)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_probe_rejects_a_non_finite_r(r):
+    # A NaN r made every probe value NaN, so the search reported "not found".
+    message = f"diff-ropt requires a finite r, got {r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        eval_diff("diff-ropt", EvalPoint(2.0, 0.5), r)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        find_sign_change("diff-ropt", Region(0.1, 10.0, 0.0, 1.0), 1e-3, r=r)
+
+
+def test_window_messages_name_the_region_bound():
+    with pytest.raises(RegionError,
+                       match=r"^FM-m is restricted to t <= 1, window reaches t=2\.0$"):
+        sweep("FM-m", Region(0.1, 2.0, 0.0, 1.0))
+    with pytest.raises(RegionError,
+                       match=r"^diff-l2 is restricted to t >= 1, window reaches t=0\.5$"):
+        find_sign_change("diff-l2", Region(0.5, 10.0, 0.0, 1.0), 1e-4)
 
 
 @pytest.mark.parametrize("delta", [math.nan, -1.0, math.inf])
