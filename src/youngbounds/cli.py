@@ -14,6 +14,7 @@ Exit codes are a stable contract: 0 ok, 1 an inequality failed to hold,
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -22,14 +23,7 @@ import sys
 import numpy as np
 
 from . import catalog, operators, verify
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    NotPositiveDefiniteError,
-    RegionError,
-    SandwichViolationError,
-    WitnessNotFoundError,
-)
+from .errors import DomainError, WitnessNotFoundError, YoungBoundsError
 from .operators import SandwichSpec
 from .scalar import EvalPoint
 
@@ -303,8 +297,18 @@ def _parser():
 
 
 def main(argv=None):
+    # argparse reads only -<digits>[.<digits>] as a negative number and would
+    # take any other (-1e-3, -inf) for an option: glue each onto its --name.
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if token.startswith("-") and tokens and tokens[-1].startswith("--") and "=" not in tokens[-1]:
+            with contextlib.suppress(ValueError):
+                float(token)  # not a number: left for argparse as it stands
+                tokens[-1] += "=" + token
+                continue
+        tokens.append(token)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(tokens)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if getattr(args, "nt", 2) < 2 or getattr(args, "nv", 2) < 2:
@@ -321,8 +325,7 @@ def main(argv=None):
         status, code = ("ok", EXIT_OK) if holds else ("violation", EXIT_VIOLATION)
     except WitnessNotFoundError as exc:
         status, code, results, summary = _error("witness-not-found", exc, EXIT_NOT_FOUND)
-    except (RegionError, DomainError, SandwichViolationError,
-            NotPositiveDefiniteError, DimensionMismatchError, OSError) as exc:
+    except (YoungBoundsError, OSError) as exc:
         status, code, results, summary = _error(type(exc).__name__, exc, EXIT_DOMAIN)
     _emit(args, results, status)
     print(summary, file=sys.stderr)

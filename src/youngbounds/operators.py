@@ -8,20 +8,20 @@ scalar factor whenever the pair is separated by a spectral sandwich
 module builds those means, checks Loewner inequalities with a normalized
 eigenvalue margin, and certifies the two sandwich claims.
 
-Everything about a pair (A, B) goes through one reduction: a Cholesky
-factor A = LL* and the pencil matrix X = L^{-1}BL^{-*} (Golub & Van Loan,
-section 8.7), computed once per pair and shared.  X is unitarily similar to
-A^{-1/2}BA^{-1/2}, so it has the same spectrum, and since the Kubo-Ando mean
-is congruence invariant (Kubo & Ando 1980; Bhatia, Positive Definite
-Matrices, ch. 4) the geometric mean is A #_v B = L X^v L*, from one eigh of X.
+Everything about a pair (A, B) goes through one value, its _Pencil: a
+Cholesky factor A = LL*, the pencil matrix X = L^{-1}BL^{-*} (Golub & Van
+Loan, section 8.7) and its spectrum lam, which the means and certificates of
+the pair share.  X is unitarily similar to A^{-1/2}BA^{-1/2}, so it has the
+same spectrum, and since the Kubo-Ando mean is congruence invariant (Kubo &
+Ando 1980; Bhatia, Positive Definite Matrices, ch. 4) the geometric mean is
+A #_v B = L X^v L*, from one eigh of X.
 
 The claims are checked on a spectrum, not on the means themselves.
 Congruence by L^{-1} maps (1-v)A + vB <= c * A #_v B to (1-v)I + vX <= cX^v,
 and both sides of the reduced claim are functions of X, so it holds exactly
 when the scalar inequality (1-v) + v*lam <= c*lam^v holds at every
-eigenvalue lam of X, computed as eigvalsh(X); the certificates of one pair
-share it.  The explicit means stay public: loewner_leq on them is the
-oracle the certificates are tested against.
+eigenvalue lam of X.  The explicit means stay public: loewner_leq on them
+is the oracle the certificates are tested against.
 
 Each claim's factor is a catalog row read at an end of the interval [h', h]
 (h = M/m, h' = M'/m'; case ii's spectrum lies in [1/h, 1/h'], and the rows
@@ -58,6 +58,9 @@ PD_FLOOR = 1e-12
 # Tolerance for the four sandwich comparisons against scalar multiples of I.
 SANDWICH_TOL = 1e-10
 
+# Draws random_sandwich_pair makes before it gives up.
+_SANDWICH_TRIES = 16
+
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
@@ -65,9 +68,8 @@ class HermitianMatrix:
 
     Input is symmetrized ((X + X*)/2) on construction; anything farther than
     HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected, not
-    repaired, as is an empty or non-square matrix.  Spectral data is computed
-    on first use and kept: the spectrum and the pencil reduction with the
-    last partner B (see _pencil).
+    repaired, as is an empty or non-square matrix.  The spectrum is computed
+    on first use and kept, as is the _Pencil with the last partner B (_pencil).
     """
 
     entries: np.ndarray
@@ -215,17 +217,17 @@ def weighted_geometric(A, B, v):
     """A #_v B = L (L^{-1}BL^{-*})^v L* with A = LL*, for positive definite A, B.
 
     This is A^{1/2}(A^{-1/2}BA^{-1/2})^v A^{1/2}: the Kubo-Ando mean is
-    congruence invariant, so any factor of A gives it.  The factor and the
-    pencil matrix are the pair's shared reduction (see _pencil); B's
-    definiteness is read off spec(L^{-1}BL^{-*}), which is spec(A^{-1/2}BA^{-1/2}).
+    congruence invariant, so any factor of A gives it.  L and the pencil
+    matrix come from the pair's _Pencil; B's definiteness is read off
+    spec(L^{-1}BL^{-*}), which is spec(A^{-1/2}BA^{-1/2}).
     """
     _same_dim(A, B)
     v = _check_weight(v)
     _require_pd(A.eigenvalues())
-    _, L, X, _ = _pencil(A, B)
-    w, Q = np.linalg.eigh(X)
+    pencil = _pencil(A, B)
+    w, Q = np.linalg.eigh(pencil.X)
     _require_pd(w)
-    C = L @ Q                                    # L X^v L* = C diag(w^v) C*
+    C = pencil.L @ Q                             # L X^v L* = C diag(w^v) C*
     return HermitianMatrix((C * w**v) @ C.conj().T)
 
 
@@ -270,40 +272,33 @@ def validate_sandwich(A, B, s):
     )
 
 
-def _pencil(A, B):
-    """The pair's reduction (weakref(B), L, X, lam) with A = LL* and
-    X = L^{-1}BL^{-*}, symmetrized; lam is spec(X), or None until asked for.
+class _Pencil:
+    """The reduction of the pair with entry arrays a, b: a = LL* and
+    X = L^{-1}bL^{-*}, symmetrized; lam = spec(X), read-only, on first use."""
 
-    It is kept on A for the last B it was computed with, so the means and
-    the certificates of one pair share one Cholesky factor and two solves.
-    B is held by weak reference: A does not keep it alive.
-    """
-    memo = A.__dict__.get("_pencil")
-    if memo is not None and memo[0]() is B:
-        return memo
-    try:
-        L = np.linalg.cholesky(A.entries)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    Y = np.linalg.solve(L, B.entries)            # L^{-1}B
-    X = np.linalg.solve(L, Y.conj().T)           # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
-    memo = (weakref.ref(B), L, 0.5 * (X + X.conj().T), None)
-    A.__dict__["_pencil"] = memo
-    return memo
+    def __init__(self, a, b):
+        try:
+            self.L = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("matrix is not positive definite") from None
+        Y = np.linalg.solve(self.L, b)           # L^{-1}B
+        X = np.linalg.solve(self.L, Y.conj().T)  # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
+        self.X = 0.5 * (X + X.conj().T)
 
-
-def _pencil_spectrum(A, B):
-    """spec(A^{-1/2}BA^{-1/2}) = eigvalsh(L^{-1}BL^{-*}) with A = LL*.
-
-    Computed once per pair on the shared reduction and read-only.
-    """
-    memo = _pencil(A, B)
-    if memo[3] is None:
-        lam = np.linalg.eigvalsh(memo[2])
+    @cached_property
+    def lam(self):
+        lam = np.linalg.eigvalsh(self.X)
         lam.setflags(write=False)
-        memo = memo[:3] + (lam,)
-        A.__dict__["_pencil"] = memo
-    return memo[3]
+        return lam
+
+
+def _pencil(A, B):
+    """The pair's _Pencil, shared by its means and certificates: A keeps it
+    for the last B, held by weak reference so that A does not keep B alive."""
+    memo = A.__dict__.get("_pencil")
+    if memo is None or memo[0]() is not B:
+        memo = A.__dict__["_pencil"] = weakref.ref(B), _Pencil(A.entries, B.entries)
+    return memo[1]
 
 
 class _Claim:
@@ -336,7 +331,7 @@ def _certify(A, B, v, s, tol, variant, claims):
     _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
         raise SandwichViolationError("matrices do not satisfy the declared sandwich")
-    lam = _pencil_spectrum(A, B)
+    lam = _pencil(A, B).lam
     arithmetic, geometric = (1.0 - v) + v * lam, lam**v
     arithmetic_scale = float(np.abs(arithmetic).max())
     for claim, end, r in claims:
@@ -395,7 +390,7 @@ def random_hpd(dim, rng, eig_range=(0.5, 2.0)):
     return HermitianMatrix((U * w) @ U.conj().T)
 
 
-def random_sandwich_pair(s, dim, rng, commuting=True, max_tries=16):
+def random_sandwich_pair(s, dim, rng, commuting=True):
     """An (A, B) pair satisfying the sandwich, built to order.
 
     The small matrix draws eigenvalues uniformly from [m, m'], the large one
@@ -403,7 +398,7 @@ def random_sandwich_pair(s, dim, rng, commuting=True, max_tries=16):
     otherwise the large matrix gets its own basis.  The pair is re-validated
     numerically before being returned.
     """
-    for _ in range(max_tries):
+    for _ in range(_SANDWICH_TRIES):
         U = haar_unitary(dim, rng)
         V = U if commuting else haar_unitary(dim, rng)
         w_small = rng.uniform(s.m, s.m_prime, dim)
@@ -414,7 +409,7 @@ def random_sandwich_pair(s, dim, rng, commuting=True, max_tries=16):
         if validate_sandwich(A, B, s):
             return A, B
     raise SandwichViolationError(
-        f"could not build a sandwich-valid pair in {max_tries} attempts"
+        f"could not build a sandwich-valid pair in {_SANDWICH_TRIES} attempts"
     )
 
 

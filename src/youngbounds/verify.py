@@ -215,14 +215,13 @@ def _row_blocks(kernel, tg, vg):
     """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
 
     Each block is one kernel(t, v) call on a column of t against the row of
-    v, broadcast to (rows, vg.size).
+    v; every kernel returns the full (rows, vg.size) block.
     """
-    n_v = vg.size
-    rows = max(1, _BLOCK_POINTS // n_v)
+    rows = max(1, _BLOCK_POINTS // vg.size)
     v_row = vg[None, :]
     for i0 in range(0, tg.size, rows):
         t_col = tg[i0:i0 + rows, None]
-        yield i0, np.broadcast_to(kernel(t_col, v_row), (t_col.shape[0], n_v))
+        yield i0, kernel(t_col, v_row)
 
 
 def _fold_extremum(best, block, i0, lower, skip_nonfinite=False):

@@ -349,6 +349,19 @@ def test_witness_invalid_delta_exits_domain(capsys, delta):
     assert env["results"]["error"]["type"] == "DomainError"
 
 
+def test_negative_values_in_exponent_form_read_as_values(capsys):
+    # argparse alone reads only -<digits>[.<digits>] as a negative number
+    base = ("eval", "--bound", "C38-lo", "--t", "2", "--v", "0.5")
+    spaced = run(capsys, *base, "--r", "-1e-3")
+    assert spaced[0] == 0
+    assert spaced == run(capsys, *base, "--r=-1e-3")
+    code, env, _ = run_json(capsys, "sweep", "--bound", "T31-poly", "--tol", "-1e-3")
+    assert code == 3 and env["inputs"]["tol"] == -1e-3
+    code, env, _ = run_json(capsys, *base, "--r", "-inf")
+    assert code == 3 and env["results"]["error"]["type"] == "DomainError"
+    assert env["inputs"]["r"] == -math.inf
+
+
 def test_operator_invalid_tolerance_exits_domain(capsys, scalar_pair):
     a, b = scalar_pair
     code, env, _ = run_json(capsys, "operator", "--a", a, "--b", b, "--v", "0.5",

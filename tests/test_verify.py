@@ -338,6 +338,25 @@ def test_witness_search_memory_is_set_by_the_block_not_the_grid():
     assert _traced_peak(lambda: find_sign_change("diff-l", region, 1e-3)) < 2 * 2**20
 
 
+def test_every_kernel_returns_whole_row_blocks(monkeypatch):
+    # The fold's divmod indexing reads each block as (rows, n_v): every catalog
+    # and difference kernel must return that full shape from a t-column and a
+    # v-row, with no broadcast after the call.
+    monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)  # blocks of 2, 2 and 1 rows
+    vg = np.linspace(0.0, 1.0, 7)
+    kernels = [(e.spec.region, lambda t, v, e=e: e.kernel(t, v, e.default_r))
+               for e in catalog._CATALOG]
+    kernels += [(d.region, lambda t, v, d=d: d.kernel(t, v, 1.5 if d.needs_r else None))
+                for d in verify._DIFFS]
+    assert len(kernels) == 17 + 7
+    for region, kernel in kernels:
+        lo, hi = catalog._REGION_T[region]
+        tg = np.geomspace(max(lo, 1e-3), min(hi, 1e3), 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shapes = [block.shape for _, block in verify._row_blocks(kernel, tg, vg)]
+        assert shapes == [(2, 7), (2, 7), (1, 7)], region
+
+
 def test_diff_census():
     assert diff_ids() == (
         "diff-l", "diff-u1", "diff-u2", "diff-u3", "diff-l1", "diff-l2", "diff-ropt",
