@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
 from .scalar import (DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp, _identity_arg,
-                     _kantorovich, _pow)
+                     _kantorovich, _pow, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -71,12 +71,8 @@ class ChainLink:
     margin: float
 
 
-def _sq(s):
-    return (s - 1.0) * (s - 1.0)
-
-
 def _inv_sq(t):
-    return (1.0 / t - 1.0) * (1.0 / t - 1.0)
+    return _sq(1.0 / t)
 
 
 # The square of each half-square family on each region: (s-1)^2 with
@@ -176,6 +172,16 @@ _CATALOG = tuple(_Entry(*row) for row in (
 
 _BY_ID = {e.spec.id: e for e in _CATALOG}
 
+_RATIO = "ratio"  # R itself, as an operand of a comparison of rows
+
+# The ordering chain on 0 < t <= 1, one (claim, lo, hi) row per link claiming
+# lo <= hi: D2-lo-le1 <= FM-m <= R <= FM-M <= D2-hi-le1, then two side links.
+_CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
+    ("D2-lo-le1", "FM-m"), ("FM-m", _RATIO), (_RATIO, "FM-M"), ("FM-M", "D2-hi-le1"),
+    ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
+# Its catalog rows, each once.
+_CHAIN_ROWS = tuple(dict.fromkeys(b for _, lo, hi in _CHAIN for b in (lo, hi) if b != _RATIO))
+
 
 def _lookup(bound_id):
     try:
@@ -270,25 +276,13 @@ def tightest(side, p):
 
 
 def chain_check(p):
-    """Margins of the six-link ordering chain on 0 < t <= 1.
+    """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
-    The chain is D2-lo-le1 <= FM-m <= ratio <= FM-M <= D2-hi-le1 together
-    with the side links T36-lo-le1 <= FM-m and FM-M <= T36-hi-le1.  Every
-    margin is the amount by which its inequality holds (>= 0 in exact
-    arithmetic).
+    Each row and R is evaluated once; every margin is hi - lo, the amount by
+    which its inequality holds (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
-    ratio = p.ratio
-    d2lo, fm_lo, fm_hi, d2hi, t36lo, t36hi = (
-        _default_value(_BY_ID[bid], p)
-        for bid in ("D2-lo-le1", "FM-m", "FM-M", "D2-hi-le1", "T36-lo-le1", "T36-hi-le1")
-    )
-    return (
-        ChainLink("D2-lo-le1 <= FM-m", fm_lo - d2lo),
-        ChainLink("FM-m <= ratio", ratio - fm_lo),
-        ChainLink("ratio <= FM-M", fm_hi - ratio),
-        ChainLink("FM-M <= D2-hi-le1", d2hi - fm_hi),
-        ChainLink("T36-lo-le1 <= FM-m", fm_lo - t36lo),
-        ChainLink("FM-M <= T36-hi-le1", t36hi - fm_hi),
-    )
+    values = {bid: _default_value(_BY_ID[bid], p) for bid in _CHAIN_ROWS}
+    values[_RATIO] = p.ratio
+    return tuple(ChainLink(claim, values[hi] - values[lo]) for claim, lo, hi in _CHAIN)

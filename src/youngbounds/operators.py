@@ -202,8 +202,7 @@ def hermitian_power(A, p):
     """A^p by eigendecomposition; requires A positive definite."""
     w, Q = np.linalg.eigh(A.entries)
     _require_pd(w)
-    X = (Q * w**float(p)) @ Q.conj().T
-    return HermitianMatrix(0.5 * (X + X.conj().T))
+    return HermitianMatrix((Q * w**float(p)) @ Q.conj().T)  # the constructor symmetrizes
 
 
 def weighted_arithmetic(A, B, v):
@@ -429,11 +428,14 @@ def write_matrix(path, A):
 def read_matrix(path):
     """Parse the plain-text matrix format; returns a HermitianMatrix.
 
-    Format: first line "dim n", then n rows of n whitespace-separated
+    ASCII format: first line "dim n", then n rows of n whitespace-separated
     entries, each anything complex() accepts ("1.5", "2+0.25j", ...).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x}") from None
     if not lines:
         raise DomainError(f"{path}: empty matrix file")
     header = lines[0].split()

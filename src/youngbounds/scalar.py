@@ -138,17 +138,21 @@ def _ratio(t, v):
     return np.where(extreme, np.exp(np.log(num) - v * np.log(t)), plain)
 
 
+def _sq(s):
+    return (s - 1.0) * (s - 1.0)
+
+
 def _kantorovich(t):
     """K(t) = (t+1)^2/(4t), computed as 1 + (t-1)^2/(4t).
 
     The additive form guarantees K >= 1 in floating point and preserves the
     low bits of K - 1, which the identity check leans on.
     """
-    return 1.0 + ((t - 1.0) * (t - 1.0)) / (4.0 * t)
+    return 1.0 + _sq(t) / (4.0 * t)
 
 
 def _identity_arg(t):
-    return ((t - 1.0) * (t - 1.0)) / t
+    return _sq(t) / t
 
 
 def _dexp(r, x):

@@ -6,24 +6,25 @@ Three jobs live here:
   violation count and the worst margin;
 - find_sign_change: look for floating-point evidence that a difference
   function takes both signs (so neither of the two compared bounds
-  dominates the other).  Six differences are bound pairs, a Kantorovich
-  power entry minus a catalog entry; diff-ropt probes exp_r against R;
+  dominates the other).  Each is a catalog row minus a row or minus R;
+  diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
 Scans are deterministic.  Grids are walked with t as the outer axis, in
-blocks of whole t-rows of about _BLOCK_POINTS points each, in ascending
-row-major order.  Each block is one kernel call and is reduced on the spot;
-the blocks combine as one whole-grid argmin/argmax would: the first NaN wins,
-and otherwise a later block replaces the incumbent only on a strictly
-better value, so ties keep the earliest point.  Every reported value is the
-value the whole-grid evaluation gives, bit for bit, and peak memory is set
-by the block, not by the grid.  A sweep reports a NaN margin (it is a
-violation); the witness search skips non-finite values (NaN, and the
-infinities left where one side of a difference overflowed), which are
-evidence of neither sign, so its extrema are the first extrema of the
-finite values.  The kernels leave numpy's error state alone; sweep and
-find_sign_change silence overflow and invalid operations once per call.
+blocks of whole t-rows of about _BLOCK_POINTS points each (never less than
+one row), in ascending row-major order.  Each block is one kernel call and is
+reduced on the spot; the blocks combine as one whole-grid argmin/argmax
+would: the first NaN wins, and otherwise a later block replaces the incumbent
+only on a strictly better value, so ties keep the earliest point.  Every
+reported value is the value the whole-grid evaluation gives, bit for bit, and
+each temporary holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t.  A
+sweep reports a NaN margin (it is a violation); the witness search skips
+non-finite values (NaN, and the infinities left where one side of a
+difference overflowed), which are evidence of neither sign, so its extrema
+are the first extrema of the finite values.  The kernels leave numpy's error
+state alone; sweep and find_sign_change silence overflow and invalid
+operations once per call.
 """
 
 import math
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import EvalPoint, _check_threshold, _dexp, _finite_r, _ratio
+from .scalar import EvalPoint, _check_threshold, _finite_r, _ratio
 
 LINEAR = "linear"
 LOG = "log"
@@ -110,40 +111,38 @@ class NonOrderingWitness:
 
 
 class _Diff:
-    def __init__(self, diff_id, region, kernel, preset, needs_r=False):
+    """lhs - rhs, two catalog rows or a row and R (rhs "ratio"), on the rhs row's
+    region or else the lhs row's.  Only an lhs row that takes the caller's r
+    (needs_r) gets it; every other kernel is called with r = None."""
+
+    def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
+        lhs = catalog._BY_ID[lhs_id]
+        lhs_kernel = lhs.kernel
+        if rhs_id == catalog._RATIO:
+            self.region = lhs.spec.region
+            self.kernel = lambda t, v, r: lhs_kernel(t, v, r) - _ratio(t, v)
+        else:
+            rhs = catalog._BY_ID[rhs_id]
+            rhs_kernel, self.region = rhs.kernel, rhs.spec.region
+            self.kernel = lambda t, v, r: lhs_kernel(t, v, r) - rhs_kernel(t, v, None)
         self.id = diff_id
-        self.region = region
-        self.kernel = kernel
-        self.preset = preset
-        self.needs_r = needs_r
-
-
-def _pair(diff_id, lhs_id, rhs_id, *preset):
-    """lhs - rhs on the rhs entry's region; each lhs is a K entry, valid for all t."""
-    lhs, rhs = catalog._BY_ID[lhs_id].kernel, catalog._BY_ID[rhs_id]
-    rhs_kernel = rhs.kernel
-    return _Diff(diff_id, rhs.spec.region,
-                 lambda t, v, r: lhs(t, v, None) - rhs_kernel(t, v, None), preset)
-
-
-def _ropt_probe(t, v, r):
-    # The optimality probe: exp_r of the exponential bound's argument minus
-    # the ratio itself, with r allowed outside [-1, 1].  The argument is
-    # divided last, which rounds differently from _identity_arg.
-    x = v * (1.0 - v) * ((t - 1.0) * (t - 1.0)) / t
-    return _dexp(r, x) - _ratio(t, v)
+        self.preset = (t_lo, t_hi, delta)
+        self.needs_r = lhs.default_r is not None
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
-# delta).  The l1/l2 sign changes peak near 8e-4, hence the smaller delta there.
-_DIFFS = tuple(_pair(*row) for row in (
+# delta).  The l1/l2 sign changes peak near 8e-4, hence the smaller delta
+# there.  diff-ropt's r may exceed 1: at r = 1.001 C33-expr falls below R
+# near t = 1e-6, v = 1 (the "ropt" remark), so the bound's r <= 1 is sharp.
+_DIFFS = tuple(_Diff(*row) for row in (
     ("diff-l", "K-upper", "D1-exp", 0.1, 10.0, 1e-3),
     ("diff-u1", "K-upper", "T31-poly", 0.1, 10.0, 1e-3),
     ("diff-u2", "K-upper", "T36-hi-le1", 0.1, 1.0, 1e-3),
     ("diff-u3", "K-upper", "T36-hi-ge1", 1.0, 10.0, 1e-3),
     ("diff-l1", "K-lower", "T36-lo-le1", 0.1, 1.0, 1e-4),
     ("diff-l2", "K-lower", "T36-lo-ge1", 1.0, 10.0, 1e-4),
-)) + (_Diff("diff-ropt", catalog.ALL_T, _ropt_probe, (0.1, 10.0, 1e-3), needs_r=True),)
+    ("diff-ropt", "C33-expr", catalog._RATIO, 0.1, 10.0, 1e-3),
+))
 
 _DIFF_BY_ID = {d.id: d for d in _DIFFS}
 
@@ -202,8 +201,8 @@ def _check_window(region_kind, t_lo, t_hi, what):
 
 
 def _admit_diff_r(diff, r):
-    """diff's kernel's r: a finite float for diff-ropt, which requires one
-    (DomainError otherwise); None for the bound pairs, which ignore r."""
+    """diff's kernel's r: a finite float if diff needs_r (DomainError
+    otherwise), as diff-ropt does; None for the bound pairs, which ignore r."""
     if not diff.needs_r:
         return None
     if r is None:

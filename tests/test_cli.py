@@ -489,6 +489,19 @@ def test_operator_error_exits(capsys, scalar_pair, tmp_path):
     assert code == 3 and env["results"]["error"]["type"] == "DomainError"
 
 
+def test_operator_non_ascii_matrix_file_exits_domain(capsys, scalar_pair, tmp_path):
+    _, b = scalar_pair
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbfdim 1\n1\n")
+    code, env, err = run_json(capsys, "operator", "--a", str(bom), "--b", b, "--v", "0.5",
+                              "--claim", "one", "--m", "1", "--mprime", "1",
+                              "--Mprime", "4", "--M", "4")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"] == {"type": "DomainError",
+                                       "message": f"{bom}: non-ASCII byte 0xef"}
+    assert err == f"error: {bom}: non-ASCII byte 0xef\n"
+
+
 @pytest.mark.parametrize("claim, variant, claim_id", [
     ("one", "as-stated", "corollary-one"),
     ("two", "interval-extremal", "corollary-two-upper"),

@@ -40,7 +40,7 @@ from youngbounds.errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from youngbounds.operators import HERMITIAN_TOL, PD_FLOOR, _pencil
+from youngbounds.operators import _SANDWICH_TRIES, HERMITIAN_TOL, PD_FLOOR, _pencil
 
 relaxed = settings(deadline=None)
 
@@ -330,6 +330,22 @@ def test_corollary_one_random_instances():
     assert certify_corollary_one(A, B, 0.7, 1.0, s_ii).holds
 
 
+def test_random_sandwich_pair_gives_up_after_its_tries(monkeypatch):
+    # A validation that never passes ends the draws after _SANDWICH_TRIES.
+    calls = []
+
+    def refuse(A, B, spec):
+        calls.append(spec)
+        return False
+
+    monkeypatch.setattr("youngbounds.operators.validate_sandwich", refuse)
+    s = SandwichSpec(1.0, 1.2, 3.0, 4.0)
+    with pytest.raises(SandwichViolationError, match=re.escape(
+            f"could not build a sandwich-valid pair in {_SANDWICH_TRIES} attempts")):
+        random_sandwich_pair(s, 2, np.random.default_rng(5))
+    assert calls == [s] * _SANDWICH_TRIES
+
+
 def test_corollary_two_scalar_instance():
     A = HermitianMatrix.diagonal([1.0])
     B = HermitianMatrix.diagonal([4.0])
@@ -496,9 +512,12 @@ def test_matrix_file_errors(tmp_path):
         ("dim 2\n1 0 0\n0 1 0\n", DimensionMismatchError),
         ("dim 2\n1 0\n0 x\n", DomainError),
         ("dim 1\ninf\n", DomainError),
+        # a UTF-8 BOM, or any byte >= 0x80, is not ASCII text
+        ("\xef\xbb\xbfdim 1\n1\n", DomainError),
+        ("dim 2\n1 0\n0 \xa0 1\n", DomainError),
     ]
     for text, err in cases:
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))  # one byte per character
         with pytest.raises(err):
             read_matrix(path)
     with pytest.raises(OSError):
