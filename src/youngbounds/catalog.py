@@ -9,7 +9,8 @@ Ten entries are deformed families at a fixed r in {-1, 0, 1}.  Three carry
 r as a parameter; when the caller omits it the tightest admissible value is
 used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by
 the monotonicity of exp_r in r).  Every deformed entry, fixed r or not, is
-one scalar._dexp call.
+one scalar._dexp call.  A row's value at an EvalPoint is computed once, by
+_row, and kept on the point for every later query there.
 
 Each region is a closed t-interval (_REGION_T): t = 1 belongs to both the
 t <= 1 and the t >= 1 regions; every entry evaluates to exactly 1 there.
@@ -179,8 +180,6 @@ _RATIO = "ratio"  # R itself, as an operand of a comparison of rows
 _CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
     ("D2-lo-le1", "FM-m"), ("FM-m", _RATIO), (_RATIO, "FM-M"), ("FM-M", "D2-hi-le1"),
     ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
-# Its catalog rows, each once.
-_CHAIN_ROWS = tuple(dict.fromkeys(b for _, lo, hi in _CHAIN for b in (lo, hi) if b != _RATIO))
 
 
 def _lookup(bound_id):
@@ -215,16 +214,25 @@ def get_bound(bound_id):
     return _lookup(bound_id).spec
 
 
+def _row(entry, p, r):
+    """entry's kernel at the point p for a resolved r (None for a fixed-r row).
+
+    The one place a row is evaluated at a point: the value is kept on p, keyed
+    by (row id, r), so every later query of the same row at p reads it.  A
+    kernel that raises keeps nothing, and the same query raises again.
+    """
+    key = (entry.spec.id, r)
+    memo = p._rows
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = float(entry.kernel(p.t, p.v, r))
+    return value
+
+
 def _value(entry, p, deform):
     if not _in_region(entry.spec.region, p.t):
         raise RegionError(f"{entry.spec.id} is not valid at t={p.t} (region {entry.spec.region})")
-    return float(entry.kernel(p.t, p.v, entry.admit(deform)))
-
-
-def _default_value(entry, p):
-    # For callers that have already checked the region: the default r is
-    # admissible by construction, so the kernel is called directly.
-    return float(entry.kernel(p.t, p.v, entry.default_r))
+    return _row(entry, p, entry.admit(deform))
 
 
 def evaluate(bound_id, p, deform=None):
@@ -269,7 +277,7 @@ def tightest(side, p):
     for entry in _CATALOG:
         if entry.spec.side != side or not _in_region(entry.spec.region, p.t):
             continue
-        value = _default_value(entry, p)
+        value = _row(entry, p, entry.default_r)
         if best is None or (value < best[1] if side == UPPER else value > best[1]):
             best = (entry.spec.id, value)
     return best
@@ -278,11 +286,17 @@ def tightest(side, p):
 def chain_check(p):
     """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
-    Each row and R is evaluated once; every margin is hi - lo, the amount by
-    which its inequality holds (>= 0 in exact arithmetic).
+    Rows are read through _row, so each is evaluated once per point however
+    many links name it; every margin is hi - lo, the amount by which its
+    inequality holds (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
-    values = {bid: _default_value(_BY_ID[bid], p) for bid in _CHAIN_ROWS}
-    values[_RATIO] = p.ratio
-    return tuple(ChainLink(claim, values[hi] - values[lo]) for claim, lo, hi in _CHAIN)
+
+    def value(bid):
+        if bid == _RATIO:
+            return p.ratio
+        entry = _BY_ID[bid]
+        return _row(entry, p, entry.default_r)
+
+    return tuple(ChainLink(claim, value(hi) - value(lo)) for claim, lo, hi in _CHAIN)

@@ -46,6 +46,9 @@ class EvalPoint:
     def __post_init__(self):
         object.__setattr__(self, "t", _admit_t(self.t))
         object.__setattr__(self, "v", _admit_v("v", self.v))
+        # catalog._row's memo, {(row id, r): value}, filled as rows are read.
+        # Like ratio, not a field: it takes no part in eq, hash or repr.
+        self.__dict__["_rows"] = {}
 
     @cached_property
     def ratio(self):
@@ -200,8 +203,10 @@ def deformed_exp_raw(r, x):
     Exists for optimality probes at r slightly above 1; r must still be
     finite, and the domain requirement 1 + r*x >= 0 still applies.
     """
-    out = _dexp(_finite_r("deformed_exp_raw", r), x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    r = _finite_r("deformed_exp_raw", r)
+    if np.ndim(x) == 0:
+        return float(_dexp(r, x))
+    return _dexp(r, np.asarray(x, dtype=float))
 
 
 def kantorovich_identity_arg(t):

@@ -111,23 +111,22 @@ class NonOrderingWitness:
 
 
 class _Diff:
-    """lhs - rhs, two catalog rows or a row and R (rhs "ratio"), on the rhs row's
+    """lhs - rhs, two catalog rows or a row and R (rhs None), on the rhs row's
     region or else the lhs row's.  Only an lhs row that takes the caller's r
-    (needs_r) gets it; every other kernel is called with r = None."""
+    (needs_r) gets it; every other kernel is called with r = None.  kernel is
+    the grid form; eval_diff reads the same two rows at a point."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
-        lhs = catalog._BY_ID[lhs_id]
-        lhs_kernel = lhs.kernel
-        if rhs_id == catalog._RATIO:
-            self.region = lhs.spec.region
-            self.kernel = lambda t, v, r: lhs_kernel(t, v, r) - _ratio(t, v)
-        else:
-            rhs = catalog._BY_ID[rhs_id]
-            rhs_kernel, self.region = rhs.kernel, rhs.spec.region
-            self.kernel = lambda t, v, r: lhs_kernel(t, v, r) - rhs_kernel(t, v, None)
+        lhs = self.lhs = catalog._BY_ID[lhs_id]
+        rhs = self.rhs = None if rhs_id == catalog._RATIO else catalog._BY_ID[rhs_id]
+        self.region = (lhs if rhs is None else rhs).spec.region
         self.id = diff_id
         self.preset = (t_lo, t_hi, delta)
         self.needs_r = lhs.default_r is not None
+
+    def kernel(self, t, v, r):
+        lhs = self.lhs.kernel(t, v, r)
+        return lhs - (_ratio(t, v) if self.rhs is None else self.rhs.kernel(t, v, None))
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -299,7 +298,8 @@ def eval_diff(diff_id, p, r=None):
     diff = _lookup_diff(diff_id)
     if not catalog._in_region(diff.region, p.t):
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
-    return float(diff.kernel(p.t, p.v, _admit_diff_r(diff, r)))
+    lhs = catalog._row(diff.lhs, p, _admit_diff_r(diff, r))
+    return lhs - (p.ratio if diff.rhs is None else catalog._row(diff.rhs, p, None))
 
 
 def _grid_extrema(diff, tg, vg, r):
@@ -338,11 +338,13 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     best values found, not merely the first past the threshold.  Raises
     WitnessNotFoundError when refinement is exhausted with a sign missing;
     that is absence of evidence at this delta and depth, not a proof of
-    ordering.
+    ordering.  A negative refine_depth raises DomainError.
     """
     diff = _lookup_diff(diff_id)
     _check_window(diff.region, region.t_min, region.t_max, diff_id)
     _check_threshold("delta", delta)
+    if refine_depth < 0:
+        raise DomainError(f"refine_depth must be >= 0, got {refine_depth!r}")
     r_value = _admit_diff_r(diff, r)
 
     log_t = region.t_scale == LOG

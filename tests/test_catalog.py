@@ -1,6 +1,8 @@
 """Catalog checks: census, evaluation, certificates, envelopes, the chain,
 and a reference kernel per entry that the catalog must match bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from youngbounds import (
     tightest,
     young_ratio,
 )
-from youngbounds import scalar, verify
+from youngbounds import catalog, scalar, verify
 from youngbounds.catalog import ALL_T, LOWER, T_GE_1, T_LE_1, UPPER
 from youngbounds.errors import DomainError, RegionError, UnknownBoundError
 
@@ -274,11 +276,89 @@ def test_ratio_computed_once_per_point(monkeypatch):
 def test_cached_ratio_is_not_part_of_point_identity():
     used = EvalPoint(0.3, 0.4)
     assert used.ratio > 1.0
+    _profile(used, 0.7)  # fills the row memo too
+    assert len(used._rows) == 14
     fresh = EvalPoint(0.3, 0.4)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) == "EvalPoint(t=0.3, v=0.4)"
     assert {used: 1}[fresh] == 1
+    assert [f.name for f in dataclasses.fields(EvalPoint)] == ["t", "v"]
+
+
+def _count_kernel_calls(monkeypatch):
+    """Wrap every catalog row's kernel; returns the list of (row id, r) calls."""
+    calls = []
+    for entry in catalog._CATALOG:
+        def counting(t, v, r, bid=entry.spec.id, kernel=entry.kernel):
+            calls.append((bid, r))
+            return kernel(t, v, r)
+        monkeypatch.setattr(entry, "kernel", counting)
+    return calls
+
+
+def _profile(p, r):
+    """Every point query at p, as the benchmark's point profile makes them."""
+    specs = [s for s in list_bounds() if catalog._in_region(s.region, p.t)]
+    certs = [certify_point(s.id, p) for s in specs]
+    values = [evaluate(s.id, p) for s in specs]
+    best = tightest(UPPER, p), tightest(LOWER, p)
+    links = chain_check(p) if p.t <= 1.0 else ()
+    diffs = [eval_diff(d, p, r) for d in verify.diff_ids()
+             if catalog._in_region(verify._DIFF_BY_ID[d].region, p.t)]
+    return certs, values, best, links, diffs
+
+
+@pytest.mark.parametrize("t, n_rows", [(0.3, 13), (1.0, 17), (4.0, 11)])
+def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows):
+    calls = _count_kernel_calls(monkeypatch)
+    p = EvalPoint(t, 0.4)
+    first = _profile(p, 0.7)
+    assert _profile(p, 0.7) == first
+    # Each in-region row at its default r, and C33-expr at diff-ropt's r.
+    assert len(calls) == len(set(calls)) == n_rows + 1
+    assert ("C33-expr", 0.7) in calls and ("C33-expr", 1.0) in calls
+
+
+def test_a_row_at_two_r_is_two_values():
+    p = EvalPoint(1e-6, 0.999999)
+    ropt = eval_diff("diff-ropt", p, 1.001)
+    c33 = evaluate("C33-expr", p)
+    assert set(p._rows) == {("C33-expr", 1.001), ("C33-expr", 1.0)}
+    assert ropt < 0.0 < c33 - p.ratio
+    fresh = EvalPoint(1e-6, 0.999999)
+    assert evaluate("C33-expr", fresh) == c33
+    assert eval_diff("diff-ropt", fresh, 1.001) == ropt
+    # diff-ropt at r = 1 reads C33-expr's default value.
+    assert eval_diff("diff-ropt", p, 1.0) == c33 - p.ratio
+    assert len(p._rows) == 2
+
+
+def test_an_equal_point_computes_its_values_again(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    a, b = EvalPoint(2.0, 0.3), EvalPoint(2.0, 0.3)
+    assert a == b
+    assert evaluate("D1-exp", a) == evaluate("D1-exp", b) == evaluate("D1-exp", a)
+    assert calls == [("D1-exp", None)] * 2
+
+
+def test_a_query_that_raised_keeps_nothing():
+    # exp overflows past t ~ 2.8e3 at v = 1/2.
+    p = EvalPoint(1e4, 0.5)
+    for _ in range(2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            evaluate("D1-exp", p)
+    assert p._rows == {}
+    # exp_r's domain: 1 + r x < 0 at r = -5 raises, twice.
+    for _ in range(2):
+        with pytest.raises(DomainError, match="exp_r undefined"):
+            eval_diff("diff-ropt", p, -5.0)
+    assert p._rows == {}
+    # The first query that completes decides: its value is kept and read.
+    with np.errstate(over="ignore"):
+        assert evaluate("D1-exp", p) == np.inf
+    with np.errstate(over="raise"):
+        assert evaluate("D1-exp", p) == np.inf
 
 
 # Reference kernels: every entry's formula written out on its own, apart
@@ -409,6 +489,33 @@ def test_differences_are_k_minus_the_reference_bitwise(diff_id):
         for vj in v[0, ::2].tolist():
             point = REFERENCE[lhs](ti, vj, None) - REFERENCE[rhs](ti, vj, None)
             assert _bits(eval_diff(diff_id, EvalPoint(ti, vj))) == _bits(point), (diff_id, ti, vj)
+
+
+# The point profile's edge points: t in {1e-9, 1, 1e9}, v in {0, 1/2, 1}.
+EDGE_POINTS = [(t, v) for t in (1e-9, 1.0, 1e9) for v in (0.0, 0.5, 1.0, 0.3)]
+
+
+@pytest.mark.parametrize("t, v", EDGE_POINTS)
+def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
+    reused = EvalPoint(t, v)
+    with np.errstate(all="ignore"):
+        _profile(reused, 0.7)
+        grid_t, grid_v = np.array([t]), np.array([v])
+        for spec in list_bounds():
+            if not catalog._in_region(spec.region, t):
+                continue
+            for r in (None,) + CALLER_R.get(spec.id, ()):
+                kept = evaluate(spec.id, reused, r)
+                assert _bits(kept) == _bits(evaluate(spec.id, EvalPoint(t, v), r)), (spec.id, r)
+                assert _bits(kept) == _bits(evaluate_grid(spec.id, grid_t, grid_v, r)[0]), spec.id
+        for diff_id in verify.diff_ids():
+            diff = verify._DIFF_BY_ID[diff_id]
+            if not catalog._in_region(diff.region, t):
+                continue
+            for r in ((0.7, 1.001, 1.0) if diff.needs_r else (None,)):
+                kept = eval_diff(diff_id, reused, r)
+                assert _bits(kept) == _bits(eval_diff(diff_id, EvalPoint(t, v), r)), diff_id
+                assert _bits(kept) == _bits(diff.kernel(grid_t, grid_v, r)[0]), diff_id
 
 
 def test_reciprocal_entries_raise_off_their_regions():

@@ -195,6 +195,16 @@ def test_deformed_exp_raw_allows_r_above_one():
     assert arr.shape == (2,) and arr[0] == 1.0
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, -0.5, -1.0, 1e-23, 1.001])
+def test_deformed_exp_raw_takes_an_array_like_x(r):
+    want = deformed_exp_raw(r, np.array([0.1, 0.2]))
+    for x in ([0.1, 0.2], (0.1, 0.2)):
+        got = deformed_exp_raw(r, x)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == want.tobytes()
+    assert deformed_exp_raw(r, [[0.1], [0.2]]).shape == (2, 1)
+
+
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_deformed_exp_raw_rejects_a_non_finite_r(r):
     message = f"deformed_exp_raw requires a finite r, got {r}"

@@ -594,6 +594,14 @@ def test_refinement_extends_past_the_coarse_grid():
     assert find_sign_change("diff-l1", region, 1e-3, refine_depth=3) == w
 
 
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_negative_refine_depth_is_a_domain_error(depth):
+    region = Region(0.5, 1.0, 0.0, 1.0, LINEAR, 7, 7)
+    message = f"refine_depth must be >= 0, got {depth}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        find_sign_change("diff-l1", region, 1e-3, refine_depth=depth)
+
+
 def test_reference_table_matches_independent_recomputation():
     rows = reproduce_remarks()
     assert len(rows) == 15
