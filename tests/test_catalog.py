@@ -491,31 +491,31 @@ def test_differences_are_k_minus_the_reference_bitwise(diff_id):
             assert _bits(eval_diff(diff_id, EvalPoint(ti, vj))) == _bits(point), (diff_id, ti, vj)
 
 
-# The point profile's edge points: t in {1e-9, 1, 1e9}, v in {0, 1/2, 1}.
+# The point profile's edge points, t in {1e-9, 1, 1e9} and v in {0, 1/2, 1}, and an inner v.
 EDGE_POINTS = [(t, v) for t in (1e-9, 1.0, 1e9) for v in (0.0, 0.5, 1.0, 0.3)]
 
 
 @pytest.mark.parametrize("t, v", EDGE_POINTS)
 def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
+    rows = [(s.id, r) for s in list_bounds() if catalog._in_region(s.region, t)
+            for r in (None,) + CALLER_R.get(s.id, ())]
+    diffs = [(d.id, r) for d in verify._DIFFS if catalog._in_region(d.region, t)
+             for r in ((0.7, 1.001, 1.0) if d.needs_r else (None,))]
+    grid_t, grid_v = np.array([t]), np.array([v])
+
+    def values(point):
+        return ([_bits(evaluate(bid, point(), r)) for bid, r in rows]
+                + [_bits(eval_diff(did, point(), r)) for did, r in diffs])
+
     reused = EvalPoint(t, v)
     with np.errstate(all="ignore"):
         _profile(reused, 0.7)
-        grid_t, grid_v = np.array([t]), np.array([v])
-        for spec in list_bounds():
-            if not catalog._in_region(spec.region, t):
-                continue
-            for r in (None,) + CALLER_R.get(spec.id, ()):
-                kept = evaluate(spec.id, reused, r)
-                assert _bits(kept) == _bits(evaluate(spec.id, EvalPoint(t, v), r)), (spec.id, r)
-                assert _bits(kept) == _bits(evaluate_grid(spec.id, grid_t, grid_v, r)[0]), spec.id
-        for diff_id in verify.diff_ids():
-            diff = verify._DIFF_BY_ID[diff_id]
-            if not catalog._in_region(diff.region, t):
-                continue
-            for r in ((0.7, 1.001, 1.0) if diff.needs_r else (None,)):
-                kept = eval_diff(diff_id, reused, r)
-                assert _bits(kept) == _bits(eval_diff(diff_id, EvalPoint(t, v), r)), diff_id
-                assert _bits(kept) == _bits(diff.kernel(grid_t, grid_v, r)[0]), diff_id
+        first = values(lambda: reused)
+        kept = values(lambda: reused)
+        fresh = values(lambda: EvalPoint(t, v))
+        grid = ([_bits(evaluate_grid(bid, grid_t, grid_v, r)[0]) for bid, r in rows]
+                + [_bits(verify._DIFF_BY_ID[did].kernel(grid_t, grid_v, r)[0]) for did, r in diffs])
+    assert kept == first == fresh == grid
 
 
 def test_reciprocal_entries_raise_off_their_regions():
