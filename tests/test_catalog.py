@@ -354,6 +354,11 @@ def test_a_query_that_raised_keeps_nothing():
         with pytest.raises(DomainError, match="exp_r undefined"):
             eval_diff("diff-ropt", p, -5.0)
     assert p._rows == {}
+    # diff-l is K-upper - D1-exp: K-upper completes and is kept, D1-exp raises, twice.
+    for _ in range(2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            eval_diff("diff-l", p)
+    assert list(p._rows) == [("K-upper", None)]
     # The first query that completes decides: its value is kept and read.
     with np.errstate(over="ignore"):
         assert evaluate("D1-exp", p) == np.inf
