@@ -43,7 +43,6 @@ from .operators import (
     haar_unitary,
     hermitian_power,
     loewner_leq,
-    random_hpd,
     random_sandwich_pair,
     read_matrix,
     validate_sandwich,
@@ -119,7 +118,6 @@ __all__ = [
     "kantorovich_identity_arg",
     "list_bounds",
     "loewner_leq",
-    "random_hpd",
     "random_sandwich_pair",
     "read_matrix",
     "reproduce_remarks",

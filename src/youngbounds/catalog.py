@@ -10,7 +10,10 @@ r as a parameter; when the caller omits it the tightest admissible value is
 used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by
 the monotonicity of exp_r in r).  Every deformed entry, fixed r or not, is
 one scalar._dexp call.  A row's value at an EvalPoint is computed once, by
-_row, and kept on the point for every later query there.
+scalar._row, and kept on the point for every later query there.  R itself
+is one more row of that memo, scalar._R_ROW: comparisons (the ordering chain,
+the differences, the margins) name it as "ratio" beside the catalog rows, but
+it is not a catalog entry.
 
 Each region is a closed t-interval (_REGION_T): t = 1 belongs to both the
 t <= 1 and the t >= 1 regions; every entry evaluates to exactly 1 there.
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import (DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp, _identity_arg,
-                     _kantorovich, _pow, _sq)
+from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp,
+                     _identity_arg, _kantorovich, _pow, _row, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -105,7 +108,7 @@ def _kernel(family, region, param):
 
 
 class _Entry:
-    """One catalog row: its BoundSpec, family and kernel.
+    """One catalog row: its id, region, BoundSpec, family and kernel.
 
     param is the family parameter, or None for a deformed entry whose r the
     caller may choose within scalar._admit_r's interval for its side.
@@ -116,6 +119,7 @@ class _Entry:
         if param is None:  # r is the caller's, by default the tightest
             self.default_r = _admit_r(bid, side == UPPER)
             deform = DeformParam(self.default_r)
+        self.id, self.region = bid, region
         self.spec = BoundSpec(bid, side, region, deform, description)
         self.family = family
         self.kernel = _kernel(family, region, param)
@@ -124,9 +128,9 @@ class _Entry:
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""
         if self.default_r is None:
             if deform is not None:
-                raise DomainError(f"{self.spec.id} takes no deformation parameter")
+                raise DomainError(f"{self.id} takes no deformation parameter")
             return None
-        return _admit_r(self.spec.id, self.spec.side == UPPER, deform)
+        return _admit_r(self.id, self.spec.side == UPPER, deform)
 
 
 # One row per entry.  Ten entries are deformed families at a fixed r:
@@ -171,14 +175,15 @@ _CATALOG = tuple(_Entry(*row) for row in (
      "0 < r <= 1"),
 ))
 
-_BY_ID = {e.spec.id: e for e in _CATALOG}
+_BY_ID = {e.id: e for e in _CATALOG}
 
-_RATIO = "ratio"  # R itself, as an operand of a comparison of rows
+# Every row a comparison may name: the catalog's, and R as "ratio".
+_ROWS = {**_BY_ID, "ratio": _R_ROW}
 
 # The ordering chain on 0 < t <= 1, one (claim, lo, hi) row per link claiming
 # lo <= hi: D2-lo-le1 <= FM-m <= R <= FM-M <= D2-hi-le1, then two side links.
 _CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
-    ("D2-lo-le1", "FM-m"), ("FM-m", _RATIO), (_RATIO, "FM-M"), ("FM-M", "D2-hi-le1"),
+    ("D2-lo-le1", "FM-m"), ("FM-m", "ratio"), ("ratio", "FM-M"), ("FM-M", "D2-hi-le1"),
     ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
 
 
@@ -201,7 +206,7 @@ def _margin(side, bound, ratio):
 
 def bound_ids():
     """All catalog identifiers in stable catalog order."""
-    return tuple(e.spec.id for e in _CATALOG)
+    return tuple(e.id for e in _CATALOG)
 
 
 def list_bounds():
@@ -214,24 +219,9 @@ def get_bound(bound_id):
     return _lookup(bound_id).spec
 
 
-def _row(entry, p, r):
-    """entry's kernel at the point p for a resolved r (None for a fixed-r row).
-
-    The one place a row is evaluated at a point: the value is kept on p, keyed
-    by (row id, r), so every later query of the same row at p reads it.  A
-    kernel that raises keeps nothing, and the same query raises again.
-    """
-    key = (entry.spec.id, r)
-    memo = p._rows
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = float(entry.kernel(p.t, p.v, r))
-    return value
-
-
 def _value(entry, p, deform):
-    if not _in_region(entry.spec.region, p.t):
-        raise RegionError(f"{entry.spec.id} is not valid at t={p.t} (region {entry.spec.region})")
+    if not _in_region(entry.region, p.t):
+        raise RegionError(f"{entry.id} is not valid at t={p.t} (region {entry.region})")
     return _row(entry, p, entry.admit(deform))
 
 
@@ -260,7 +250,7 @@ def certify_point(bound_id, p, deform=None, tol=1e-12):
     _check_threshold("tol", tol)
     entry = _lookup(bound_id)
     bound_value = _value(entry, p, deform)
-    ratio_value = p.ratio
+    ratio_value = _row(_R_ROW, p, None)
     margin = _margin(entry.spec.side, bound_value, ratio_value)
     return Certificate(bound_id, p, ratio_value, bound_value, margin, margin >= -tol, tol)
 
@@ -275,28 +265,26 @@ def tightest(side, p):
         raise DomainError(f"side must be {UPPER!r} or {LOWER!r}, got {side!r}")
     best = None
     for entry in _CATALOG:
-        if entry.spec.side != side or not _in_region(entry.spec.region, p.t):
+        if entry.spec.side != side or not _in_region(entry.region, p.t):
             continue
         value = _row(entry, p, entry.default_r)
         if best is None or (value < best[1] if side == UPPER else value > best[1]):
-            best = (entry.spec.id, value)
+            best = (entry.id, value)
     return best
 
 
 def chain_check(p):
     """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
-    Rows are read through _row, so each is evaluated once per point however
-    many links name it; every margin is hi - lo, the amount by which its
-    inequality holds (>= 0 in exact arithmetic).
+    Rows, R included, are read through _row, so each is evaluated once per
+    point however many links name it; every margin is hi - lo, the amount by
+    which its inequality holds (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
 
     def value(bid):
-        if bid == _RATIO:
-            return p.ratio
-        entry = _BY_ID[bid]
-        return _row(entry, p, entry.default_r)
+        row = _ROWS[bid]
+        return _row(row, p, row.default_r)
 
     return tuple(ChainLink(claim, value(hi) - value(lo)) for claim, lo, hi in _CHAIN)

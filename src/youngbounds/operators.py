@@ -382,13 +382,6 @@ def haar_unitary(dim, rng):
     return Q * (d / np.abs(d))
 
 
-def random_hpd(dim, rng, eig_range=(0.5, 2.0)):
-    """Random Hermitian positive-definite matrix with uniform eigenvalues."""
-    U = haar_unitary(dim, rng)
-    w = rng.uniform(eig_range[0], eig_range[1], dim)
-    return HermitianMatrix((U * w) @ U.conj().T)
-
-
 def random_sandwich_pair(s, dim, rng, commuting=True):
     """An (A, B) pair satisfying the sandwich, built to order.
 

@@ -20,7 +20,7 @@ product would give inf.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,17 +46,14 @@ class EvalPoint:
     def __post_init__(self):
         object.__setattr__(self, "t", _admit_t(self.t))
         object.__setattr__(self, "v", _admit_v("v", self.v))
-        # catalog._row's memo, {(row id, r): value}, filled as rows are read.
-        # Like ratio, not a field: it takes no part in eq, hash or repr.
+        # _row's memo, {(row id, r): value}, filled as rows are read; R is the
+        # row ("ratio", None).  Not a field: it takes no part in eq, hash or repr.
         self.__dict__["_rows"] = {}
 
-    @cached_property
+    @property
     def ratio(self):
-        """R(t, v) at this point, computed on first use and kept.
-
-        Not a dataclass field: it takes no part in eq, hash or repr.
-        """
-        return float(_ratio(self.t, self.v))
+        """R(t, v) at this point, read through the row memo."""
+        return _row(_R_ROW, self, None)
 
 
 @dataclass(frozen=True)
@@ -182,9 +179,31 @@ def _dexp(r, x):
     return np.exp(np.log1p(r * x) / r)
 
 
+# R itself as a row, the operand every bound is compared with.  The lambda
+# looks _ratio up at each call, so a substitute put in its place is the one used.
+_R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None,
+                         kernel=lambda t, v, r: _ratio(t, v))
+
+
+def _row(row, p, r):
+    """row's kernel at the point p for a resolved r (None for a fixed-r row).
+
+    The one place a row, R included, is evaluated at a point: the value is
+    kept on p, keyed by (row id, r), so every later query of the same row at p
+    reads it.  A kernel that raises keeps nothing, and the same query raises
+    again.
+    """
+    key = (row.id, r)
+    memo = p._rows
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = float(row.kernel(p.t, p.v, r))
+    return value
+
+
 def young_ratio(p):
     """Arithmetic-to-geometric mean ratio at an EvalPoint; always >= 1."""
-    return p.ratio
+    return _row(_R_ROW, p, None)
 
 
 def kantorovich(t):

@@ -6,8 +6,8 @@ Three jobs live here:
   violation count and the worst margin;
 - find_sign_change: look for floating-point evidence that a difference
   function takes both signs (so neither of the two compared bounds
-  dominates the other).  Each is a catalog row minus a row or minus R;
-  diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
+  dominates the other).  Each is one row minus another, R being one more
+  row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import EvalPoint, _check_threshold, _finite_r, _ratio
+from .scalar import _R_ROW, EvalPoint, _check_threshold, _finite_r, _row
 
 LINEAR = "linear"
 LOG = "log"
@@ -111,22 +111,22 @@ class NonOrderingWitness:
 
 
 class _Diff:
-    """lhs - rhs, two catalog rows or a row and R (rhs None), on the rhs row's
-    region or else the lhs row's.  Only an lhs row that takes the caller's r
-    (needs_r) gets it; every other kernel is called with r = None.  kernel is
-    the grid form; eval_diff reads the same two rows at a point."""
+    """lhs - rhs of two rows (catalog._ROWS, R included) on the narrower of
+    their regions.  Only an lhs row that takes the caller's r (needs_r) gets
+    it; every other kernel is called with r = None.  kernel is the grid form;
+    eval_diff reads the same two rows at a point."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
-        lhs = self.lhs = catalog._BY_ID[lhs_id]
-        rhs = self.rhs = None if rhs_id == catalog._RATIO else catalog._BY_ID[rhs_id]
-        self.region = (lhs if rhs is None else rhs).spec.region
+        lhs = self.lhs = catalog._ROWS[lhs_id]
+        rhs = self.rhs = catalog._ROWS[rhs_id]
+        # Regions nest: a half-line lies inside all-t.
+        self.region = rhs.region if lhs.region == catalog.ALL_T else lhs.region
         self.id = diff_id
         self.preset = (t_lo, t_hi, delta)
         self.needs_r = lhs.default_r is not None
 
     def kernel(self, t, v, r):
-        lhs = self.lhs.kernel(t, v, r)
-        return lhs - (_ratio(t, v) if self.rhs is None else self.rhs.kernel(t, v, None))
+        return self.lhs.kernel(t, v, r) - self.rhs.kernel(t, v, None)
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -140,7 +140,7 @@ _DIFFS = tuple(_Diff(*row) for row in (
     ("diff-u3", "K-upper", "T36-hi-ge1", 1.0, 10.0, 1e-3),
     ("diff-l1", "K-lower", "T36-lo-le1", 0.1, 1.0, 1e-4),
     ("diff-l2", "K-lower", "T36-lo-ge1", 1.0, 10.0, 1e-4),
-    ("diff-ropt", "C33-expr", catalog._RATIO, 0.1, 10.0, 1e-3),
+    ("diff-ropt", "C33-expr", "ratio", 0.1, 10.0, 1e-3),
 ))
 
 _DIFF_BY_ID = {d.id: d for d in _DIFFS}
@@ -262,13 +262,13 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     contradict the underlying theorem).
     """
     entry = catalog._lookup(bound_id)
-    _check_window(entry.spec.region, region.t_min, region.t_max, bound_id)
+    _check_window(entry.region, region.t_min, region.t_max, bound_id)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
     side = entry.spec.side
 
     def margin(t, v):
-        return catalog._margin(side, entry.kernel(t, v, r), _ratio(t, v))
+        return catalog._margin(side, entry.kernel(t, v, r), _R_ROW.kernel(t, v, None))
 
     tg = region.t_grid()
     vg = region.v_grid()
@@ -298,8 +298,8 @@ def eval_diff(diff_id, p, r=None):
     diff = _lookup_diff(diff_id)
     if not catalog._in_region(diff.region, p.t):
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
-    lhs = catalog._row(diff.lhs, p, _admit_diff_r(diff, r))
-    return lhs - (p.ratio if diff.rhs is None else catalog._row(diff.rhs, p, None))
+    lhs = _row(diff.lhs, p, _admit_diff_r(diff, r))
+    return lhs - _row(diff.rhs, p, None)
 
 
 def _grid_extrema(diff, tg, vg, r):

@@ -60,8 +60,11 @@ def test_census():
 
 
 def test_get_bound_unknown():
-    with pytest.raises(UnknownBoundError):
-        get_bound("nope")
+    # R is a row of the comparisons, not a catalog entry.
+    assert "ratio" not in bound_ids()
+    for bid in ("nope", "ratio"):
+        with pytest.raises(UnknownBoundError):
+            get_bound(bid)
 
 
 def test_evaluate_known_values():
@@ -89,8 +92,13 @@ def test_every_entry_is_one_at_t_equal_one():
 def test_evaluate_error_paths():
     p_le = EvalPoint(0.5, 0.5)
     p_ge = EvalPoint(2.0, 0.5)
-    with pytest.raises(UnknownBoundError):
-        evaluate("nope", p_le)
+    for bid in ("nope", "ratio"):
+        with pytest.raises(UnknownBoundError):
+            evaluate(bid, p_le)
+        with pytest.raises(UnknownBoundError):
+            certify_point(bid, p_le)
+        with pytest.raises(UnknownBoundError):
+            verify.sweep(bid, verify.Region(0.1, 10.0, 0.0, 1.0))
     with pytest.raises(RegionError):
         evaluate("FM-M", p_ge)
     with pytest.raises(RegionError):
@@ -224,8 +232,9 @@ def test_tightest_rejects_unknown_side():
 @relaxed
 def test_tightest_envelope_brackets_ratio(u, v):
     p = EvalPoint(10.0**u, v)
-    _, hi = tightest(UPPER, p)
-    _, lo = tightest(LOWER, p)
+    upper, hi = tightest(UPPER, p)
+    lower, lo = tightest(LOWER, p)
+    assert "ratio" not in (upper, lower)
     r = young_ratio(p)
     assert lo <= r + 1e-12
     assert r <= hi + 1e-12
@@ -277,7 +286,8 @@ def test_cached_ratio_is_not_part_of_point_identity():
     used = EvalPoint(0.3, 0.4)
     assert used.ratio > 1.0
     _profile(used, 0.7)  # fills the row memo too
-    assert len(used._rows) == 14
+    # 13 in-region rows, C33-expr at diff-ropt's r, and R.
+    assert len(used._rows) == 15
     fresh = EvalPoint(0.3, 0.4)
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -324,14 +334,14 @@ def test_a_row_at_two_r_is_two_values():
     p = EvalPoint(1e-6, 0.999999)
     ropt = eval_diff("diff-ropt", p, 1.001)
     c33 = evaluate("C33-expr", p)
-    assert set(p._rows) == {("C33-expr", 1.001), ("C33-expr", 1.0)}
+    assert set(p._rows) == {("C33-expr", 1.001), ("ratio", None), ("C33-expr", 1.0)}
     assert ropt < 0.0 < c33 - p.ratio
     fresh = EvalPoint(1e-6, 0.999999)
     assert evaluate("C33-expr", fresh) == c33
     assert eval_diff("diff-ropt", fresh, 1.001) == ropt
     # diff-ropt at r = 1 reads C33-expr's default value.
     assert eval_diff("diff-ropt", p, 1.0) == c33 - p.ratio
-    assert len(p._rows) == 2
+    assert len(p._rows) == 3
 
 
 def test_an_equal_point_computes_its_values_again(monkeypatch):
@@ -508,9 +518,12 @@ def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
              for r in ((0.7, 1.001, 1.0) if d.needs_r else (None,))]
     grid_t, grid_v = np.array([t]), np.array([v])
 
+    # R is one more row, read the three public ways.
     def values(point):
         return ([_bits(evaluate(bid, point(), r)) for bid, r in rows]
-                + [_bits(eval_diff(did, point(), r)) for did, r in diffs])
+                + [_bits(eval_diff(did, point(), r)) for did, r in diffs]
+                + [_bits(point().ratio), _bits(young_ratio(point())),
+                   _bits(certify_point("D1-exp", point()).ratio_value)])
 
     reused = EvalPoint(t, v)
     with np.errstate(all="ignore"):
@@ -519,7 +532,8 @@ def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
         kept = values(lambda: reused)
         fresh = values(lambda: EvalPoint(t, v))
         grid = ([_bits(evaluate_grid(bid, grid_t, grid_v, r)[0]) for bid, r in rows]
-                + [_bits(verify._DIFF_BY_ID[did].kernel(grid_t, grid_v, r)[0]) for did, r in diffs])
+                + [_bits(verify._DIFF_BY_ID[did].kernel(grid_t, grid_v, r)[0]) for did, r in diffs]
+                + [_bits(scalar._ratio(grid_t, grid_v)[0])] * 3)
     assert kept == first == fresh == grid
 
 

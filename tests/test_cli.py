@@ -131,8 +131,10 @@ def test_eval_error_exits(capsys):
     assert env["results"]["error"]["type"] == "RegionError"
     assert err.startswith("error:")
 
-    code, _, _ = run(capsys, "eval", "--bound", "no-such", "--t", "1", "--v", "0.5")
-    assert code == 2
+    # R is compared with, not a bound: "ratio" is as unknown as any other id.
+    for bound in ("no-such", "ratio"):
+        code, _, _ = run(capsys, "eval", "--bound", bound, "--t", "1", "--v", "0.5")
+        assert code == 2
 
     code, env, _ = run_json(capsys, "eval", "--bound", "C33-expr", "--t", "0.5", "--v", "0.5",
                             "--r", "-0.5")

@@ -26,7 +26,6 @@ from youngbounds import (
     haar_unitary,
     hermitian_power,
     loewner_leq,
-    random_hpd,
     random_sandwich_pair,
     read_matrix,
     validate_sandwich,
@@ -43,6 +42,13 @@ from youngbounds.errors import (
 from youngbounds.operators import _SANDWICH_TRIES, HERMITIAN_TOL, PD_FLOOR, _pencil
 
 relaxed = settings(deadline=None)
+
+
+def random_hpd(dim, rng, eig_range=(0.5, 2.0)):
+    """Random Hermitian positive-definite matrix with uniform eigenvalues."""
+    U = haar_unitary(dim, rng)
+    w = rng.uniform(eig_range[0], eig_range[1], dim)
+    return HermitianMatrix((U * w) @ U.conj().T)
 
 
 def test_hermitian_accepts_and_symmetrizes():
