@@ -80,13 +80,12 @@ def _inv_sq(t):
 
 
 # The square of each half-square family on each region: (s-1)^2 with
-# s = min{1,t}/max{1,t} (lo) or max{1,t}/min{1,t} (hi).  On a half-line s is
-# exactly t or 1/t, so there the plain forms give the same bits at less cost.
+# s = min{1,t}/max{1,t} (lo) or max{1,t}/min{1,t} (hi), that is min{t, 1/t}
+# or max{t, 1/t}, one ufunc with the same bits.  On a half-line s is exactly
+# t or 1/t, so there the plain forms give the same bits at less cost.
 _SQUARES = {
-    "half-lo": {T_LE_1: _sq, T_GE_1: _inv_sq,
-                ALL_T: lambda t: _sq(np.minimum(1.0, t) / np.maximum(1.0, t))},
-    "half-hi": {T_LE_1: _inv_sq, T_GE_1: _sq,
-                ALL_T: lambda t: _sq(np.maximum(1.0, t) / np.minimum(1.0, t))},
+    "half-lo": {T_LE_1: _sq, T_GE_1: _inv_sq, ALL_T: lambda t: _sq(np.minimum(t, 1.0 / t))},
+    "half-hi": {T_LE_1: _inv_sq, T_GE_1: _sq, ALL_T: lambda t: _sq(np.maximum(t, 1.0 / t))},
 }
 
 
@@ -108,7 +107,8 @@ def _kernel(family, region, param):
 
 
 class _Entry:
-    """One catalog row: its id, region, BoundSpec, family and kernel.
+    """One catalog row: its id, region, BoundSpec and kernel, the one kernel
+    that every read of the row (a point, a grid, a difference, a claim) calls.
 
     param is the family parameter, or None for a deformed entry whose r the
     caller may choose within scalar._admit_r's interval for its side.
@@ -121,7 +121,6 @@ class _Entry:
             deform = DeformParam(self.default_r)
         self.id, self.region = bid, region
         self.spec = BoundSpec(bid, side, region, deform, description)
-        self.family = family
         self.kernel = _kernel(family, region, param)
 
     def admit(self, deform):

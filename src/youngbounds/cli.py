@@ -175,6 +175,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_witness(args):
+    if args.r is not None and not verify._DIFF_BY_ID[args.diff].needs_r:
+        raise DomainError(f"{args.diff} takes no --r")
     t_lo, t_hi, preset_delta = verify.DIFF_PRESETS[args.diff]
     delta = args.delta if args.delta is not None else preset_delta
     region = _build_region(args, (t_lo, t_hi))

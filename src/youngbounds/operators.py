@@ -23,7 +23,7 @@ when the scalar inequality (1-v) + v*lam <= c*lam^v holds at every
 eigenvalue lam of X.  The explicit means stay public: loewner_leq on them
 is the oracle the certificates are tested against.
 
-Each claim's factor is a catalog row read at an end of the interval [h', h]
+Each claim's factor is its catalog row's kernel at an end of [h', h]
 (h = M/m, h' = M'/m'; case ii's spectrum lies in [1/h, 1/h'], and the rows
 are equal at t and 1/t): corollary one is C33-expr at h, corollary two
 C38-lo and C38-hi at ends its variant picks.  "as-stated" reads them at h
@@ -300,32 +300,27 @@ def _pencil(A, B):
     return memo[1]
 
 
-class _Claim:
-    """A claim read off a catalog row: the row's side, and its t >= 1 kernel,
-    which gives the row's bits at every end of [h', h] (all >= 1) for less."""
-
-    def __init__(self, claim_id, bound_id):
-        entry = catalog._lookup(bound_id)
-        self.id, self.bound_id, self.side = claim_id, bound_id, entry.spec.side
-        self.kernel = catalog._kernel(entry.family, catalog.T_GE_1, None)
-
-    def admit(self, r):
-        return _admit_r(self.id, self.side == catalog.UPPER, r)
+# Each claim is (claim id, catalog row): the row's side and kernel, read at
+# an end of [h', h], with r admitted under the claim id.
+_ONE = ("corollary-one", catalog._lookup("C33-expr"))
+_TWO = (("corollary-two-lower", catalog._lookup("C38-lo")),
+        ("corollary-two-upper", catalog._lookup("C38-hi")))
 
 
-_ONE = _Claim("corollary-one", "C33-expr")
-_TWO = (_Claim("corollary-two-lower", "C38-lo"), _Claim("corollary-two-upper", "C38-hi"))
+def _admit(claim_id, row, r):
+    return _admit_r(claim_id, row.spec.side == catalog.UPPER, r)
 
 
 def _certify(A, B, v, s, tol, variant, claims):
     """Yield the pair's certificates for rows (claim, end, r), each factor the
-    claim's row at t = end with the admitted r.
+    kernel of the claim's catalog row at t = end with the admitted r.
 
     Each compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
     lower one, the row's catalog._margin with R the arithmetic.  The margin
-    is loewner_leq's for the two diagonals.  A factor that is not a finite
-    double (h or h' too large) raises DomainError.
+    is loewner_leq's for the two diagonals.  The factor follows the caller's
+    np.errstate; one that is not a finite double (h or h' too large) raises
+    DomainError.
     """
     _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):
@@ -333,15 +328,15 @@ def _certify(A, B, v, s, tol, variant, claims):
     lam = _pencil(A, B).lam
     arithmetic, geometric = (1.0 - v) + v * lam, lam**v
     arithmetic_scale = float(np.abs(arithmetic).max())
-    for claim, end, r in claims:
-        factor = float(claim.kernel(end, v, r))
+    for (claim_id, row), end, r in claims:
+        factor = float(row.kernel(end, v, r))
         if not math.isfinite(factor):
-            raise DomainError(f"{claim.id}: no finite scalar factor at h = {s.h!r}, "
-                              f"h' = {s.h_prime!r} ({claim.bound_id} at t = {end!r})")
+            raise DomainError(f"{claim_id}: no finite scalar factor at h = {s.h!r}, "
+                              f"h' = {s.h_prime!r} ({row.id} at t = {end!r})")
         bound = factor * geometric
         scale = max(arithmetic_scale, float(np.abs(bound).max()))
-        margin = _relative(float(catalog._margin(claim.side, bound, arithmetic).min()), scale)
-        yield OperatorCertificate(claim.id, factor, margin, margin >= -tol, variant, tol)
+        margin = _relative(float(catalog._margin(row.spec.side, bound, arithmetic).min()), scale)
+        yield OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol)
 
 
 def certify_corollary_one(A, B, v, r, s, tol=1e-10):
@@ -352,7 +347,7 @@ def certify_corollary_one(A, B, v, r, s, tol=1e-10):
     tightest, 1), and the sandwich must validate.
     """
     v = _check_weight(v)
-    return next(_certify(A, B, v, s, tol, None, ((_ONE, s.h, _ONE.admit(r)),)))
+    return next(_certify(A, B, v, s, tol, None, ((_ONE, s.h, _admit(*_ONE, r)),)))
 
 
 def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
@@ -364,7 +359,7 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
     lower bound's and r2 an upper bound's (None for the tightest, -1 and 1).
     """
     v = _check_weight(v)
-    rs = _TWO[0].admit(r1), _TWO[1].admit(r2)
+    rs = _admit(*_TWO[0], r1), _admit(*_TWO[1], r2)
     if variant not in ("as-stated", "interval-extremal"):
         raise DomainError(
             f"variant must be 'as-stated' or 'interval-extremal', got {variant!r}"

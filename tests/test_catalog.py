@@ -441,8 +441,8 @@ def _oracle_grid(region):
     rng = np.random.default_rng(7)
     lo, hi = {ALL_T: (-300.0, 308.0), T_LE_1: (-300.0, 0.0), T_GE_1: (0.0, 308.0)}[region]
     t = 10.0 ** rng.uniform(lo, hi, 60)
-    edges = {ALL_T: [1e-300, 1e-6, 1.0, 1e154, 1.4e154, 1e200, 1.7e308],
-             T_LE_1: [1e-300, 1e-154, 1e-6, 0.5, 1.0],
+    edges = {ALL_T: [5e-324, 1e-300, 1e-6, 1.0, 1e154, 1.4e154, 1e200, 1.7e308],
+             T_LE_1: [5e-324, 1e-300, 1e-154, 1e-6, 0.5, 1.0],
              T_GE_1: [1.0, 2.0, 1e6, 1e154, 1.4e154, 1e200, 1.7e308]}[region]
     t = np.concatenate([edges, t, 10.0 ** rng.uniform(-2.0, 2.0, 40)])
     t = t[(t <= 1.0) if region == T_LE_1 else (t >= 1.0) if region == T_GE_1 else t > 0.0]

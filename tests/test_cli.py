@@ -335,6 +335,17 @@ def test_witness_usage_and_domain_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("r", ["0.5", "nan"])
+def test_witness_r_on_a_difference_without_r_exits_domain(capsys, r):
+    # As eval's --r on a fixed-r row and operator's flags for the other claim:
+    # an r the difference would ignore is a domain error, not dropped.
+    code, env, err = run_json(capsys, "witness", "--diff", "diff-l", f"--r={r}")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"] == {"type": "DomainError",
+                                       "message": "diff-l takes no --r"}
+    assert err == "error: diff-l takes no --r\n"
+
+
 @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
 def test_witness_non_finite_r_exits_domain(capsys, r):
     code, env, _ = run_json(capsys, "witness", "--diff", "diff-ropt", f"--r={r}")

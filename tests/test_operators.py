@@ -429,6 +429,19 @@ def test_claims_without_a_finite_factor_raise_domain_error(big, spec, claim, var
             certify_corollary_two(A, B, 0.5, None, None, s, variant)
 
 
+def test_claim_factors_follow_the_callers_error_state():
+    # The factor is the row's own kernel, so its overflow at h = 1e160 is
+    # reported as numpy reports it under the caller's np.errstate.
+    A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
+    s = SandwichSpec(1.0, 1.0, 2.0, 1e160)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=r"^corollary-two-upper: no finite scalar factor "):
+            certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
+
+
 def test_as_stated_lower_claim_at_infinite_h_is_the_rows_limit():
     # C38-lo at t = inf reads (1/t - 1)^2 = 1 exactly: 1/(1 - v(1-v)/2) = 8/7.
     A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
