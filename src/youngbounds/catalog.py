@@ -1,22 +1,22 @@
 """Registry of named bounds on the mean ratio R(t, v) = ((1-v) + v t) / t^v.
 
-Each entry records which side it bounds (upper entries satisfy
-R(t, v) <= bound, lower entries bound <= R(t, v)), on which t-range it is
-valid, and how to evaluate it.  The catalog is data: one row per entry, a
-member of one of five families (exp_r of v(1-v)(t-1)^2/t or of two
-half-squares, the Kantorovich power, the FM polynomial) with its parameter.
-Ten entries are deformed families at a fixed r in {-1, 0, 1}.  Three carry
-r as a parameter; when the caller omits it the tightest admissible value is
-used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, best-in-family by
-the monotonicity of exp_r in r).  Every deformed entry, fixed r or not, is
-one scalar._dexp call.  A row's value at an EvalPoint is computed once, by
-scalar._row, and kept on the point for every later query there.  R itself
-is one more row of that memo, scalar._R_ROW: comparisons (the ordering chain,
-the differences, the margins) name it as "ratio" beside the catalog rows, but
-it is not a catalog entry.
+Each entry records which side it bounds (an upper entry satisfies R <= bound,
+a lower one bound <= R), on which t-range it is valid, and how to evaluate it.
+The catalog is data: one row per entry, a member of one of five families
+(exp_r of v(1-v)(t-1)^2/t or of two half-squares, the Kantorovich power, the
+FM polynomial) with its parameter.  Ten entries are deformed families at a
+fixed r in {-1, 0, 1}.  Three carry r as a parameter; when the caller omits it
+the tightest admissible value is used (r = 1 for C33-expr and C38-hi, r = -1
+for C38-lo, best-in-family by the monotonicity of exp_r in r).  Every deformed
+entry is one scalar._dexp call.  A row's value at an EvalPoint is computed
+once, by scalar._row, and kept on the point for every later query there.  R
+itself is one more row of that memo, scalar._R_ROW: comparisons (the ordering
+chain, the differences, the margins) name it as "ratio" beside the catalog
+rows, but it is not a catalog entry.
 
-Each region is a closed t-interval (_REGION_T): t = 1 belongs to both the
-t <= 1 and the t >= 1 regions; every entry evaluates to exactly 1 there.
+Each region is a closed t-interval (_REGION_T) where the entry is valid: t = 1
+lies in both half-lines, and every entry is exactly 1 there.  It does not pick
+the formula: off its half-line an entry equals its twin (evaluate_grid).
 """
 
 import math
@@ -75,26 +75,24 @@ class ChainLink:
     margin: float
 
 
-def _inv_sq(t):
-    return _sq(1.0 / t)
+# The one square of each half-square family: (s-1)^2 with s = min{t, 1/t} (lo)
+# or max{t, 1/t} (hi).  For t <= 1, fl(1/t) >= 1 >= t: s is t or 1/t exactly.
+def _half_lo(t):
+    s = np.minimum(t, 1.0 / t) if isinstance(t, np.ndarray) else t if t <= 1.0 else 1.0 / t
+    return _sq(s)
 
 
-# The square of each half-square family on each region: (s-1)^2 with
-# s = min{1,t}/max{1,t} (lo) or max{1,t}/min{1,t} (hi), that is min{t, 1/t}
-# or max{t, 1/t}, one ufunc with the same bits.  On a half-line s is exactly
-# t or 1/t, so there the plain forms give the same bits at less cost.
-_SQUARES = {
-    "half-lo": {T_LE_1: _sq, T_GE_1: _inv_sq, ALL_T: lambda t: _sq(np.minimum(t, 1.0 / t))},
-    "half-hi": {T_LE_1: _inv_sq, T_GE_1: _sq, ALL_T: lambda t: _sq(np.maximum(t, 1.0 / t))},
-}
+def _half_hi(t):
+    s = np.maximum(t, 1.0 / t) if isinstance(t, np.ndarray) else t if t >= 1.0 else 1.0 / t
+    return _sq(s)
 
 
-def _kernel(family, region, param):
-    """kernel(t, v, r) of one member of a family on one region.
+def _kernel(family, param):
+    """kernel(t, v, r) of one member of a family, one formula for every t > 0.
 
     The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
     c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
-    family's square otherwise.  Their param is the fixed r, or None for the
+    family's one square otherwise.  Their param is the fixed r, or None for the
     caller's (a fixed-r entry is called with r = None).  K-power and FM take
     the weight picker and the base.
     """
@@ -102,7 +100,8 @@ def _kernel(family, region, param):
         return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v))
     if family == "FM":
         return lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0)
-    c, s = (1.0, _identity_arg) if family == "expr" else (0.5, _SQUARES[family][region])
+    c, s = ((1.0, _identity_arg) if family == "expr"
+            else (0.5, _half_lo if family == "half-lo" else _half_hi))
     return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t))
 
 
@@ -121,7 +120,7 @@ class _Entry:
             deform = DeformParam(self.default_r)
         self.id, self.region = bid, region
         self.spec = BoundSpec(bid, side, region, deform, description)
-        self.kernel = _kernel(family, region, param)
+        self.kernel = _kernel(family, param)
 
     def admit(self, deform):
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""
@@ -132,8 +131,8 @@ class _Entry:
         return _admit_r(self.id, self.spec.side == UPPER, deform)
 
 
-# One row per entry.  Ten entries are deformed families at a fixed r:
-# D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-* at r = 0,
+# One row per entry.  Ten entries are deformed families at a fixed r, at every
+# t > 0: D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-* at r = 0,
 # and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1.
 _CATALOG = tuple(_Entry(*row) for row in (
     ("D1-exp", UPPER, ALL_T, "expr", 0.0,
@@ -167,11 +166,9 @@ _CATALOG = tuple(_Entry(*row) for row in (
     ("T36-hi-ge1", UPPER, T_GE_1, "half-hi", 1.0,
      "polynomial upper bound 1 + (v(1-v)/2)(t-1)^2 for t >= 1"),
     ("C38-lo", LOWER, ALL_T, "half-lo", None,
-     "deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), "
-     "-1 <= r < 0"),
+     "deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), -1 <= r < 0"),
     ("C38-hi", UPPER, ALL_T, "half-hi", None,
-     "deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), "
-     "0 < r <= 1"),
+     "deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), 0 < r <= 1"),
 ))
 
 _BY_ID = {e.id: e for e in _CATALOG}
@@ -235,7 +232,9 @@ def evaluate(bound_id, p, deform=None):
 
 
 def evaluate_grid(bound_id, t, v, deform=None):
-    """Vectorized evaluate over broadcastable t/v arrays (region unchecked)."""
+    """Vectorized evaluate over broadcastable t/v arrays, region unchecked.  Off
+    its half-line an entry is still its family at its r, so it equals its twin bit
+    for bit: D2-lo-le1 is D2-lo-ge1, T36-lo-* is C38-lo at r = -1, hi rows alike."""
     entry = _lookup(bound_id)
     return entry.kernel(np.asarray(t, dtype=float), np.asarray(v, dtype=float),
                         entry.admit(deform))

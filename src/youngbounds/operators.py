@@ -52,6 +52,11 @@ from .scalar import _admit_r, _admit_v, _check_threshold
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
 
+# Below this ||X||_F^2, or where it overflows, the Hermitian check rescales X.
+# From here up no square overflows, and a skew square that underflows is far
+# below HERMITIAN_TOL^2 ||X||_F^2, so the verdict is the scaled matrix's.
+_FROBENIUS_SQ_MIN = 2.0 ** -900
+
 # Relative floor under which an eigenvalue counts as not positive definite.
 PD_FLOOR = 1e-12
 
@@ -62,14 +67,35 @@ SANDWICH_TOL = 1e-10
 _SANDWICH_TRIES = 16
 
 
+def _relative_skew(X, XH):
+    """||X - X*||_F / ||X||_F (0 for X = 0) for X and its conjugate transpose XH.
+
+    The norms come from <D, D> and <X, X>, one BLAS dot each, no norm()
+    dispatch.  Where ||X||_F^2 leaves [_FROBENIUS_SQ_MIN, inf) they are taken
+    on X scaled by an exact power of two, part by part: numpy's complex
+    division by a subnormal real gives inf and NaN.
+    """
+    D = X - XH
+    skew_sq, norm_sq = np.vdot(D, D).real, np.vdot(X, X).real
+    if _FROBENIUS_SQ_MIN <= norm_sq < math.inf:
+        return math.sqrt(skew_sq / norm_sq)
+    peak = max(np.abs(X.real).max(), np.abs(X.imag).max())
+    if peak == 0.0:
+        return 0.0
+    e = int(np.frexp(peak)[1])
+    Y = np.ldexp(X.real, -e) + 1j * np.ldexp(X.imag, -e)
+    return _relative_skew(Y, Y.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An immutable Hermitian matrix.
 
-    Input is symmetrized ((X + X*)/2) on construction; anything farther than
-    HERMITIAN_TOL (relative Frobenius) from Hermitian is rejected, not
-    repaired, as is an empty or non-square matrix.  The spectrum is computed
-    on first use and kept, as is the _Pencil with the last partner B (_pencil).
+    Input is symmetrized ((X + X*)/2) on construction.  A matrix whose skew
+    ||X - X*||_F exceeds HERMITIAN_TOL * ||X||_F, with no floor, is rejected,
+    not repaired, at any scale, as is an empty or non-square matrix.  The
+    spectrum is computed on first use and kept, as is the _Pencil with the
+    last partner B (_pencil).
     """
 
     entries: np.ndarray
@@ -84,13 +110,9 @@ class HermitianMatrix:
         if not np.isfinite(X).all():
             raise DomainError("matrix entries must be finite")
         XH = X.conj().T
-        D = X - XH
-        # Frobenius norms as sqrt(<D, D>): one BLAS dot each, no norm() dispatch.
-        deviation = math.sqrt(np.vdot(D, D).real)
-        if deviation > HERMITIAN_TOL * max(1.0, math.sqrt(np.vdot(X, X).real)):
-            raise DomainError(
-                f"matrix is not Hermitian (relative skew {deviation:.3g})"
-            )
+        relative = _relative_skew(X, XH)
+        if relative > HERMITIAN_TOL:
+            raise DomainError(f"matrix is not Hermitian (relative skew {relative:.3g})")
         H = X + XH
         H *= 0.5
         H.setflags(write=False)
@@ -318,9 +340,10 @@ def _certify(A, B, v, s, tol, variant, claims):
     Each compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
     lower one, the row's catalog._margin with R the arithmetic.  The margin
-    is loewner_leq's for the two diagonals.  The factor follows the caller's
-    np.errstate; one that is not a finite double (h or h' too large) raises
-    DomainError.
+    is loewner_leq's for the two diagonals.  An overflow in the factor's exp
+    or log is numpy's, under the caller's np.errstate; its squares are float
+    products and overflow to inf silently.  A factor that is not a finite
+    double (h or h' too large) raises DomainError.
     """
     _check_threshold("tol", tol)
     if not validate_sandwich(A, B, s):

@@ -338,11 +338,16 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     best values found, not merely the first past the threshold.  Raises
     WitnessNotFoundError when refinement is exhausted with a sign missing;
     that is absence of evidence at this delta and depth, not a proof of
-    ordering.  A negative refine_depth raises DomainError.
+    ordering.  refine_depth is an integer (int, bool or a numpy integer);
+    anything else, or a negative one, raises DomainError before any scan.
     """
     diff = _lookup_diff(diff_id)
     _check_window(diff.region, region.t_min, region.t_max, diff_id)
     _check_threshold("delta", delta)
+    try:
+        operator.index(refine_depth)
+    except TypeError:
+        raise DomainError(f"refine_depth must be an integer, got {refine_depth!r}") from None
     if refine_depth < 0:
         raise DomainError(f"refine_depth must be >= 0, got {refine_depth!r}")
     r_value = _admit_diff_r(diff, r)

@@ -537,21 +537,45 @@ def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
     assert kept == first == fresh == grid
 
 
-def test_reciprocal_entries_raise_off_their_regions():
-    # Evaluated off its half-line the reciprocal's 1 - x falls below 0;
-    # evaluate_grid (region unchecked) raises exp_r's domain error there.
-    v = np.array([0.5])
-    with pytest.raises(DomainError, match="exp_r undefined"):
-        evaluate_grid("T36-lo-le1", np.array([0.5, 10.0]), v)
-    with pytest.raises(DomainError, match="exp_r undefined"):
-        evaluate_grid("T36-lo-ge1", np.array([2.0, 0.1]), v)
+# Twins: rows whose kernels are one formula at every t > 0.  A half-line row
+# reads its family's one square on both sides of 1, so off its region it is
+# its other-half twin and, at the twins' r, its all-t family member.
+TWINS = (
+    (("D2-lo-le1", None), ("D2-lo-ge1", None), ("C38-lo", -1e-23)),
+    (("D2-hi-le1", None), ("D2-hi-ge1", None), ("C38-hi", 1e-23)),
+    (("T36-lo-le1", None), ("T36-lo-ge1", None), ("C38-lo", -1.0)),
+    (("T36-hi-le1", None), ("T36-hi-ge1", None), ("C38-hi", 1.0)),
+)
 
 
-def test_reciprocal_entries_are_inf_at_their_pole():
-    # At t = 4.265986323710904 and v = 1/4, (v(1-v)/2)(t-1)^2 rounds to
-    # exactly 1: the off-region reciprocal row is at exp_r's pole, +inf.
-    pole = 4.265986323710904
-    assert 0.5 * 0.25 * 0.75 * ((pole - 1.0) * (pole - 1.0)) == 1.0
-    with np.errstate(divide="ignore"):
-        assert evaluate_grid("T36-lo-le1", np.array([pole]), np.array([0.25]))[0] == np.inf
-        assert evaluate_grid("T36-lo-ge1", np.array([1.0 / pole]), np.array([0.25]))[0] == np.inf
+@pytest.mark.parametrize("twins", TWINS, ids=[row[0][0][:-4] for row in TWINS])
+def test_half_line_rows_equal_their_twins_on_both_sides_bitwise(twins):
+    rng = np.random.default_rng(11)
+    edges = [5e-324, 1e-300, 0.25, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 4.0,
+             1e300, np.finfo(float).max]
+    t = np.concatenate([edges, 10.0 ** rng.uniform(-300.0, 300.0, 200)])
+    v = np.concatenate([[0.0, 0.25, 0.5, 1.0], rng.random(11)])
+    with np.errstate(all="ignore"):
+        grids = [evaluate_grid(bid, t[:, None], v[None, :], r).tobytes() for bid, r in twins]
+    assert grids[1:] == grids[:-1]
+
+
+def _r_ends(spec):
+    """A row's default r, and the ends of its r interval, or None for a fixed r."""
+    if spec.deform is None:
+        return (None,)
+    ends = (5e-324, 1.0) if spec.side == UPPER else (-1.0, -5e-324)
+    return (spec.deform.r,) + ends
+
+
+@given(st.floats(-300.0, 300.0), st.floats(0.0, 1.0))
+@relaxed
+def test_no_row_raises_at_any_t(u, v):
+    # Off its half-line a row is its twin, a bound valid for every t > 0, so
+    # no 1 + r x falls below 0: on a grid (region unchecked) and on a float.
+    t = 10.0 ** u
+    with np.errstate(all="ignore"):
+        for spec in list_bounds():
+            for r in _r_ends(spec):
+                evaluate_grid(spec.id, np.array([t]), np.array([v]), r)
+                catalog._BY_ID[spec.id].kernel(t, v, r)

@@ -81,13 +81,40 @@ def test_hermitian_rejects_bad_input():
         # non-finite only in the imaginary part of an otherwise Hermitian matrix
         with pytest.raises(DomainError, match="^matrix entries must be finite$"):
             HermitianMatrix(np.array([[1.0, 0.0], [0.0, complex(1.0, bad)]]))
-    # ||X||_F is 2 to within 1e-12, so the skew threshold is 2e-12, and a skew
-    # of d on both off-diagonal entries has Frobenius norm d * sqrt(2).
+    # ||X||_F is 2 to within 1e-12, and a skew of d on both off-diagonal
+    # entries has Frobenius norm d * sqrt(2): relative skew d * sqrt(2) / 2.
     assert math.sqrt(2.0) * 1.3e-12 < 2.0 * HERMITIAN_TOL < math.sqrt(2.0) * 1.5e-12
     HermitianMatrix([[1.0, 1.0], [1.0 + 1.3e-12, 1.0]])
     with pytest.raises(DomainError,
-                       match=r"^matrix is not Hermitian \(relative skew 2\.12e-12\)$"):
+                       match=r"^matrix is not Hermitian \(relative skew 1\.06e-12\)$"):
         HermitianMatrix([[1.0, 1.0], [1.0 + 1.5e-12, 1.0]])
+
+
+def _skew_1e6():
+    """All 7s but one entry 2^-14 above: relative skew 1.03e-6.  Times 2^k for k in
+    [-1060, 1020] it stays exact: the skew is above the least subnormal, and
+    X + X* below the largest double."""
+    X = np.full((12, 12), 7.0)
+    X[0, 1] += 2.0 ** -14
+    return X
+
+
+@pytest.mark.parametrize("X, holds", [
+    (np.array([[2.0, 1.0 - 1.0j, 0.5j], [1.0 + 1.0j, 3.0, 4.0], [-0.5j, 4.0, 7.0]]), True),
+    (_skew_1e6(), False),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), False),     # relative skew 0.82
+    (np.zeros((3, 3)), True),
+], ids=["hermitian", "skew-1e-6", "skew-0.82", "zero"])
+def test_hermitian_verdict_does_not_depend_on_scale(X, holds):
+    # X * 2^k is exact for every k here, subnormal and huge entries included:
+    # np.ldexp scales the real and imaginary parts apart.
+    for k in range(-1060, 1021):
+        scaled = np.ldexp(X.real, k) + 1j * np.ldexp(X.imag, k)
+        if holds:
+            HermitianMatrix(scaled)
+        else:
+            with pytest.raises(DomainError, match=r"^matrix is not Hermitian "):
+                HermitianMatrix(scaled)
 
 
 def test_hermitian_rejects_empty_matrix():
@@ -429,17 +456,20 @@ def test_claims_without_a_finite_factor_raise_domain_error(big, spec, claim, var
             certify_corollary_two(A, B, 0.5, None, None, s, variant)
 
 
-def test_claim_factors_follow_the_callers_error_state():
-    # The factor is the row's own kernel, so its overflow at h = 1e160 is
-    # reported as numpy reports it under the caller's np.errstate.
+def test_claim_factors_overflow_to_inf_under_any_error_state():
+    # A point's squares are float products: past t ~ 1.34e154 C38-hi's square
+    # is inf with no numpy report, as D2-hi-ge1's is, so the claim raises its
+    # DomainError whatever the caller's np.errstate.
     A, B = HermitianMatrix.diagonal([1.0]), HermitianMatrix.diagonal([4.0])
     s = SandwichSpec(1.0, 1.0, 2.0, 1e160)
+    message = r"^corollary-two-upper: no finite scalar factor "
+    for state in ("raise", "warn", "ignore"):
+        with np.errstate(all=state):
+            with pytest.raises(DomainError, match=message):
+                certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
     with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
-    with np.errstate(over="ignore"):
-        with pytest.raises(DomainError, match=r"^corollary-two-upper: no finite scalar factor "):
-            certify_corollary_two(A, B, 0.5, None, None, s, "interval-extremal")
+        for bid in ("C38-hi", "D2-hi-ge1"):
+            assert evaluate(bid, EvalPoint(1e160, 0.5)) == math.inf
 
 
 def test_as_stated_lower_claim_at_infinite_h_is_the_rows_limit():

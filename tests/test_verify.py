@@ -602,6 +602,22 @@ def test_negative_refine_depth_is_a_domain_error(depth):
         find_sign_change("diff-l1", region, 1e-3, refine_depth=depth)
 
 
+@pytest.mark.parametrize("depth", [math.inf, math.nan, 2.5, "3", None])
+def test_non_integer_refine_depth_is_a_domain_error(depth):
+    # inf would refine forever where no witness exists, nan would skip
+    # refinement and 2.5 would run three rounds: each is refused before a scan.
+    region = Region(0.5, 1.0, 0.0, 1.0, LINEAR, 7, 7)
+    message = f"refine_depth must be an integer, got {depth!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        find_sign_change("diff-l1", region, 1e-3, refine_depth=depth)
+
+
+def test_numpy_integer_refine_depth_is_its_int():
+    region = Region(0.5, 1.0, 0.0, 1.0, LINEAR, 7, 7)
+    w = find_sign_change("diff-l1", region, 1e-3, refine_depth=2)
+    assert find_sign_change("diff-l1", region, 1e-3, refine_depth=np.int64(2)) == w
+
+
 def test_reference_table_matches_independent_recomputation():
     rows = reproduce_remarks()
     assert len(rows) == 15
