@@ -50,7 +50,10 @@ class BoundSpec:
     description: str
 
 
-@dataclass(frozen=True)
+# Certificate and ChainLink are built many times per point query, so each
+# fills its __dict__ directly (init=False): the generated __init__ of a frozen
+# dataclass sets every field through object.__setattr__.
+@dataclass(frozen=True, init=False)
 class Certificate:
     """One inequality checked at one point.
 
@@ -66,13 +69,28 @@ class Certificate:
     holds: bool
     tol: float
 
+    def __init__(self, bound_id, point, ratio_value, bound_value, margin, holds, tol):
+        fields = self.__dict__
+        fields["bound_id"] = bound_id
+        fields["point"] = point
+        fields["ratio_value"] = ratio_value
+        fields["bound_value"] = bound_value
+        fields["margin"] = margin
+        fields["holds"] = holds
+        fields["tol"] = tol
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ChainLink:
     """One inequality of the t <= 1 ordering chain and its signed margin."""
 
     claim: str
     margin: float
+
+    def __init__(self, claim, margin):
+        fields = self.__dict__
+        fields["claim"] = claim
+        fields["margin"] = margin
 
 
 # The one square of each half-square family: (s-1)^2 with s = min{t, 1/t} (lo)
@@ -106,8 +124,9 @@ def _kernel(family, param):
 
 
 class _Entry:
-    """One catalog row: its id, region, BoundSpec and kernel, the one kernel
-    that every read of the row (a point, a grid, a difference, a claim) calls.
+    """One catalog row: its id, region (and the region's closed t-interval
+    [t_lo, t_hi]), BoundSpec and kernel, the one kernel that every read of the
+    row (a point, a grid, a difference, a claim) calls.
 
     param is the family parameter, or None for a deformed entry whose r the
     caller may choose within scalar._admit_r's interval for its side.
@@ -119,6 +138,7 @@ class _Entry:
             self.default_r = _admit_r(bid, side == UPPER)
             deform = DeformParam(self.default_r)
         self.id, self.region = bid, region
+        self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
         self.kernel = _kernel(family, param)
 
@@ -176,11 +196,22 @@ _BY_ID = {e.id: e for e in _CATALOG}
 # Every row a comparison may name: the catalog's, and R as "ratio".
 _ROWS = {**_BY_ID, "ratio": _R_ROW}
 
+_SPECS = tuple(e.spec for e in _CATALOG)
+
+# The entries of each side in catalog order, the candidates of tightest.
+_SIDE = {side: tuple(e for e in _CATALOG if e.spec.side == side) for side in (UPPER, LOWER)}
+
 # The ordering chain on 0 < t <= 1, one (claim, lo, hi) row per link claiming
 # lo <= hi: D2-lo-le1 <= FM-m <= R <= FM-M <= D2-hi-le1, then two side links.
 _CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
     ("D2-lo-le1", "FM-m"), ("FM-m", "ratio"), ("ratio", "FM-M"), ("FM-M", "D2-hi-le1"),
     ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
+
+# The chain's seven rows in the order of their first read, each link's hi
+# before its lo: the first read of a row at a point decides whether it warns
+# or raises there.
+_CHAIN_ROWS = tuple(_ROWS[bid] for bid in dict.fromkeys(
+    bid for _, lo, hi in _CHAIN for bid in (hi, lo)))
 
 
 def _lookup(bound_id):
@@ -207,7 +238,7 @@ def bound_ids():
 
 def list_bounds():
     """All catalog entries as BoundSpec records, stable order."""
-    return tuple(e.spec for e in _CATALOG)
+    return _SPECS
 
 
 def get_bound(bound_id):
@@ -216,7 +247,7 @@ def get_bound(bound_id):
 
 
 def _value(entry, p, deform):
-    if not _in_region(entry.region, p.t):
+    if not entry.t_lo <= p.t <= entry.t_hi:
         raise RegionError(f"{entry.id} is not valid at t={p.t} (region {entry.region})")
     return _row(entry, p, entry.admit(deform))
 
@@ -261,28 +292,26 @@ def tightest(side, p):
     """
     if side not in (UPPER, LOWER):
         raise DomainError(f"side must be {UPPER!r} or {LOWER!r}, got {side!r}")
+    upper = side == UPPER
+    t = p.t
     best = None
-    for entry in _CATALOG:
-        if entry.spec.side != side or not _in_region(entry.region, p.t):
-            continue
-        value = _row(entry, p, entry.default_r)
-        if best is None or (value < best[1] if side == UPPER else value > best[1]):
-            best = (entry.id, value)
+    for entry in _SIDE[side]:
+        if entry.t_lo <= t <= entry.t_hi:
+            value = _row(entry, p, entry.default_r)
+            if best is None or (value < best[1] if upper else value > best[1]):
+                best = (entry.id, value)
     return best
 
 
 def chain_check(p):
     """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
-    Rows, R included, are read through _row, so each is evaluated once per
-    point however many links name it; every margin is hi - lo, the amount by
-    which its inequality holds (>= 0 in exact arithmetic).
+    Each of the seven rows, R included, is read through _row once per call
+    (_CHAIN_ROWS), so it is evaluated once per point however many links name
+    it; every margin is hi - lo, the amount by which its inequality holds
+    (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
-
-    def value(bid):
-        row = _ROWS[bid]
-        return _row(row, p, row.default_r)
-
-    return tuple(ChainLink(claim, value(hi) - value(lo)) for claim, lo, hi in _CHAIN)
+    value = {row.id: _row(row, p, row.default_r) for row in _CHAIN_ROWS}
+    return tuple([ChainLink(claim, value[hi] - value[lo]) for claim, lo, hi in _CHAIN])

@@ -91,7 +91,7 @@ def _relative_skew(X, XH):
 class HermitianMatrix:
     """An immutable Hermitian matrix.
 
-    Input is symmetrized ((X + X*)/2) on construction.  A matrix whose skew
+    Input is symmetrized (X/2 + X*/2) on construction.  A matrix whose skew
     ||X - X*||_F exceeds HERMITIAN_TOL * ||X||_F, with no floor, is rejected,
     not repaired, at any scale, as is an empty or non-square matrix.  The
     spectrum is computed on first use and kept, as is the _Pencil with the
@@ -113,11 +113,14 @@ class HermitianMatrix:
         relative = _relative_skew(X, XH)
         if relative > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian (relative skew {relative:.3g})")
-        H = X + XH
-        H *= 0.5
-        H.setflags(write=False)
-        object.__setattr__(self, "entries", H)
-        object.__setattr__(self, "dim", H.shape[0])
+        # X/2 + X*/2, not (X + X*)/2: the sum overflows for entries above
+        # DBL_MAX/2.  Where halving is exact the two give the same bits.
+        X *= 0.5
+        XH *= 0.5
+        X += XH
+        X.setflags(write=False)
+        object.__setattr__(self, "entries", X)
+        object.__setattr__(self, "dim", X.shape[0])
 
     @classmethod
     def identity(cls, dim):

@@ -36,19 +36,23 @@ R_ZERO_SWITCH = 1e-22
 RATIO_LOG_FORM = 1e3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalPoint:
     """A (t, v) evaluation point: t > 0, weight v in [0, 1]."""
 
     t: float
     v: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", _admit_t(self.t))
-        object.__setattr__(self, "v", _admit_v("v", self.v))
+    # Fills __dict__ directly: the generated __init__ of a frozen dataclass
+    # sets each field through object.__setattr__, which costs more than the
+    # point's validation.
+    def __init__(self, t, v):
+        fields = self.__dict__
+        fields["t"] = _admit_t(t)
+        fields["v"] = _admit_v("v", v)
         # _row's memo, {(row id, r): value}, filled as rows are read; R is the
         # row ("ratio", None).  Not a field: it takes no part in eq, hash or repr.
-        self.__dict__["_rows"] = {}
+        fields["_rows"] = {}
 
     @property
     def ratio(self):

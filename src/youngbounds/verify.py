@@ -145,6 +145,8 @@ _DIFFS = tuple(_Diff(*row) for row in (
 
 _DIFF_BY_ID = {d.id: d for d in _DIFFS}
 
+_DIFF_IDS = tuple(_DIFF_BY_ID)
+
 # Default search window [t_lo, t_hi] and threshold delta per difference id.
 DIFF_PRESETS = {d.id: d.preset for d in _DIFFS}
 
@@ -169,7 +171,7 @@ REMARK_VALUES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RemarkRow:
     """One recomputed reference value and its absolute error."""
 
@@ -178,10 +180,18 @@ class RemarkRow:
     computed: float
     abs_error: float
 
+    # Fills __dict__ directly, as catalog.Certificate does.
+    def __init__(self, label, paper_value, computed, abs_error):
+        fields = self.__dict__
+        fields["label"] = label
+        fields["paper_value"] = paper_value
+        fields["computed"] = computed
+        fields["abs_error"] = abs_error
+
 
 def diff_ids():
     """All difference-function identifiers in registry order."""
-    return tuple(d.id for d in _DIFFS)
+    return _DIFF_IDS
 
 
 def _lookup_diff(diff_id):

@@ -2,6 +2,7 @@
 and a reference kernel per entry that the catalog must match bit for bit."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -296,14 +297,71 @@ def test_cached_ratio_is_not_part_of_point_identity():
     assert [f.name for f in dataclasses.fields(EvalPoint)] == ["t", "v"]
 
 
+# The point-path records: a class, its field names and one instance's values.
+_RECORDS = {
+    "EvalPoint": (EvalPoint, ("t", "v"), (0.3, 0.4)),
+    "Certificate": (catalog.Certificate,
+                    ("bound_id", "point", "ratio_value", "bound_value", "margin", "holds", "tol"),
+                    ("T31-poly", EvalPoint(4.0, 0.5), 1.25, 1.5625, 0.3125, True, 1e-12)),
+    "ChainLink": (catalog.ChainLink, ("claim", "margin"), ("FM-m <= ratio", 0.25)),
+    "RemarkRow": (verify.RemarkRow, ("label", "paper_value", "computed", "abs_error"),
+                  ("l(1/2,1/5)", 0.0155215, 0.01552151, 1e-8)),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_point_path_records_are_frozen_dataclasses(name):
+    cls, names, values = _RECORDS[name]
+    assert [f.name for f in dataclasses.fields(cls)] == list(names)
+    assert tuple(cls.__dataclass_fields__) == names
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert hash(record) == hash(cls(*values))
+    assert dataclasses.astuple(record) == dataclasses.astuple(cls(*values))
+    assert [getattr(record, n) for n in names] == list(values)
+    assert repr(record) == f"{name}({', '.join(f'{n}={x!r}' for n, x in zip(names, values))})"
+    for n in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, n, values[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, n)
+    copy = dataclasses.replace(record, **{names[-1]: 0.5})
+    assert copy != record and getattr(copy, names[-1]) == 0.5
+    assert dataclasses.replace(copy, **{names[-1]: values[-1]}) == record
+    restored = pickle.loads(pickle.dumps(record))
+    assert restored == record and repr(restored) == repr(record)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+
+
+def test_an_eval_point_admits_t_then_v_and_replace_starts_a_fresh_memo():
+    with pytest.raises(DomainError, match=r"^t must be a finite positive real, got 0$"):
+        EvalPoint(0, 2.0)
+    with pytest.raises(DomainError, match=r"^v must lie in \[0, 1\], got 2\.0$"):
+        EvalPoint(v=2.0, t=1.0)
+    p = EvalPoint(t=np.float32(0.5), v=1)
+    assert type(p.t) is type(p.v) is float and (p.t, p.v) == (0.5, 1.0)
+    used = EvalPoint(0.3, 0.4)
+    value = evaluate("D1-exp", used)
+    same = dataclasses.replace(used)
+    assert same == used and same._rows == {} and used._rows
+    assert evaluate("D1-exp", same) == value
+    with pytest.raises(DomainError, match="^t must be"):
+        dataclasses.replace(used, t=-1.0)
+    # A pickled point keeps working as a point.
+    restored = pickle.loads(pickle.dumps(used))
+    assert restored == used and evaluate("D1-exp", restored) == value
+    assert evaluate("K-upper", restored) == evaluate("K-upper", EvalPoint(0.3, 0.4))
+
+
 def _count_kernel_calls(monkeypatch):
-    """Wrap every catalog row's kernel; returns the list of (row id, r) calls."""
+    """Wrap every row's kernel, R's included; returns the list of (row id, r) calls."""
     calls = []
-    for entry in catalog._CATALOG:
-        def counting(t, v, r, bid=entry.spec.id, kernel=entry.kernel):
+    for row in (*catalog._CATALOG, scalar._R_ROW):
+        def counting(t, v, r, bid=row.id, kernel=row.kernel):
             calls.append((bid, r))
             return kernel(t, v, r)
-        monkeypatch.setattr(entry, "kernel", counting)
+        monkeypatch.setattr(row, "kernel", counting)
     return calls
 
 
@@ -325,9 +383,40 @@ def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows):
     p = EvalPoint(t, 0.4)
     first = _profile(p, 0.7)
     assert _profile(p, 0.7) == first
-    # Each in-region row at its default r, and C33-expr at diff-ropt's r.
-    assert len(calls) == len(set(calls)) == n_rows + 1
+    # Each in-region row at its default r, C33-expr at diff-ropt's r, and R.
+    assert len(calls) == len(set(calls)) == n_rows + 2
     assert ("C33-expr", 0.7) in calls and ("C33-expr", 1.0) in calls
+    # On a fresh point the chain reads its rows in the order of their first
+    # read (each link's hi before its lo), then tightest reads each side's
+    # in-region entries in catalog order: every kernel once.
+    calls.clear()
+    fresh = EvalPoint(t, 0.4)
+    links = chain_check(fresh) if t <= 1.0 else ()
+    best = tightest(UPPER, fresh), tightest(LOWER, fresh)
+    chain = (["FM-m", "D2-lo-le1", "ratio", "FM-M", "D2-hi-le1", "T36-lo-le1", "T36-hi-le1"]
+             if t <= 1.0 else [])
+    sides = [s.id for side in (UPPER, LOWER) for s in list_bounds()
+             if s.side == side and catalog._in_region(s.region, t) and s.id not in chain]
+    assert [bid for bid, _ in calls] == chain + sides
+    assert (links, best) == (first[3], first[2])
+    # tightest alone on a fresh point reads every in-region entry of its side.
+    calls.clear()
+    assert (tightest(UPPER, EvalPoint(t, 0.4)), tightest(LOWER, EvalPoint(t, 0.4))) == best
+    assert [bid for bid, _ in calls] == [s.id for side in (UPPER, LOWER) for s in list_bounds()
+                                         if s.side == side and catalog._in_region(s.region, t)]
+
+
+def test_a_chain_row_that_raised_keeps_nothing():
+    # FM-M's t^(-v-1) overflows at t = 1e-300; the three rows read before it
+    # are kept, FM-M is not, and the next chain_check raises again.
+    p = EvalPoint(1e-300, 0.5)
+    for _ in range(2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            chain_check(p)
+        assert list(p._rows) == [("FM-m", None), ("D2-lo-le1", None), ("ratio", None)]
+    with np.errstate(over="ignore"):
+        assert len(chain_check(p)) == 6
+    assert len(p._rows) == 7
 
 
 def test_a_row_at_two_r_is_two_values():

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: envelopes, formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import youngbounds
-from youngbounds import HermitianMatrix, cli, write_matrix
+from youngbounds import HermitianMatrix, catalog, cli, verify, write_matrix
 from youngbounds.cli import main
 
 
@@ -68,6 +69,65 @@ def test_eval_json_envelope(capsys):
     assert env["inputs"]["bound"] == "T31-poly"
     assert "func" not in env["inputs"] and "command" not in env["inputs"]
     assert "margin" in err
+
+
+# The envelope bytes of an eval whose values are exact, pinned so that a change
+# to how its records are built cannot change them.
+EVAL_T31_JSON = """{
+  "schema_version": "2",
+  "command": "eval",
+  "inputs": {
+    "bound": "T31-poly",
+    "r": null,
+    "t": 4.0,
+    "v": 0.5
+  },
+  "results": {
+    "bound_id": "T31-poly",
+    "side": "upper",
+    "point": {
+      "t": 4.0,
+      "v": 0.5
+    },
+    "r": null,
+    "ratio_value": 1.25,
+    "bound_value": 1.5625,
+    "margin": 0.3125,
+    "holds": true,
+    "tol": 1e-12
+  },
+  "status": "ok"
+}
+"""
+EVAL_T31_CSV = """bound_id,t,v,r,ratio_value,bound_value,margin,holds,tol
+T31-poly,4.0,0.5,None,1.25,1.5625,0.3125,true,1e-12
+"""
+
+
+def test_eval_envelope_bytes(capsys):
+    argv = ("eval", "--bound", "T31-poly", "--t", "4", "--v", "0.5")
+    summary = "eval T31-poly at (t=4, v=0.5): ratio 1.25, bound 1.5625, margin 0.3125, holds\n"
+    assert run(capsys, *argv) == (0, EVAL_T31_JSON, summary)
+    assert run(capsys, *argv, "--format", "csv") == (0, EVAL_T31_CSV, summary)
+
+
+def _generated_init(cls):
+    """cls as a frozen dataclass with the generated __init__: the reference."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("eval", "--bound", "C33-expr", "--t", "0.3", "--v", "0.4"), catalog, "Certificate"),
+    (("eval", "--bound", "FM-m", "--t", "0.7", "--v", "0.2"), catalog, "Certificate"),
+    (("remarks",), verify, "RemarkRow"),
+], ids=["eval-C33-expr", "eval-FM-m", "remarks"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_envelopes_do_not_depend_on_the_record_constructor(capsys, monkeypatch, argv, module,
+                                                          name, fmt):
+    written = run(capsys, *argv, "--format", fmt)
+    monkeypatch.setattr(module, name, _generated_init(getattr(module, name)))
+    assert run(capsys, *argv, "--format", fmt) == written
 
 
 def test_eval_reports_default_deformation(capsys):

@@ -158,6 +158,16 @@ def test_entries_from_lists_and_int_arrays_bitwise():
         assert not A.entries.flags.writeable
 
 
+def test_entries_above_half_dbl_max_stay_finite():
+    # X + X* overflows for these entries; X/2 + X*/2 gives them back exactly.
+    for X in ([[1e308, 0.0], [0.0, 1.0]],
+              [[0.0, 1.5e308 + 1e308j], [1.5e308 - 1e308j, -1.7e308]]):
+        with np.errstate(all="raise"):
+            A = HermitianMatrix(X)
+        assert np.isfinite(A.entries).all()
+        assert A.entries.tobytes() == np.array(X, dtype=complex).tobytes()
+
+
 def test_complex_hermitian_spectrum():
     A = HermitianMatrix([[2.0, 1.0 - 1j], [1.0 + 1j, 3.0]])
     assert not A.is_real()
