@@ -68,34 +68,36 @@ _SANDWICH_TRIES = 16
 
 
 def _relative_skew(X, XH):
-    """||X - X*||_F / ||X||_F (0 for X = 0) for X and its conjugate transpose XH.
+    """(||X - X*||_F / ||X||_F, ||X||_F^2) for X and its conjugate transpose XH.
 
-    The norms come from <D, D> and <X, X>, one BLAS dot each, no norm()
-    dispatch.  Where ||X||_F^2 leaves [_FROBENIUS_SQ_MIN, inf) they are taken
-    on X scaled by an exact power of two, part by part: numpy's complex
-    division by a subnormal real gives inf and NaN.
+    The ratio is 0 for X = 0, and the squared norm is inf where it
+    overflows.  The norms come from <D, D> and <X, X>, one BLAS dot each, no
+    norm() dispatch.  Where ||X||_F^2 leaves [_FROBENIUS_SQ_MIN, inf) the
+    ratio is taken on X scaled by an exact power of two, part by part:
+    numpy's complex division by a subnormal real gives inf and NaN.
     """
     D = X - XH
     skew_sq, norm_sq = np.vdot(D, D).real, np.vdot(X, X).real
     if _FROBENIUS_SQ_MIN <= norm_sq < math.inf:
-        return math.sqrt(skew_sq / norm_sq)
+        return math.sqrt(skew_sq / norm_sq), norm_sq
     peak = max(np.abs(X.real).max(), np.abs(X.imag).max())
     if peak == 0.0:
-        return 0.0
+        return 0.0, norm_sq
     e = int(np.frexp(peak)[1])
     Y = np.ldexp(X.real, -e) + 1j * np.ldexp(X.imag, -e)
-    return _relative_skew(Y, Y.conj().T)
+    return _relative_skew(Y, Y.conj().T)[0], norm_sq
 
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """An immutable Hermitian matrix.
 
-    Input is symmetrized (X/2 + X*/2) on construction.  A matrix whose skew
-    ||X - X*||_F exceeds HERMITIAN_TOL * ||X||_F, with no floor, is rejected,
-    not repaired, at any scale, as is an empty or non-square matrix.  The
-    spectrum is computed on first use and kept, as is the _Pencil with the
-    last partner B (_pencil).
+    Input is symmetrized on construction: (X + X*)/2, or X/2 + X*/2 where
+    ||X||_F^2 overflows.  A matrix whose skew ||X - X*||_F exceeds
+    HERMITIAN_TOL * ||X||_F, with no floor, is rejected, not repaired, at
+    any scale, as is an empty or non-square matrix.  The spectrum is
+    computed on first use and kept, as is the _Pencil with the last partner
+    B (_pencil).
     """
 
     entries: np.ndarray
@@ -110,14 +112,19 @@ class HermitianMatrix:
         if not np.isfinite(X).all():
             raise DomainError("matrix entries must be finite")
         XH = X.conj().T
-        relative = _relative_skew(X, XH)
+        relative, norm_sq = _relative_skew(X, XH)
         if relative > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian (relative skew {relative:.3g})")
-        # X/2 + X*/2, not (X + X*)/2: the sum overflows for entries above
-        # DBL_MAX/2.  Where halving is exact the two give the same bits.
-        X *= 0.5
-        XH *= 0.5
-        X += XH
+        if norm_sq < math.inf:
+            # (X + X*)/2: every entry is below sqrt(DBL_MAX), so the sum is
+            # finite, and halving the sum keeps an odd subnormal's last bit.
+            X += XH
+            X *= 0.5
+        else:
+            # X/2 + X*/2: the sum overflows for entries above DBL_MAX/2.
+            X *= 0.5
+            XH *= 0.5
+            X += XH
         X.setflags(write=False)
         object.__setattr__(self, "entries", X)
         object.__setattr__(self, "dim", X.shape[0])

@@ -129,17 +129,29 @@ def _pow(t, v):
 
 
 def _ratio(t, v):
-    """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats, overflowing in no branch."""
+    """Mean ratio ((1-v) + v t) / t^v for positive t arrays/floats, overflowing in no branch.
+
+    Inside [1/RATIO_LOG_FORM, RATIO_LOG_FORM] it is the plain product; where
+    every t lies outside, the log form alone; a t array that straddles the
+    window takes each form where it belongs.
+    """
     num = (1.0 - v) + v * t
     extreme = (t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)
-    if not (extreme.any() if isinstance(extreme, np.ndarray) else extreme):
+    some = every = extreme
+    if isinstance(extreme, np.ndarray):
+        some = extreme.any()
+        every = some and extreme.all()
+    if not some:
         # Inside the window num and t^-v both lie in [1e-3, 1e3]: no overflow.
         return num * np.exp(-v * np.log(t))
-    # Fully-log form where t is extreme (num > 0, so log is safe).  np.where
-    # evaluates the plain form there too, at t = 1: below t ~ 1e-308 its t^-v
-    # would overflow.
+    # Fully-log form where t is extreme (num > 0, so log is safe).
+    log_form = np.exp(np.log(num) - v * np.log(t))
+    if every:
+        return log_form
+    # np.where evaluates the plain form at extreme t too, so it takes t = 1
+    # there: below t ~ 1e-308 its t^-v would overflow.
     plain = num * np.exp(-v * np.log(np.where(extreme, 1.0, t)))
-    return np.where(extreme, np.exp(np.log(num) - v * np.log(t)), plain)
+    return np.where(extreme, log_form, plain)
 
 
 def _sq(s):

@@ -18,7 +18,11 @@ reduced on the spot; the blocks combine as one whole-grid argmin/argmax
 would: the first NaN wins, and otherwise a later block replaces the incumbent
 only on a strictly better value, so ties keep the earliest point.  Every
 reported value is the value the whole-grid evaluation gives, bit for bit, and
-each temporary holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t.  A
+each temporary holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t.
+Each block does only the work its verdict needs: a block whose t all lie
+outside [1e-3, 1e3] evaluates R in its log form only (scalar._ratio), and a
+sweep counts a block's violations only when its least margin is below -tol
+or is NaN (the least margin is the first NaN if there is one).  A
 sweep reports a NaN margin (it is a violation); the witness search skips
 non-finite values (NaN, and the infinities left where one side of a
 difference overflowed), which are evidence of neither sign, so its extrema
@@ -232,17 +236,13 @@ def _row_blocks(kernel, tg, vg):
         yield i0, kernel(t_col, v_row)
 
 
-def _fold_extremum(best, block, i0, lower, skip_nonfinite=False):
-    """Fold a block's first argmin (lower) or argmax into best.
+def _block_extremum(block, lower, skip_nonfinite=False):
+    """A block's first argmin (lower) or argmax as (value, row, column).
 
-    best is the running (value, row, column), None before the first block.
-    Blocks arrive in row-major order and combine as numpy's whole-array
-    argmin/argmax: the first NaN wins, and otherwise a later block wins
-    only on a strictly better value, so ties keep the earliest point.
-    With skip_nonfinite, NaN and +-inf values are passed over instead (best
-    stays None while every value seen is non-finite); only a block whose
-    plain argmin/argmax lands on a non-finite value pays for the second,
-    finite-only search.
+    As numpy's argmin/argmax, the first NaN wins.  With skip_nonfinite, NaN
+    and +-inf values are passed over instead (None when every value is
+    non-finite); only a block whose plain argmin/argmax lands on a
+    non-finite value pays for the second, finite-only search.
     """
     flat = int(np.argmin(block) if lower else np.argmax(block))
     i, j = divmod(flat, block.shape[1])
@@ -250,11 +250,26 @@ def _fold_extremum(best, block, i0, lower, skip_nonfinite=False):
     if skip_nonfinite and not math.isfinite(value):
         finite = np.flatnonzero(np.isfinite(block))
         if finite.size == 0:
-            return best
+            return None
         values = block.ravel()[finite]
         flat = int(finite[np.argmin(values) if lower else np.argmax(values)])
         i, j = divmod(flat, block.shape[1])
         value = float(block[i, j])
+    return value, i, j
+
+
+def _fold_extremum(best, found, i0, lower):
+    """Fold a block's extremum found (from _block_extremum) into best.
+
+    best is the running (value, row, column), None before the first block;
+    found's row is offset by the block's first row i0.  Blocks arrive in
+    row-major order and combine as numpy's whole-array argmin/argmax: the
+    first NaN wins, and otherwise a later block wins only on a strictly
+    better value, so ties keep the earliest point.
+    """
+    if found is None:
+        return best
+    value, i, j = found
     if best is not None:
         held = best[0]
         better = value < held if lower else value > held
@@ -286,9 +301,13 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     worst = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, block in _row_blocks(margin, tg, vg):
-            # Counted as not holding, like certify_point, so NaN margins count.
-            n_violations += block.size - int(np.count_nonzero(block >= -tol))
-            worst = _fold_extremum(worst, block, i0, lower=True)
+            least = _block_extremum(block, lower=True)
+            # Counted as not holding, like certify_point, so NaN margins
+            # count.  The least margin is the first NaN if there is one, so
+            # a block whose least margin holds has nothing to count.
+            if not least[0] >= -tol:
+                n_violations += block.size - int(np.count_nonzero(block >= -tol))
+            worst = _fold_extremum(worst, least, i0, lower=True)
     value, i, j = worst
     return SweepReport(
         bound_id=bound_id,
@@ -320,8 +339,8 @@ def _grid_extrema(diff, tg, vg, r):
     """
     hi = lo = None
     for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
-        hi = _fold_extremum(hi, block, i0, lower=False, skip_nonfinite=True)
-        lo = _fold_extremum(lo, block, i0, lower=True, skip_nonfinite=True)
+        hi = _fold_extremum(hi, _block_extremum(block, False, True), i0, lower=False)
+        lo = _fold_extremum(lo, _block_extremum(block, True, True), i0, lower=True)
     if hi is None:
         return None, None
     pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))

@@ -168,6 +168,16 @@ def test_entries_above_half_dbl_max_stay_finite():
         assert A.entries.tobytes() == np.array(X, dtype=complex).tobytes()
 
 
+def test_odd_subnormal_entries_keep_their_bits():
+    # Halving 5e-324 or 1.5e-323 before the sum would round away the last
+    # bit: 0, a matrix that is not positive definite, and 2e-323.
+    for X in ([[5e-324]], [[1.5e-323]], [[1.5e-323, 5e-324], [5e-324, 5e-324]]):
+        with np.errstate(all="raise"):
+            A = HermitianMatrix(X)
+        assert A.entries.tobytes() == np.array(X, dtype=complex).tobytes()
+    assert HermitianMatrix([[5e-324]]).eigenvalues()[0] == 5e-324
+
+
 def test_complex_hermitian_spectrum():
     A = HermitianMatrix([[2.0, 1.0 - 1j], [1.0 + 1j, 3.0]])
     assert not A.is_real()

@@ -96,6 +96,36 @@ def test_ratio_swap_symmetry(u, v):
     assert a == pytest.approx(b, rel=1e-12)
 
 
+# t = 10^u over nearly the whole double range, so R takes its log form at
+# most points.  v = k / 2^53 makes 1 - v exact: at t = 1e300 an inexact 1 - v
+# alone moves R by far more than rounding.  The worst relative gap measured
+# over 10,000 examples was 2.3e-13, about two ulps of log t (|log t| <= 691
+# here) carried into R's exponent; the allowance is the in-window one,
+# 1e-12, which also passed at 10,000 examples.
+@given(st.floats(-300.0, 300.0), st.integers(0, 2**53).map(lambda k: k / 2**53))
+@settings(max_examples=1000, deadline=None)
+def test_ratio_swap_symmetry_at_extreme_t(u, v):
+    t = 10.0**u
+    a = young_ratio(EvalPoint(t, v))
+    b = young_ratio(EvalPoint(1.0 / t, 1.0 - v))
+    assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_ratio_forms_agree_bitwise_across_block_shapes():
+    # A t column wholly outside [1e-3, 1e3] takes the log form alone, one
+    # that also holds t = 1 picks it per row, and a float point takes the
+    # log form alone: all three must give the same bits.
+    ts = np.array([5e-324, 1e-300, 1e-9, 9.99e-4, 1.001e3, 1e9, 1e300, 1.7e308])
+    vs = np.array([0.0, 0.5, 1.0, 0.37])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        extreme = _ratio(ts[:, None], vs[None, :])
+        mixed = _ratio(np.append(ts, 1.0)[:, None], vs[None, :])
+        points = np.array([[_ratio(float(t), float(v)) for v in vs] for t in ts])
+    assert extreme.shape == points.shape == (ts.size, vs.size)
+    assert extreme.tobytes() == mixed[:-1].tobytes() == points.tobytes()
+    assert (mixed[-1] == 1.0).all()
+
+
 def test_kantorovich_known_values():
     assert kantorovich(1.0) == 1.0
     assert kantorovich(4.0) == 1.5625

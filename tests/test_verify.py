@@ -230,6 +230,23 @@ def test_sweep_counts_nan_margins_as_violations():
     assert not certify_point("D1-exp", report.argmin_point).holds
 
 
+def test_sweep_count_at_least_margin_equal_to_minus_tol():
+    # With tol = -min_margin the least margin is exactly -tol: it holds, so
+    # its block counts no violation and none is counted anywhere.  One ulp
+    # less tol and the points at the least margin count again.
+    region = Region(1e-9, 1e9, 0.0, 1.0, LOG, 600, 301)
+    first = sweep("K-upper", region)
+    assert first.n_violations > 0 and first.min_margin < 0.0
+    tol = -first.min_margin
+    report = sweep("K-upper", region, tol=tol)
+    assert report.n_violations == 0
+    assert repr(report) == repr(_full_grid_sweep("K-upper", region, tol=tol))
+    below = float(np.nextafter(tol, 0.0))
+    report = sweep("K-upper", region, tol=below)
+    assert report.n_violations > 0
+    assert repr(report) == repr(_full_grid_sweep("K-upper", region, tol=below))
+
+
 @pytest.mark.parametrize("diff_id", ["diff-l", "diff-u2", "diff-l2"])
 @pytest.mark.parametrize("n", [41, 401, 1001])
 def test_blocked_witness_search_equals_full_grid(diff_id, n, monkeypatch):
@@ -263,25 +280,27 @@ def test_blocked_extrema_skip_nan_values():
     assert repr(blocked) == repr(expected)
 
 
+def _fold(best, block, i0, lower, skip_nonfinite=False):
+    found = verify._block_extremum(block, lower, skip_nonfinite)
+    return verify._fold_extremum(best, found, i0, lower)
+
+
 def test_nan_skipping_fold_never_lands_on_a_nan():
     # Neither NaN nor an infinity is a value to compare: the fold takes the
     # finite extremum, which np.nanargmax (NaN read as -inf) would not.
     block = np.array([[np.nan, -np.inf, 2.0], [np.inf, np.nan, -3.0]])
-    assert verify._fold_extremum(None, block, 5, lower=False, skip_nonfinite=True) == \
-        (2.0, 5, 2)
-    assert verify._fold_extremum(None, block, 5, lower=True, skip_nonfinite=True) == \
-        (-3.0, 6, 2)
+    assert _fold(None, block, 5, lower=False, skip_nonfinite=True) == (2.0, 5, 2)
+    assert _fold(None, block, 5, lower=True, skip_nonfinite=True) == (-3.0, 6, 2)
     for bad in (np.nan, np.inf, -np.inf):
         bad_block = np.full((2, 3), bad)
         bad_block[0, 1] = np.nan
-        assert verify._fold_extremum(None, bad_block, 0, lower=True,
-                                     skip_nonfinite=True) is None
+        assert verify._block_extremum(bad_block, True, skip_nonfinite=True) is None
+        assert _fold(None, bad_block, 0, lower=True, skip_nonfinite=True) is None
         held = (1.0, 0, 2)
-        assert verify._fold_extremum(held, bad_block, 2, lower=False,
-                                     skip_nonfinite=True) == held
+        assert _fold(held, bad_block, 2, lower=False, skip_nonfinite=True) == held
     # without skip_nonfinite the first NaN still wins, as a sweep needs
     nan_block = np.full((2, 3), np.nan)
-    assert math.isnan(verify._fold_extremum(held, nan_block, 2, lower=True)[0])
+    assert math.isnan(_fold(held, nan_block, 2, lower=True)[0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
