@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
 from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp,
-                     _identity_arg, _kantorovich, _pow, _row, _sq)
+                     _dexp_in_place, _identity_arg, _kantorovich, _pow, _row, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -106,7 +106,14 @@ def _half_hi(t):
 
 
 def _kernel(family, param):
-    """kernel(t, v, r) of one member of a family, one formula for every t > 0.
+    """(kernel, plan) of one member of a family, one formula for every t > 0.
+
+    kernel(t, v, r) reads floats and arbitrary arrays.  plan(v_row, r, arena)
+    serves a grid walk (verify._row_blocks): it tiles the v-only factors once
+    per walk, each into a view from the arena, and returns fill(t_col, out,
+    tmp), which computes the t-only factors as a column and writes the
+    kernel's block into out, with the kernel's ufuncs in the kernel's order,
+    so bit for bit.
 
     The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
     c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
@@ -115,18 +122,44 @@ def _kernel(family, param):
     the weight picker and the base.
     """
     if family == "K-power":
-        return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v))
+        def plan(v, r, arena):
+            weight = param(v, 1.0 - v, out=next(arena))
+
+            def fill(t_col, out, tmp):
+                np.exp(np.multiply(weight[:len(t_col)], np.log(_kantorovich(t_col)), out=out),
+                       out=out)
+            return fill
+        return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v)), plan
     if family == "FM":
-        return lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0)
+        def plan(v, r, arena):
+            weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena))
+            power = np.subtract(-v, 1.0, out=next(arena))
+
+            def fill(t_col, out, tmp):
+                m = len(t_col)
+                np.multiply(weight[:m], _sq(t_col), out=out)
+                np.exp(np.multiply(power[:m], np.log(param(t_col)), out=tmp), out=tmp)
+                np.add(1.0, np.multiply(out, tmp, out=out), out=out)
+            return fill
+        return (lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0),
+                plan)
     c, s = ((1.0, _identity_arg) if family == "expr"
             else (0.5, _half_lo if family == "half-lo" else _half_hi))
-    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t))
+
+    def plan(v, r, arena):
+        cv, r = np.multiply(c * v, 1.0 - v, out=next(arena)), r if param is None else param
+
+        def fill(t_col, out, tmp):
+            _dexp_in_place(r, np.multiply(cv[:len(t_col)], s(t_col), out=out))
+        return fill
+    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan
 
 
 class _Entry:
     """One catalog row: its id, region (and the region's closed t-interval
     [t_lo, t_hi]), BoundSpec and kernel, the one kernel that every read of the
-    row (a point, a grid, a difference, a claim) calls.
+    row (a point, a grid, a difference, a claim) calls, and the kernel's plan,
+    which the grid walks of sweeps and witness searches fill in place.
 
     param is the family parameter, or None for a deformed entry whose r the
     caller may choose within scalar._admit_r's interval for its side.
@@ -140,7 +173,7 @@ class _Entry:
         self.id, self.region = bid, region
         self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
-        self.kernel = _kernel(family, param)
+        self.kernel, self.plan = _kernel(family, param)
 
     def admit(self, deform):
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""

@@ -154,6 +154,36 @@ def _ratio(t, v):
     return np.where(extreme, log_form, plain)
 
 
+def _ratio_plan(v, r, arena):
+    """R's plan for a grid walk: fill(t_col, out, tmp) writes _ratio(t_col, v)
+    into out, bit for bit, from v, 1-v and -v tiled once per walk.
+
+    A block inside the window takes the plain form and a wholly extreme one
+    the log form, each in place with _ratio's ufuncs in _ratio's order; a
+    block that straddles the window takes _ratio itself and copies it.
+    """
+    v_tile = next(arena)
+    v_tile[...] = v
+    rest, minus_v = np.subtract(1.0, v, out=next(arena)), np.negative(v, out=next(arena))
+
+    def fill(t_col, out, tmp):
+        extreme = (t_col < 1.0 / RATIO_LOG_FORM) | (t_col > RATIO_LOG_FORM)
+        some = extreme.any()
+        if some and not extreme.all():
+            np.copyto(out, _ratio(t_col, v))
+            return
+        m = len(t_col)
+        np.add(rest[:m], np.multiply(v_tile[:m], t_col, out=out), out=out)
+        log_t = np.log(t_col)
+        if some:
+            np.subtract(np.log(out, out=out), np.multiply(v_tile[:m], log_t, out=tmp), out=out)
+            np.exp(out, out=out)
+        else:
+            np.multiply(out, np.exp(np.multiply(minus_v[:m], log_t, out=tmp), out=tmp), out=out)
+
+    return fill
+
+
 def _sq(s):
     return (s - 1.0) * (s - 1.0)
 
@@ -181,24 +211,53 @@ def _dexp(r, x):
     """
     if abs(r) < R_ZERO_SWITCH:
         return np.exp(x)
-    arg = 1.0 + x if r == 1.0 else 1.0 - x if r == -1.0 else 1.0 + r * x
-    # fmin skips NaN, so one pass finds the least defined 1 + r*x; the
-    # initial value lets an empty array through.
+    # The domain test reads 1 + x or 1 - x at r = +-1, and elsewhere r*x, log1p's
+    # argument, computed once: 1 + r*x < 0 exactly when r*x < -1, for
+    # fl(1 + y) < 0 exactly when y < -1.
+    unit = r == 1.0 or r == -1.0
+    arg = (1.0 + x if r == 1.0 else 1.0 - x) if unit else r * x
+    # fmin skips NaN, so one pass finds the least defined value; the initial
+    # value lets an empty array through.
     least = np.fmin.reduce(arg, axis=None, initial=np.inf) if isinstance(arg, np.ndarray) else arg
-    if least < 0.0:
-        raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
+    if least < (0.0 if unit else -1.0):
+        _dexp_undefined(r)
     if r == 1.0:
         return arg
     if r == -1.0:
         # Python's float division raises at the pole, numpy's gives inf.
         return np.divide(1.0, arg) if least == 0.0 else 1.0 / arg
-    return np.exp(np.log1p(r * x) / r)
+    return np.exp(np.log1p(arg) / r)
+
+
+def _dexp_in_place(r, x):
+    """_dexp(r, x) written over the float array x with _dexp's ufuncs in
+    _dexp's order, so bit for bit, raising where and as _dexp raises."""
+    if abs(r) < R_ZERO_SWITCH:
+        np.exp(x, out=x)
+        return
+    unit = r == 1.0 or r == -1.0
+    if r == 1.0:
+        np.add(1.0, x, out=x)
+    elif r == -1.0:
+        np.subtract(1.0, x, out=x)
+    else:
+        np.multiply(r, x, out=x)
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < (0.0 if unit else -1.0):
+        _dexp_undefined(r)
+    if r == -1.0:
+        np.divide(1.0, x, out=x)
+    elif not unit:
+        np.exp(np.divide(np.log1p(x, out=x), r, out=x), out=x)
+
+
+def _dexp_undefined(r):
+    raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
 
 
 # R itself as a row, the operand every bound is compared with.  The lambda
 # looks _ratio up at each call, so a substitute put in its place is the one used.
 _R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None,
-                         kernel=lambda t, v, r: _ratio(t, v))
+                         kernel=lambda t, v, r: _ratio(t, v), plan=_ratio_plan)
 
 
 def _row(row, p, r):

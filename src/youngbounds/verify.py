@@ -13,16 +13,20 @@ Three jobs live here:
 
 Scans are deterministic.  Grids are walked with t as the outer axis, in
 blocks of whole t-rows of about _BLOCK_POINTS points each (never less than
-one row), in ascending row-major order.  Each block is one kernel call and is
-reduced on the spot; the blocks combine as one whole-grid argmin/argmax
-would: the first NaN wins, and otherwise a later block replaces the incumbent
-only on a strictly better value, so ties keep the earliest point.  Every
-reported value is the value the whole-grid evaluation gives, bit for bit, and
-each temporary holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t.
-Each block does only the work its verdict needs: a block whose t all lie
-outside [1e-3, 1e3] evaluates R in its log form only (scalar._ratio), and a
-sweep counts a block's violations only when its least margin is below -tol
-or is NaN (the least margin is the first NaN if there is one).  A
+one row), in ascending row-major order.  A walk builds a plan once: the
+plan of each row it reads (catalog._kernel, scalar._ratio_plan) tiles the
+row's v-only factors, and its fill writes each block in place, with the
+kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
+arena that the walk owns (_row_blocks).  Each block is reduced on the spot;
+the blocks combine as one whole-grid argmin/argmax would: the first NaN
+wins, and otherwise a later block replaces the incumbent only on a strictly
+better value, so ties keep the earliest point.  Every reported value is the
+value the kernels give on the whole grid, bit for bit, and each view holds
+at most max(_BLOCK_POINTS, n_v) points, whatever n_t.  Each block does only
+the work its verdict needs: a block whose t all lie outside [1e-3, 1e3]
+evaluates R in its log form only, and a sweep counts a block's violations
+only when its least margin is below -tol or is NaN (the least margin is the
+first NaN if there is one).  A
 sweep reports a NaN margin (it is a violation); the witness search skips
 non-finite values (NaN, and the infinities left where one side of a
 difference overflowed), which are evidence of neither sign, so its extrema
@@ -48,11 +52,15 @@ LOG = "log"
 # +-1-step window around the incumbent extremum.
 _REFINE_POINTS = 21
 
-# Grid points per evaluation block: 64 KiB per float64 temporary.  At
-# 128 KiB the temporaries sat at glibc's mmap threshold, so each block's
-# memory went back to the OS and was faulted in again (about 950 minor
-# faults per wide 600x301 sweep); at 64 KiB the heap reuses it, with none.
+# Grid points per evaluation block: 64 KiB per float64 view of a walk's
+# arena.  At 128 KiB the kernels' per-block temporaries sat at glibc's mmap
+# threshold, so their memory went back to the OS and was faulted in again
+# (about 950 minor faults per wide 600x301 sweep); at 64 KiB, none.
 _BLOCK_POINTS = 1 << 13
+
+# Views per arena: the three work buffers of a difference (_subtract) and
+# the v tiles of its two plans, at most FM's two and R's three.
+_ARENA_VIEWS = 8
 
 
 @dataclass(frozen=True)
@@ -117,8 +125,8 @@ class NonOrderingWitness:
 class _Diff:
     """lhs - rhs of two rows (catalog._ROWS, R included) on the narrower of
     their regions.  Only an lhs row that takes the caller's r (needs_r) gets
-    it; every other kernel is called with r = None.  kernel is the grid form;
-    eval_diff reads the same two rows at a point."""
+    it; every other kernel is called with r = None.  kernel is the array form
+    and plan the grid walk's; eval_diff reads the same two rows at a point."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
         lhs = self.lhs = catalog._ROWS[lhs_id]
@@ -131,6 +139,9 @@ class _Diff:
 
     def kernel(self, t, v, r):
         return self.lhs.kernel(t, v, r) - self.rhs.kernel(t, v, None)
+
+    def plan(self, v, r, arena):
+        return _subtract(self.lhs.plan(v, r, arena), self.rhs.plan(v, None, arena), arena)
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -223,17 +234,53 @@ def _admit_diff_r(diff, r):
     return _finite_r(diff.id, r)
 
 
-def _row_blocks(kernel, tg, vg):
+def _arena(rows, n_v):
+    """One grid walk's memory: an iterator over _ARENA_VIEWS (rows, n_v)
+    views cut from one np.empty, each starting on a 64-byte boundary.
+
+    On an AVX-512 host a multiply of 8K doubles into a 64-byte-aligned
+    output ran about twice as fast as into any other alignment, and heap
+    temporaries land where the heap's history puts them.  One allocation per
+    walk, not one per view, leaves the heap one chunk to reuse.  Each walk
+    owns its arena, so walks stay re-entrant.
+    """
+    stride = -(-rows * n_v // 8) * 64  # bytes per view, whole 64-byte lines
+    buf = np.empty(_ARENA_VIEWS * stride // 8 + 7)
+    return iter(np.ndarray((_ARENA_VIEWS, rows, n_v), float, buf,
+                           -buf.__array_interface__["data"][0] % 64, (stride, 8 * n_v, 8)))
+
+
+def _row_blocks(plan, tg, vg, r):
     """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
 
-    Each block is one kernel(t, v) call on a column of t against the row of
-    v; every kernel returns the full (rows, vg.size) block.
+    The walk builds plan(vg, r, arena) once: the plan takes its v tiles from
+    the walk's arena, each filled by the last ufunc of its v factor.  Its
+    fill(t_col, out, tmp) then writes each block, a column of t against the
+    row of v, into the same (rows, vg.size) view of the arena.  A block is
+    valid until the walk advances.
     """
-    rows = max(1, _BLOCK_POINTS // vg.size)
-    v_row = vg[None, :]
+    rows = min(max(1, _BLOCK_POINTS // vg.size), tg.size)
+    arena = _arena(rows, vg.size)
+    out, tmp = next(arena), next(arena)
+    fill = plan(vg, r, arena)
     for i0 in range(0, tg.size, rows):
         t_col = tg[i0:i0 + rows, None]
-        yield i0, kernel(t_col, v_row)
+        m = len(t_col)
+        block = out[:m]
+        fill(t_col, block, tmp[:m])
+        yield i0, block
+
+
+def _subtract(fill_lhs, fill_rhs, arena):
+    """fill of lhs - rhs: lhs into out, rhs into tmp with a third view of the
+    arena as its scratch, then one subtract in place."""
+    scratch = next(arena)
+
+    def fill(t_col, out, tmp):
+        fill_lhs(t_col, out, tmp)
+        fill_rhs(t_col, tmp, scratch[:len(t_col)])
+        np.subtract(out, tmp, out=out)
+    return fill
 
 
 def _block_extremum(block, lower, skip_nonfinite=False):
@@ -290,17 +337,20 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     _check_window(entry.region, region.t_min, region.t_max, bound_id)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
-    side = entry.spec.side
+    upper = entry.spec.side == catalog.UPPER
 
-    def margin(t, v):
-        return catalog._margin(side, entry.kernel(t, v, r), _R_ROW.kernel(t, v, None))
+    # The margin (catalog._margin): bound - R for an upper row, R - bound for
+    # a lower one.
+    def margin(v, r, arena):
+        bound, ratio = entry.plan(v, r, arena), _R_ROW.plan(v, None, arena)
+        return _subtract(bound, ratio, arena) if upper else _subtract(ratio, bound, arena)
 
     tg = region.t_grid()
     vg = region.v_grid()
     n_violations = 0
     worst = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, block in _row_blocks(margin, tg, vg):
+        for i0, block in _row_blocks(margin, tg, vg, r):
             least = _block_extremum(block, lower=True)
             # Counted as not holding, like certify_point, so NaN margins
             # count.  The least margin is the first NaN if there is one, so
@@ -338,7 +388,7 @@ def _grid_extrema(diff, tg, vg, r):
     extremum is None when no value is finite.
     """
     hi = lo = None
-    for i0, block in _row_blocks(lambda t, v: diff.kernel(t, v, r), tg, vg):
+    for i0, block in _row_blocks(diff.plan, tg, vg, r):
         hi = _fold_extremum(hi, _block_extremum(block, False, True), i0, lower=False)
         lo = _fold_extremum(lo, _block_extremum(block, True, True), i0, lower=True)
     if hi is None:

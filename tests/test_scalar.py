@@ -23,7 +23,7 @@ from youngbounds import (
     young_ratio,
 )
 from youngbounds.errors import DomainError
-from youngbounds.scalar import _dexp, _ratio
+from youngbounds.scalar import _dexp, _dexp_in_place, _ratio
 
 # Log-uniform t across the six-decade working range, plain uniform weight.
 log_ts = st.floats(-3.0, 3.0)
@@ -265,14 +265,46 @@ def test_dexp_of_an_empty_array_is_empty(r, shape):
 @pytest.mark.parametrize("r", [1.0, -1.0, 0.5, -0.5, 1e-23, 1.001])
 @pytest.mark.parametrize("x", [0.0, 0.3, -0.9, 0.99, 1.0, -1.0, -2.0, 2.0, 800.0, math.nan])
 def test_dexp_agrees_on_a_float_a_0d_array_and_a_1_element_array(r, x):
-    def outcome(arg):
+    def outcome(dexp, arg):
         try:
             with np.errstate(all="ignore"):
-                return float(np.asarray(_dexp(r, arg)).reshape(-1)[0]).hex()
+                return float(np.asarray(dexp(r, arg)).reshape(-1)[0]).hex()
         except DomainError as exc:
             return str(exc)
 
-    assert outcome(x) == outcome(np.array(x)) == outcome(np.array([x]))
+    def in_place(r, arg):
+        _dexp_in_place(r, arg)
+        return arg
+
+    assert outcome(_dexp, x) == outcome(_dexp, np.array(x)) == outcome(_dexp, np.array([x]))
+    assert outcome(in_place, np.array([x])) == outcome(_dexp, x)
+
+
+@pytest.mark.parametrize("r", [0.5, -0.25, 0.75, 1.001])
+def test_dexp_domain_edge_is_r_x_equal_to_minus_one(r):
+    # Off r = +-1 the check reads r*x once: r*x = -1 exactly (1 + r*x = 0) is
+    # admitted, one ulp below -1 raises, on a float, an array and in place.
+    x = -1.0 / r
+    if r * x != -1.0:
+        x = float(np.nextafter(x, 0.0))
+    assert r * x == -1.0
+    below = float(np.nextafter(-1.0, -np.inf))
+    past = below / r
+    assert r * past == below
+    with np.errstate(all="ignore"):
+        for arg in (x, np.array([x, math.nan]), np.array([[0.5], [x]])):
+            assert _dexp(r, arg) is not None
+            if isinstance(arg, np.ndarray):
+                want = _dexp(r, arg).tobytes()
+                _dexp_in_place(r, arg)
+                assert arg.tobytes() == want
+        message = f"exp_r undefined: 1 + r*x < 0 at r={r}"
+        for arg in (past, np.array([math.nan, past]), np.array([[0.5], [past]])):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                _dexp(r, arg)
+            if isinstance(arg, np.ndarray):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    _dexp_in_place(r, arg)
 
 
 def test_point_admission_messages():

@@ -358,22 +358,116 @@ def test_witness_search_memory_is_set_by_the_block_not_the_grid():
 
 
 def test_every_kernel_returns_whole_row_blocks(monkeypatch):
-    # The fold's divmod indexing reads each block as (rows, n_v): every catalog
-    # and difference kernel must return that full shape from a t-column and a
-    # v-row, with no broadcast after the call.
+    # The fold's divmod indexing reads each block as (rows, n_v): the walk of
+    # every catalog and difference plan must yield that full shape, the
+    # ragged last block included.
     monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)  # blocks of 2, 2 and 1 rows
     vg = np.linspace(0.0, 1.0, 7)
-    kernels = [(e.spec.region, lambda t, v, e=e: e.kernel(t, v, e.default_r))
-               for e in catalog._CATALOG]
-    kernels += [(d.region, lambda t, v, d=d: d.kernel(t, v, 1.5 if d.needs_r else None))
-                for d in verify._DIFFS]
-    assert len(kernels) == 17 + 7
-    for region, kernel in kernels:
+    plans = [(e.spec.region, e.plan, e.default_r) for e in catalog._CATALOG]
+    plans += [(d.region, d.plan, 1.5 if d.needs_r else None) for d in verify._DIFFS]
+    assert len(plans) == 17 + 7
+    for region, plan, r in plans:
         lo, hi = catalog._REGION_T[region]
         tg = np.geomspace(max(lo, 1e-3), min(hi, 1e3), 5)
         with np.errstate(over="ignore", invalid="ignore"):
-            shapes = [block.shape for _, block in verify._row_blocks(kernel, tg, vg)]
+            shapes = [block.shape for _, block in verify._row_blocks(plan, tg, vg, r)]
         assert shapes == [(2, 7), (2, 7), (1, 7)], region
+
+
+# Every row's plan and every difference's, at its default r and at a caller's:
+# (name, plan, kernel, r).
+_CALLER_R = {"C33-expr": 0.37, "C38-hi": 0.37, "C38-lo": -0.37}
+_PLANS = ([(e.id, e.plan, e.kernel, e.default_r) for e in catalog._CATALOG]
+          + [(e.id, e.plan, e.kernel, _CALLER_R[e.id]) for e in catalog._CATALOG
+             if e.default_r is not None]
+          + [("ratio", catalog._R_ROW.plan, catalog._R_ROW.kernel, None)]
+          + [(d.id, d.plan, d.kernel, r) for d in verify._DIFFS
+             for r in ((1.001, 0.7) if d.needs_r else (None,))])
+
+# Blocks of two rows at n_v = 7: wholly extreme (the smallest subnormal among
+# them), in-window, straddling the window, in-window, wholly extreme (up to
+# 1.7e308), and a ragged last block of one row.
+_EDGE_T = np.array([5e-324, 1e-300, 1e-3, 0.5, 0.9, 1e5, 1.0, 7.0, 1e300, 1.7e308, 3.0])
+_EDGE_V = np.array([0.0, 5e-324, 0.25, 0.37, 0.5, np.nextafter(1.0, 0.0), 1.0])
+
+
+def _walk(plan, tg, vg, r):
+    """The blocks of one walk, copied (a block is valid until the walk advances)."""
+    blocks = []
+    for i0, block in verify._row_blocks(plan, tg, vg, r):
+        assert block.flags.c_contiguous and block.__array_interface__["data"][0] % 64 == 0
+        blocks.append((i0, block.copy()))
+    return blocks
+
+
+@pytest.mark.parametrize("block_points", [14, 5, None], ids=["two-row", "one-row", "default"])
+@pytest.mark.parametrize("name, plan, kernel, r", _PLANS,
+                         ids=[f"{name}@{r}" for name, _, _, r in _PLANS])
+def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, block_points,
+                                                 monkeypatch):
+    if block_points is None:
+        # A 600x301 wide grid at the real block size: a ragged last block,
+        # in-window blocks and wholly extreme ones at both ends.
+        tg = np.geomspace(1e-9, 1e9, 600)
+        vg = np.linspace(0.0, 1.0, 301)
+    else:
+        monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
+        tg, vg = _EDGE_T, _EDGE_V
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
+        blocks = _walk(plan, tg, vg, r)
+    rows = 2 if block_points == 14 else 1 if block_points == 5 else verify._BLOCK_POINTS // 301
+    assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
+    got = np.concatenate([block for _, block in blocks])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_interleaved_walks_yield_the_blocks_of_separate_walks(monkeypatch):
+    # Each walk owns its arena: two walks advanced alternately yield what the
+    # same walks yield one after the other.
+    monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)
+    ropt, l_plan = verify._DIFF_BY_ID["diff-ropt"].plan, verify._DIFF_BY_ID["diff-l"].plan
+    with np.errstate(all="ignore"):
+        alone = (_walk(ropt, _EDGE_T, _EDGE_V, 0.7), _walk(l_plan, _EDGE_T, _EDGE_V, None))
+        pairs = zip(verify._row_blocks(ropt, _EDGE_T, _EDGE_V, 0.7),
+                    verify._row_blocks(l_plan, _EDGE_T, _EDGE_V, None))
+        interleaved = [((i, a.copy()), (j, b.copy())) for (i, a), (j, b) in pairs]
+    for k, walk in enumerate(alone):
+        assert [i for i, _ in walk] == [pair[k][0] for pair in interleaved]
+        assert all(block.tobytes() == pair[k][1].tobytes()
+                   for (_, block), pair in zip(walk, interleaved))
+
+
+def _kernel_blocks(kernel, tg, vg, r):
+    """The walk as one kernel call per block, the reference for where a walk raises."""
+    rows = max(1, verify._BLOCK_POINTS // vg.size)
+    for i0 in range(0, tg.size, rows):
+        yield i0, kernel(tg[i0:i0 + rows, None], vg[None, :], r)
+
+
+def _raised_after(blocks):
+    seen = []
+    with pytest.raises(DomainError) as info:
+        for i0, _ in blocks:
+            seen.append(i0)
+    return seen, str(info.value)
+
+
+def test_plans_raise_where_and_as_their_kernels_raise(monkeypatch):
+    # 1 + r*x < 0 first in the third block (t = 1 gives x = 0): the plan walk
+    # and the kernel walk yield the same two blocks, then raise alike.
+    monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)
+    tg = np.array([1.0, 1.0, 1.0, 1.0, 10.0, 1.0, 0.1])
+    message = "exp_r undefined: 1 + r*x < 0 at r=-2.0"
+    for row in (verify._DIFF_BY_ID["diff-ropt"], catalog._BY_ID["C33-expr"]):
+        walked = _raised_after(verify._row_blocks(row.plan, tg, _EDGE_V, -2.0))
+        kernel_walked = _raised_after(_kernel_blocks(row.kernel, tg, _EDGE_V, -2.0))
+        assert walked == kernel_walked == ([0, 2], message)
+    # The public paths: a grid walk and a point raise the same error.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        find_sign_change("diff-ropt", Region(0.1, 10.0, 0.0, 1.0), 1e-3, r=-2.0)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        eval_diff("diff-ropt", EvalPoint(10.0, 0.5), -2.0)
 
 
 def test_diff_census():
