@@ -17,8 +17,9 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -82,17 +83,59 @@ def _write_csv(layout, results):
         writer.writerow([_csv_cell(cell) for cell in cells])
 
 
+_FLOAT_TOKENS = {math.inf: "Infinity", -math.inf: "-Infinity"}  # NaN equals no key
+
+
+def _write_json(obj, out, indent="\n"):
+    """Append obj to the list out as json.dumps(obj, indent=2) writes it.
+
+    json.dumps runs its pure-Python encoder whenever indent is set, and that
+    cost more than computing most envelopes.  This writes the same bytes:
+    ASCII-escaped strings, NaN and +-Infinity as bare tokens, and items
+    separated by "," and the next level's newline and indent.  indent is the
+    newline and indent of obj's own level.  Dict keys must be str.
+    """
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:  # bool before int
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _FLOAT_TOKENS.get(obj, "NaN"))
+    elif isinstance(obj, dict):
+        inner, sep = indent + "  ", "{"
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + _encode_str(key) + ": ")
+            _write_json(value, out, inner)
+            sep = ","
+        out.append(indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _write_json(value, out, inner)
+            sep = ","
+        out.append(indent + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _emit(args, results, status):
     if args.format == "csv":
         _write_csv(_CSV_LAYOUT["error" if status == "error" else args.command], results)
     else:
-        print(json.dumps({
+        out = []
+        _write_json({
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "inputs": _inputs_echo(args),
             "results": results,
             "status": status,
-        }, indent=2))
+        }, out)
+        print("".join(out))
 
 
 def _inputs_echo(args):
@@ -298,6 +341,27 @@ def _parser():
     return build_parser()
 
 
+def _parse(tokens):
+    """tokens as _parser().parse_args(tokens) reads them, with the same output
+    and exit on help or a usage error.
+
+    A call whose first token names a subcommand is parsed by that subcommand's
+    parser alone: the top-level pass would only hand it every later token.
+    Its leftover tokens are the top-level parser's error, as they are there.
+    """
+    parser = _parser()
+    if tokens:
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        sub = commands.get(tokens[0])
+        if sub is not None:
+            args, extras = sub.parse_known_args(tokens[1:], argparse.Namespace(command=tokens[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            return args
+    return parser.parse_args(tokens)
+
+
 def main(argv=None):
     # argparse reads only -<digits>[.<digits>] as a negative number and would
     # take any other (-1e-3, -inf) for an option: glue each onto its --name.
@@ -310,7 +374,7 @@ def main(argv=None):
                 continue
         tokens.append(token)
     try:
-        args = _parser().parse_args(tokens)
+        args = _parse(tokens)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if getattr(args, "nt", 2) < 2 or getattr(args, "nv", 2) < 2:

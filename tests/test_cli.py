@@ -9,7 +9,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import youngbounds
 from youngbounds import HermitianMatrix, catalog, cli, verify, write_matrix
@@ -671,3 +674,83 @@ def test_csv_is_the_projection_of_json(capsys, end_hitting_pair, name):
             if isinstance(value, dict) and set(value) == {"t", "v"}:
                 flat.update((key.replace("point", c), x) for c, x in value.items())
         assert row == [cli._csv_cell(flat[column]) for column in header]
+
+
+# Every argument list is parsed as build_parser().parse_args(tokens) would:
+# the same stdout, stderr and exit code, whichever way main reaches the parser.
+DISPATCH_CALLS = {
+    "no-tokens": (),
+    "help": ("--help",),
+    "help-before-command": ("-h", "eval"),
+    "command-help": ("eval", "--help"),
+    "double-dash-first": ("--", "eval", "--bound", "D1-exp", "--t", "2", "--v", "0.5"),
+    "double-dash-after-command": ("eval", "--", "--bound", "D1-exp", "--t", "2", "--v", "0.5"),
+    "unknown-command": ("evaluate", "--bound", "D1-exp", "--t", "2", "--v", "0.5"),
+    "stray-positional": ("eval", "--bound", "D1-exp", "--t", "2", "--v", "0.5", "extra"),
+    "unknown-option": ("eval", "--bound", "D1-exp", "--t", "2", "--v", "0.5", "--bogus"),
+    "abbreviation": ("sweep", "--bou", "K-upper", "--nt", "5", "--nv", "3"),
+    "option-equals": ("eval", "--bound", "T31-poly", "--t", "4", "--v", "0.5", "--format=csv"),
+    "negative-exponent": ("eval", "--bound", "C38-lo", "--t", "2", "--v", "0.5", "--r", "-1e-3"),
+    "missing-required": ("eval", "--bound", "D1-exp", "--t", "2"),
+    "bad-float": ("eval", "--bound", "D1-exp", "--t", "two", "--v", "0.5"),
+    "bad-choice": ("eval", "--bound", "nope", "--t", "2", "--v", "0.5"),
+    "remarks-stray": ("remarks", "--t", "2"),
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_CALLS)
+def test_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, name):
+    argv = DISPATCH_CALLS[name]
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda tokens: cli.build_parser().parse_args(tokens))
+    assert got == run(capsys, *argv)
+
+
+def test_unknown_option_is_the_top_level_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--bound", "D1-exp", "--t", "2", "--v", "0.5", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: youngbounds [-h]")
+    assert err.endswith("youngbounds: error: unrecognized arguments: --bogus\n")
+
+
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                                                 '\u00e9\u2028\U0001f600')))
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225e-308, 1.7e308]),
+    st.floats().map(np.float64),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+def _written(obj):
+    out = []
+    cli._write_json(obj, out)
+    return "".join(out)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_writes_the_bytes_of_json_dumps(obj):
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [object(), np.int64(3), 1j, b"x", {1, 2}, np.ones(2),
+                                 {"a": [1, {"b": dataclasses}]}])
+def test_json_writer_rejects_what_json_dumps_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as info:
+        _written(obj)
+    assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1,)])
+def test_json_writer_takes_only_str_keys(key):
+    with pytest.raises(TypeError, match="^keys must be str"):
+        _written({"ok": {key: 0}})
