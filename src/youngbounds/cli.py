@@ -86,14 +86,28 @@ def _write_csv(layout, results):
 _FLOAT_TOKENS = {math.inf: "Infinity", -math.inf: "-Infinity"}  # NaN equals no key
 
 
+def _json_key(key):
+    """key as the string json.dumps writes for a dict key, in json's order of tests."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return float.__repr__(key) if math.isfinite(key) else _FLOAT_TOKENS.get(key, "NaN")
+    if key is True or key is False or key is None:
+        return "null" if key is None else "true" if key else "false"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _write_json(obj, out, indent="\n"):
     """Append obj to the list out as json.dumps(obj, indent=2) writes it.
 
     json.dumps runs its pure-Python encoder whenever indent is set, and that
     cost more than computing most envelopes.  This writes the same bytes:
-    ASCII-escaped strings, NaN and +-Infinity as bare tokens, and items
-    separated by "," and the next level's newline and indent.  indent is the
-    newline and indent of obj's own level.  Dict keys must be str.
+    ASCII-escaped strings, NaN and +-Infinity as bare tokens, dict keys
+    turned into strings as json turns them, and items separated by "," and
+    the next level's newline and indent.  indent is the newline and indent
+    of obj's own level.
     """
     if isinstance(obj, str):
         out.append(_encode_str(obj))
@@ -106,9 +120,7 @@ def _write_json(obj, out, indent="\n"):
     elif isinstance(obj, dict):
         inner, sep = indent + "  ", "{"
         for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + inner + _encode_str(key) + ": ")
+            out.append(sep + inner + _encode_str(_json_key(key)) + ": ")
             _write_json(value, out, inner)
             sep = ","
         out.append(indent + "}" if obj else "{}")
@@ -338,7 +350,13 @@ def build_parser():
 @functools.cache
 def _parser():
     # Parsing does not change the parser, so one serves every call of main.
-    return build_parser()
+    # Its subcommand parsers by name are kept on it, so cache_clear drops both.
+    # argparse has no public handle on them: _actions and _SubParsersAction
+    # are its internal names, which the tests exercise on Python 3.10 and 3.11.
+    parser = build_parser()
+    parser.commands = next(action.choices for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction))
+    return parser
 
 
 def _parse(tokens):
@@ -351,9 +369,7 @@ def _parse(tokens):
     """
     parser = _parser()
     if tokens:
-        commands = next(action.choices for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        sub = commands.get(tokens[0])
+        sub = parser.commands.get(tokens[0])
         if sub is not None:
             args, extras = sub.parse_known_args(tokens[1:], argparse.Namespace(command=tokens[0]))
             if extras:

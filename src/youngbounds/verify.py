@@ -17,8 +17,7 @@ one row), in ascending row-major order.  A walk builds a plan once: the
 plan of each row it reads (catalog._kernel, scalar._ratio_plan) tiles the
 row's v-only factors, and its fill writes each block in place, with the
 kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
-arena (_row_blocks): a sweep's walk owns its arena, and a witness search's
-walks use one arena in turn.  Each block is reduced on the spot;
+arena that the walk owns (_row_blocks).  Each block is reduced on the spot;
 the blocks combine as one whole-grid argmin/argmax would: the first NaN
 wins, and otherwise a later block replaces the incumbent only on a strictly
 better value, so ties keep the earliest point.  Every reported value is the
@@ -235,47 +234,35 @@ def _admit_diff_r(diff, r):
     return _finite_r(diff.id, r)
 
 
-def _block_points(n_t, n_v):
-    """Points per block of a walk over an n_t x n_v grid: whole t-rows."""
-    return min(max(1, _BLOCK_POINTS // n_v), n_t) * n_v
-
-
-def _arena(points):
-    """Memory for grid walks of up to `points` points per block: one np.empty
-    of _ARENA_VIEWS such blocks, starting on a 64-byte boundary.
+def _arena(rows, n_v):
+    """One grid walk's memory: an iterator over _ARENA_VIEWS (rows, n_v)
+    views cut from one np.empty, each starting on a 64-byte boundary.
 
     On an AVX-512 host a multiply of 8K doubles into a 64-byte-aligned
     output ran about twice as fast as into any other alignment, and heap
-    temporaries land where the heap's history puts them.  One allocation, not
-    one per view, leaves the heap one chunk to reuse.  Walks that share an
-    arena must run one after the other; a walk that is given none owns its
-    own, so walks stay re-entrant.
+    temporaries land where the heap's history puts them.  One allocation per
+    walk, not one per view, leaves the heap one chunk to reuse.  Each walk
+    owns its arena, so walks stay re-entrant.
     """
-    size = _ARENA_VIEWS * -(-points // 8) * 8  # whole 64-byte lines per view
-    buf = np.empty(size + 7)
-    start = -buf.__array_interface__["data"][0] % 64 // 8
-    return buf[start:start + size]
+    stride = -(-rows * n_v // 8) * 64  # bytes per view, whole 64-byte lines
+    buf = np.empty(_ARENA_VIEWS * stride // 8 + 7)
+    return iter(np.ndarray((_ARENA_VIEWS, rows, n_v), float, buf,
+                           -buf.__array_interface__["data"][0] % 64, (stride, 8 * n_v, 8)))
 
 
-def _row_blocks(plan, tg, vg, r, arena=None):
+def _row_blocks(plan, tg, vg, r):
     """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
 
-    The walk cuts _ARENA_VIEWS (rows, vg.size) views from arena (a fresh one
-    if None), each starting on a 64-byte boundary, and builds plan(vg, r,
-    views) once: the plan takes its v tiles from the views, each filled by
-    the last ufunc of its v factor.  Its fill(t_col, out, tmp) then writes
-    each block, a column of t against the row of v, into the same view.  A
-    block is valid until the walk advances.
+    The walk builds plan(vg, r, arena) once: the plan takes its v tiles from
+    the walk's arena, each filled by the last ufunc of its v factor.  Its
+    fill(t_col, out, tmp) then writes each block, a column of t against the
+    row of v, into the same (rows, vg.size) view of the arena.  A block is
+    valid until the walk advances.
     """
-    points = _block_points(tg.size, vg.size)
-    if arena is None:
-        arena = _arena(points)
-    rows = points // vg.size
-    stride = -(-points // 8) * 64  # bytes per view, as _arena sizes them
-    views = iter(np.ndarray((_ARENA_VIEWS, rows, vg.size), float, arena, 0,
-                            (stride, 8 * vg.size, 8)))
-    out, tmp = next(views), next(views)
-    fill = plan(vg, r, views)
+    rows = min(max(1, _BLOCK_POINTS // vg.size), tg.size)
+    arena = _arena(rows, vg.size)
+    out, tmp = next(arena), next(arena)
+    fill = plan(vg, r, arena)
     for i0 in range(0, tg.size, rows):
         t_col = tg[i0:i0 + rows, None]
         m = len(t_col)
@@ -394,15 +381,14 @@ def eval_diff(diff_id, p, r=None):
     return lhs - _row(diff.rhs, p, None)
 
 
-def _grid_extrema(diff, tg, vg, r, arena=None):
+def _grid_extrema(diff, tg, vg, r):
     """Best positive and negative values over the tensor grid, first hit wins.
 
     Non-finite values are evidence of neither sign and are skipped; an
-    extremum is None when no value is finite.  The walk runs in arena (its
-    own if None).
+    extremum is None when no value is finite.
     """
     hi = lo = None
-    for i0, block in _row_blocks(diff.plan, tg, vg, r, arena):
+    for i0, block in _row_blocks(diff.plan, tg, vg, r):
         hi = _fold_extremum(hi, _block_extremum(block, False, True), i0, lower=False)
         lo = _fold_extremum(lo, _block_extremum(block, True, True), i0, lower=True)
     if hi is None:
@@ -455,11 +441,8 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     def found(best_pos, best_neg):
         return best_pos[0] > delta and best_neg[0] < -delta
 
-    # One arena serves the coarse walk and every refinement walk in turn.
-    arena = _arena(max(_block_points(region.n_t, region.n_v),
-                       _block_points(_REFINE_POINTS, _REFINE_POINTS)))
     with np.errstate(over="ignore", invalid="ignore"):
-        pos, neg = _grid_extrema(diff, region.t_grid(), region.v_grid(), r_value, arena)
+        pos, neg = _grid_extrema(diff, region.t_grid(), region.v_grid(), r_value)
         if pos is None:
             raise WitnessNotFoundError(
                 f"{diff_id}: no sign change above delta={delta} found "
@@ -470,7 +453,7 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
             for side, best in (("pos", pos), ("neg", neg)):
                 tw = _refine_axis(best[1], t_step, region.t_min, region.t_max, log_t)
                 vw = _refine_axis(best[2], v_step, region.v_min, region.v_max, False)
-                sub_pos, sub_neg = _grid_extrema(diff, tw, vw, r_value, arena)
+                sub_pos, sub_neg = _grid_extrema(diff, tw, vw, r_value)
                 if sub_pos is None:
                     continue
                 if side == "pos" and sub_pos[0] > pos[0]:

@@ -171,8 +171,7 @@ def _full_grid_sweep(bound_id, region, tol=1e-12, deform=None):
                        float(margin[i, j]), EvalPoint(float(tg[i]), float(vg[j])))
 
 
-def _full_grid_extrema(diff, tg, vg, r, arena=None):
-    # arena: the memory a blocked walk would run in; a whole-grid call needs none.
+def _full_grid_extrema(diff, tg, vg, r):
     values = np.broadcast_to(diff.kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
     ihi, jhi = divmod(int(np.argmax(values)), vg.size)
     ilo, jlo = divmod(int(np.argmin(values)), vg.size)
@@ -437,37 +436,6 @@ def test_interleaved_walks_yield_the_blocks_of_separate_walks(monkeypatch):
         assert [i for i, _ in walk] == [pair[k][0] for pair in interleaved]
         assert all(block.tobytes() == pair[k][1].tobytes()
                    for (_, block), pair in zip(walk, interleaved))
-
-
-@pytest.mark.parametrize("n", [2, 41, 401], ids=["refine-larger", "one-block", "many-blocks"])
-def test_a_witness_search_runs_every_walk_in_one_arena(n, monkeypatch):
-    # No sign change above delta = 0.5: the coarse walk and all six
-    # refinement walks run.  The arena is sized for the larger of a coarse
-    # block and the 21x21 refinement grid, and every view starts at 0 mod 64.
-    arenas, walked = [], []
-    make_arena, row_blocks = verify._arena, verify._row_blocks
-
-    def counted_arena(points):
-        arenas.append(make_arena(points))
-        return arenas[-1]
-
-    def walk(plan, tg, vg, r, arena=None):
-        for i0, block in row_blocks(plan, tg, vg, r, arena):
-            assert block.__array_interface__["data"][0] % 64 == 0
-            assert np.shares_memory(block, arena)
-            yield i0, block
-        walked.append(arena)
-
-    monkeypatch.setattr(verify, "_arena", counted_arena)
-    monkeypatch.setattr(verify, "_row_blocks", walk)
-    region = Region(0.9, 1.1, 0.49, 0.51, LOG, n, n)
-    for search in (1, 2):
-        with pytest.raises(WitnessNotFoundError):
-            find_sign_change("diff-l", region, 0.5)
-        assert len(arenas) == search and len(walked) == 7 * search
-        assert all(a is arenas[-1] for a in walked[-7:])
-    assert arenas[0] is not arenas[1] and not np.shares_memory(*arenas)
-    assert arenas[0].size >= verify._ARENA_VIEWS * max(verify._block_points(n, n), 21 * 21)
 
 
 def _kernel_blocks(kernel, tg, vg, r):
