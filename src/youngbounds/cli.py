@@ -352,7 +352,7 @@ def _parser():
     # Parsing does not change the parser, so one serves every call of main.
     # Its subcommand parsers by name are kept on it, so cache_clear drops both.
     # argparse has no public handle on them: _actions and _SubParsersAction
-    # are its internal names, which the tests exercise on Python 3.10 and 3.11.
+    # are its internal names, checked on Python 3.10 through 3.13.
     parser = build_parser()
     parser.commands = next(action.choices for action in parser._actions
                            if isinstance(action, argparse._SubParsersAction))
