@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
 from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp,
-                     _dexp_in_place, _identity_arg, _kantorovich, _pow, _row, _sq)
+                     _identity_arg, _kantorovich, _pow, _row, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -150,7 +150,7 @@ def _kernel(family, param):
         cv, r = np.multiply(c * v, 1.0 - v, out=next(arena)), r if param is None else param
 
         def fill(t_col, out, tmp):
-            _dexp_in_place(r, np.multiply(cv[:len(t_col)], s(t_col), out=out))
+            _dexp(r, np.multiply(cv[:len(t_col)], s(t_col), out=out), out=out)
         return fill
     return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan
 
@@ -252,11 +252,6 @@ def _lookup(bound_id):
         return _BY_ID[bound_id]
     except KeyError:
         raise UnknownBoundError(f"unknown bound id {bound_id!r}") from None
-
-
-def _in_region(region, t):
-    lo, hi = _REGION_T[region]
-    return lo <= t <= hi
 
 
 def _margin(side, bound, ratio):

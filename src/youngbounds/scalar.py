@@ -10,6 +10,8 @@ certificates) reduces to four functions of one or two real variables:
 
 The public entry points take the validated value types below; the private
 ``_*`` kernels accept floats or numpy arrays and are what the grid code uses.
+exp_r is one function, _dexp, for points, grids and the blocks that grid
+walks fill in place (its out argument).
 Floats and arrays go through the same numpy ufuncs and the same IEEE
 arithmetic, so a point's value equals its grid value bitwise.  That is why
 powers are computed as exp(v*log t) and squares as parenthesised products:
@@ -201,57 +203,44 @@ def _identity_arg(t):
     return _sq(t) / t
 
 
-def _dexp(r, x):
-    """exp_r(x) = (1+rx)^(1/r) for a float r and float/array x.
+def _dexp(r, x, out=None):
+    """exp_r(x) = (1+rx)^(1/r) for a float r and float/array x, written into
+    the array out (x itself allowed) when out is given.
 
     Requires 1 + r*x >= 0.  The boundary 1 + r*x = 0 maps to the limit
     value: 0 for r > 0, +inf for r < 0, which numpy reports as a divide by
     zero under the caller's np.errstate.  1 * x and -1 * x are exact, so at
     r = +-1 the code forms 1 + x or 1 - x and returns it or its reciprocal.
+    With out the same ufuncs run in the same order, so the bits are those
+    without it.  Without out no ufunc gets an out keyword, not even None: a
+    ufunc on a float takes about four times as long with one.
     """
     if abs(r) < R_ZERO_SWITCH:
-        return np.exp(x)
+        return np.exp(x) if out is None else np.exp(x, out=out)
+    unit = r == 1.0 or r == -1.0
     # The domain test reads 1 + x or 1 - x at r = +-1, and elsewhere r*x, log1p's
     # argument, computed once: 1 + r*x < 0 exactly when r*x < -1, for
     # fl(1 + y) < 0 exactly when y < -1.
-    unit = r == 1.0 or r == -1.0
-    arg = (1.0 + x if r == 1.0 else 1.0 - x) if unit else r * x
+    if out is None:
+        arg = (1.0 + x if r == 1.0 else 1.0 - x) if unit else r * x
+    elif unit:
+        arg = np.add(1.0, x, out=out) if r == 1.0 else np.subtract(1.0, x, out=out)
+    else:
+        arg = np.multiply(r, x, out=out)
     # fmin skips NaN, so one pass finds the least defined value; the initial
     # value lets an empty array through.
     least = np.fmin.reduce(arg, axis=None, initial=np.inf) if isinstance(arg, np.ndarray) else arg
     if least < (0.0 if unit else -1.0):
-        _dexp_undefined(r)
+        raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
     if r == 1.0:
         return arg
+    if out is not None:
+        return (np.divide(1.0, arg, out=out) if unit
+                else np.exp(np.divide(np.log1p(arg, out=out), r, out=out), out=out))
     if r == -1.0:
         # Python's float division raises at the pole, numpy's gives inf.
         return np.divide(1.0, arg) if least == 0.0 else 1.0 / arg
     return np.exp(np.log1p(arg) / r)
-
-
-def _dexp_in_place(r, x):
-    """_dexp(r, x) written over the float array x with _dexp's ufuncs in
-    _dexp's order, so bit for bit, raising where and as _dexp raises."""
-    if abs(r) < R_ZERO_SWITCH:
-        np.exp(x, out=x)
-        return
-    unit = r == 1.0 or r == -1.0
-    if r == 1.0:
-        np.add(1.0, x, out=x)
-    elif r == -1.0:
-        np.subtract(1.0, x, out=x)
-    else:
-        np.multiply(r, x, out=x)
-    if np.fmin.reduce(x, axis=None, initial=np.inf) < (0.0 if unit else -1.0):
-        _dexp_undefined(r)
-    if r == -1.0:
-        np.divide(1.0, x, out=x)
-    elif not unit:
-        np.exp(np.divide(np.log1p(x, out=x), r, out=x), out=x)
-
-
-def _dexp_undefined(r):
-    raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
 
 
 # R itself as a row, the operand every bound is compared with.  The lambda

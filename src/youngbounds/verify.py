@@ -17,10 +17,10 @@ one row), in ascending row-major order.  A walk builds a plan once: the
 plan of each row it reads (catalog._kernel, scalar._ratio_plan) tiles the
 row's v-only factors, and its fill writes each block in place, with the
 kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
-arena that the walk owns (_row_blocks).  Each block is reduced on the spot;
-the blocks combine as one whole-grid argmin/argmax would: the first NaN
-wins, and otherwise a later block replaces the incumbent only on a strictly
-better value, so ties keep the earliest point.  Every reported value is the
+arena that the walk owns (_row_blocks).  Each block is reduced on the spot
+to its first extremum, and the walk picks one of those at the end (_pick),
+as one whole-grid argmin/argmax would: the first NaN, or else the first
+least or greatest value.  Every reported value is the
 value the kernels give on the whole grid, bit for bit, and each view holds
 at most max(_BLOCK_POINTS, n_v) points, whatever n_t.  Each block does only
 the work its verdict needs: a block whose t all lie outside [1e-3, 1e3]
@@ -124,15 +124,17 @@ class NonOrderingWitness:
 
 class _Diff:
     """lhs - rhs of two rows (catalog._ROWS, R included) on the narrower of
-    their regions.  Only an lhs row that takes the caller's r (needs_r) gets
-    it; every other kernel is called with r = None.  kernel is the array form
-    and plan the grid walk's; eval_diff reads the same two rows at a point."""
+    their regions, t in [t_lo, t_hi].  Only an lhs row that takes the caller's
+    r (needs_r) gets it; every other kernel is called with r = None.  kernel
+    is the array form and plan the grid walk's; eval_diff reads the same two
+    rows at a point."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
         lhs = self.lhs = catalog._ROWS[lhs_id]
         rhs = self.rhs = catalog._ROWS[rhs_id]
         # Regions nest: a half-line lies inside all-t.
         self.region = rhs.region if lhs.region == catalog.ALL_T else lhs.region
+        self.t_lo, self.t_hi = catalog._REGION_T[self.region]
         self.id = diff_id
         self.preset = (t_lo, t_hi, delta)
         self.needs_r = lhs.default_r is not None
@@ -216,12 +218,11 @@ def _lookup_diff(diff_id):
         raise UnknownDiffError(f"unknown difference id {diff_id!r}") from None
 
 
-def _check_window(region_kind, t_lo, t_hi, what):
-    lo, hi = catalog._REGION_T[region_kind]
-    if t_hi > hi:
-        raise RegionError(f"{what} is restricted to t <= {hi:g}, window reaches t={t_hi}")
-    if t_lo < lo:
-        raise RegionError(f"{what} is restricted to t >= {lo:g}, window reaches t={t_lo}")
+def _check_window(row, lo, hi):
+    if hi > row.t_hi:
+        raise RegionError(f"{row.id} is restricted to t <= {row.t_hi:g}, window reaches t={hi}")
+    if lo < row.t_lo:
+        raise RegionError(f"{row.id} is restricted to t >= {row.t_lo:g}, window reaches t={lo}")
 
 
 def _admit_diff_r(diff, r):
@@ -283,8 +284,8 @@ def _subtract(fill_lhs, fill_rhs, arena):
     return fill
 
 
-def _block_extremum(block, lower, skip_nonfinite=False):
-    """A block's first argmin (lower) or argmax as (value, row, column).
+def _block_extremum(block, i0, lower, skip_nonfinite=False):
+    """A block's first argmin (lower) or argmax as (value, i0 + row, column).
 
     As numpy's argmin/argmax, the first NaN wins.  With skip_nonfinite, NaN
     and +-inf values are passed over instead (None when every value is
@@ -302,27 +303,22 @@ def _block_extremum(block, lower, skip_nonfinite=False):
         flat = int(finite[np.argmin(values) if lower else np.argmax(values)])
         i, j = divmod(flat, block.shape[1])
         value = float(block[i, j])
-    return value, i, j
-
-
-def _fold_extremum(best, found, i0, lower):
-    """Fold a block's extremum found (from _block_extremum) into best.
-
-    best is the running (value, row, column), None before the first block;
-    found's row is offset by the block's first row i0.  Blocks arrive in
-    row-major order and combine as numpy's whole-array argmin/argmax: the
-    first NaN wins, and otherwise a later block wins only on a strictly
-    better value, so ties keep the earliest point.
-    """
-    if found is None:
-        return best
-    value, i, j = found
-    if best is not None:
-        held = best[0]
-        better = value < held if lower else value > held
-        if math.isnan(held) or not (better or math.isnan(value)):
-            return best
     return value, i0 + i, j
+
+
+def _pick(extrema, lower):
+    """The grid's extremum from its blocks' (_block_extremum), in row-major order.
+
+    As numpy's argmin/argmax on the whole grid: the first NaN, or else the
+    first least (lower) or greatest value, which is the one min and max
+    return.  Blocks without an extremum (None) are passed over, and None is
+    returned when no block has one.
+    """
+    extrema = [found for found in extrema if found is not None]
+    for found in extrema:
+        if math.isnan(found[0]):
+            return found
+    return (min if lower else max)(extrema, key=operator.itemgetter(0), default=None)
 
 
 def sweep(bound_id, region, tol=1e-12, deform=None):
@@ -334,7 +330,7 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     contradict the underlying theorem).
     """
     entry = catalog._lookup(bound_id)
-    _check_window(entry.region, region.t_min, region.t_max, bound_id)
+    _check_window(entry, region.t_min, region.t_max)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
     upper = entry.spec.side == catalog.UPPER
@@ -348,17 +344,17 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     tg = region.t_grid()
     vg = region.v_grid()
     n_violations = 0
-    worst = None
+    extrema = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, block in _row_blocks(margin, tg, vg, r):
-            least = _block_extremum(block, lower=True)
+            least = _block_extremum(block, i0, lower=True)
             # Counted as not holding, like certify_point, so NaN margins
             # count.  The least margin is the first NaN if there is one, so
             # a block whose least margin holds has nothing to count.
             if not least[0] >= -tol:
                 n_violations += block.size - int(np.count_nonzero(block >= -tol))
-            worst = _fold_extremum(worst, least, i0, lower=True)
-    value, i, j = worst
+            extrema.append(least)
+    value, i, j = _pick(extrema, lower=True)
     return SweepReport(
         bound_id=bound_id,
         n_points=region.n_t * region.n_v,
@@ -375,7 +371,7 @@ def eval_diff(diff_id, p, r=None):
     and may exceed 1); the other differences have no free parameter.
     """
     diff = _lookup_diff(diff_id)
-    if not catalog._in_region(diff.region, p.t):
+    if not diff.t_lo <= p.t <= diff.t_hi:
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
     lhs = _row(diff.lhs, p, _admit_diff_r(diff, r))
     return lhs - _row(diff.rhs, p, None)
@@ -387,10 +383,11 @@ def _grid_extrema(diff, tg, vg, r):
     Non-finite values are evidence of neither sign and are skipped; an
     extremum is None when no value is finite.
     """
-    hi = lo = None
+    his, los = [], []
     for i0, block in _row_blocks(diff.plan, tg, vg, r):
-        hi = _fold_extremum(hi, _block_extremum(block, False, True), i0, lower=False)
-        lo = _fold_extremum(lo, _block_extremum(block, True, True), i0, lower=True)
+        his.append(_block_extremum(block, i0, False, True))
+        los.append(_block_extremum(block, i0, True, True))
+    hi, lo = _pick(his, lower=False), _pick(los, lower=True)
     if hi is None:
         return None, None
     pos = (hi[0], float(tg[hi[1]]), float(vg[hi[2]]))
@@ -421,7 +418,7 @@ def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):
     anything else, or a negative one, raises DomainError before any scan.
     """
     diff = _lookup_diff(diff_id)
-    _check_window(diff.region, region.t_min, region.t_max, diff_id)
+    _check_window(diff, region.t_min, region.t_max)
     _check_threshold("delta", delta)
     try:
         operator.index(refine_depth)

@@ -367,13 +367,12 @@ def _count_kernel_calls(monkeypatch):
 
 def _profile(p, r):
     """Every point query at p, as the benchmark's point profile makes them."""
-    specs = [s for s in list_bounds() if catalog._in_region(s.region, p.t)]
-    certs = [certify_point(s.id, p) for s in specs]
-    values = [evaluate(s.id, p) for s in specs]
+    ids = [e.id for e in catalog._CATALOG if e.t_lo <= p.t <= e.t_hi]
+    certs = [certify_point(bid, p) for bid in ids]
+    values = [evaluate(bid, p) for bid in ids]
     best = tightest(UPPER, p), tightest(LOWER, p)
     links = chain_check(p) if p.t <= 1.0 else ()
-    diffs = [eval_diff(d, p, r) for d in verify.diff_ids()
-             if catalog._in_region(verify._DIFF_BY_ID[d].region, p.t)]
+    diffs = [eval_diff(d.id, p, r) for d in verify._DIFFS if d.t_lo <= p.t <= d.t_hi]
     return certs, values, best, links, diffs
 
 
@@ -395,15 +394,15 @@ def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows):
     best = tightest(UPPER, fresh), tightest(LOWER, fresh)
     chain = (["FM-m", "D2-lo-le1", "ratio", "FM-M", "D2-hi-le1", "T36-lo-le1", "T36-hi-le1"]
              if t <= 1.0 else [])
-    sides = [s.id for side in (UPPER, LOWER) for s in list_bounds()
-             if s.side == side and catalog._in_region(s.region, t) and s.id not in chain]
+    sides = [e.id for side in (UPPER, LOWER) for e in catalog._CATALOG
+             if e.spec.side == side and e.t_lo <= t <= e.t_hi and e.id not in chain]
     assert [bid for bid, _ in calls] == chain + sides
     assert (links, best) == (first[3], first[2])
     # tightest alone on a fresh point reads every in-region entry of its side.
     calls.clear()
     assert (tightest(UPPER, EvalPoint(t, 0.4)), tightest(LOWER, EvalPoint(t, 0.4))) == best
-    assert [bid for bid, _ in calls] == [s.id for side in (UPPER, LOWER) for s in list_bounds()
-                                         if s.side == side and catalog._in_region(s.region, t)]
+    assert [bid for bid, _ in calls] == [e.id for side in (UPPER, LOWER) for e in catalog._CATALOG
+                                         if e.spec.side == side and e.t_lo <= t <= e.t_hi]
 
 
 def test_a_chain_row_that_raised_keeps_nothing():
@@ -601,9 +600,9 @@ EDGE_POINTS = [(t, v) for t in (1e-9, 1.0, 1e9) for v in (0.0, 0.5, 1.0, 0.3)]
 
 @pytest.mark.parametrize("t, v", EDGE_POINTS)
 def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
-    rows = [(s.id, r) for s in list_bounds() if catalog._in_region(s.region, t)
-            for r in (None,) + CALLER_R.get(s.id, ())]
-    diffs = [(d.id, r) for d in verify._DIFFS if catalog._in_region(d.region, t)
+    rows = [(e.id, r) for e in catalog._CATALOG if e.t_lo <= t <= e.t_hi
+            for r in (None,) + CALLER_R.get(e.id, ())]
+    diffs = [(d.id, r) for d in verify._DIFFS if d.t_lo <= t <= d.t_hi
              for r in ((0.7, 1.001, 1.0) if d.needs_r else (None,))]
     grid_t, grid_v = np.array([t]), np.array([v])
 
@@ -668,3 +667,26 @@ def test_no_row_raises_at_any_t(u, v):
             for r in _r_ends(spec):
                 evaluate_grid(spec.id, np.array([t]), np.array([v]), r)
                 catalog._BY_ID[spec.id].kernel(t, v, r)
+
+
+# Every all-t row, each r of a deformed one as (id, r).
+SWAP_ROWS = [("D1-exp", None), ("K-upper", None), ("K-lower", None), ("T31-poly", None),
+             ("C33-expr", 1.0), ("C33-expr", 0.5), ("C38-lo", -1.0), ("C38-lo", -0.5),
+             ("C38-hi", 1.0), ("C38-hi", 0.5)]
+
+
+# An all-t row is invariant under t -> 1/t and under v -> 1-v, so it takes
+# one value at (t, v) and (1/t, 1-v), as R does.  v = k / 2^53 makes 1 - v
+# exact.  The allowance, 1e-12 relative, covers a few ulps of the argument
+# carried through exp: the worst over 200,000 draws was 2.3e-13 (D1-exp).
+# Equal infinities (D1-exp overflows) are equal.  Past t ~ 1.34e154 one
+# side's square overflows while the other's does not, so t stops at 1e150.
+@pytest.mark.parametrize("bid, r", SWAP_ROWS)
+@given(st.floats(-150.0, 150.0), st.integers(1, 2**53 - 1).map(lambda k: k / 2**53))
+@settings(max_examples=300, deadline=None)
+def test_all_t_rows_swap_symmetry(bid, r, u, v):
+    t = 10.0**u
+    with np.errstate(over="ignore"):
+        a = evaluate(bid, EvalPoint(t, v), r)
+        b = evaluate(bid, EvalPoint(1.0 / t, 1.0 - v), r)
+    assert a == pytest.approx(b, rel=1e-12, abs=0.0)

@@ -281,12 +281,11 @@ def test_blocked_extrema_skip_nan_values():
 
 
 def _fold(best, block, i0, lower, skip_nonfinite=False):
-    found = verify._block_extremum(block, lower, skip_nonfinite)
-    return verify._fold_extremum(best, found, i0, lower)
+    return verify._pick([best, verify._block_extremum(block, i0, lower, skip_nonfinite)], lower)
 
 
 def test_nan_skipping_fold_never_lands_on_a_nan():
-    # Neither NaN nor an infinity is a value to compare: the fold takes the
+    # Neither NaN nor an infinity is a value to compare: the pick takes the
     # finite extremum, which np.nanargmax (NaN read as -inf) would not.
     block = np.array([[np.nan, -np.inf, 2.0], [np.inf, np.nan, -3.0]])
     assert _fold(None, block, 5, lower=False, skip_nonfinite=True) == (2.0, 5, 2)
@@ -294,13 +293,48 @@ def test_nan_skipping_fold_never_lands_on_a_nan():
     for bad in (np.nan, np.inf, -np.inf):
         bad_block = np.full((2, 3), bad)
         bad_block[0, 1] = np.nan
-        assert verify._block_extremum(bad_block, True, skip_nonfinite=True) is None
+        assert verify._block_extremum(bad_block, 0, True, skip_nonfinite=True) is None
         assert _fold(None, bad_block, 0, lower=True, skip_nonfinite=True) is None
         held = (1.0, 0, 2)
         assert _fold(held, bad_block, 2, lower=False, skip_nonfinite=True) == held
     # without skip_nonfinite the first NaN still wins, as a sweep needs
     nan_block = np.full((2, 3), np.nan)
     assert math.isnan(_fold(held, nan_block, 2, lower=True)[0])
+
+
+# Values whose NaNs, infinities and ties (-0.0 with 0.0 among them) cross
+# block boundaries.
+_PICK_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]
+
+
+def _whole_grid_extremum(grid, lower, finite_only):
+    """numpy's argmin (lower) or argmax of the whole grid as (value, row,
+    column); with finite_only over its finite values, None if it has none."""
+    flat = grid.ravel()
+    keep = np.flatnonzero(np.isfinite(flat)) if finite_only else np.arange(flat.size)
+    if keep.size == 0:
+        return None
+    i, j = divmod(int(keep[np.argmin(flat[keep]) if lower else np.argmax(flat[keep])]),
+                  grid.shape[1])
+    return float(grid[i, j]), i, j
+
+
+@given(st.integers(1, 7), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_pick_of_block_extrema_is_the_whole_grid_extremum(n_t, n_v, data):
+    # For every block height, the pick of the blocks' extrema is the whole
+    # grid's, under the sweep's rule (the first NaN wins) and the witness
+    # search's (finite values only, None when none is finite).
+    cells = data.draw(st.lists(st.sampled_from(_PICK_VALUES),
+                               min_size=n_t * n_v, max_size=n_t * n_v))
+    grid = np.array(cells).reshape(n_t, n_v)
+    for lower in (True, False):
+        for finite_only in (False, True):
+            want = _whole_grid_extremum(grid, lower, finite_only)
+            for rows in range(1, n_t + 1):
+                found = [verify._block_extremum(grid[i0:i0 + rows], i0, lower, finite_only)
+                         for i0 in range(0, n_t, rows)]
+                assert repr(verify._pick(found, lower)) == repr(want), (rows, lower, finite_only)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -358,7 +392,7 @@ def test_witness_search_memory_is_set_by_the_block_not_the_grid():
 
 
 def test_every_kernel_returns_whole_row_blocks(monkeypatch):
-    # The fold's divmod indexing reads each block as (rows, n_v): the walk of
+    # _block_extremum's divmod reads each block as (rows, n_v): the walk of
     # every catalog and difference plan must yield that full shape, the
     # ragged last block included.
     monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)  # blocks of 2, 2 and 1 rows
@@ -543,15 +577,15 @@ def test_point_values_equal_grid_values_bitwise():
     for k, p in enumerate(points):
         assert _bits(certify_point("D1-exp", p).ratio_value) == _bits(ratio[k]), p
 
-    for spec in list_bounds():
-        inside = [k for k, p in enumerate(points) if catalog._in_region(spec.region, p.t)]
-        grid = evaluate_grid(spec.id, t[inside], v[inside])
+    for entry in catalog._CATALOG:
+        inside = [k for k, p in enumerate(points) if entry.t_lo <= p.t <= entry.t_hi]
+        grid = evaluate_grid(entry.id, t[inside], v[inside])
         for k, g in zip(inside, grid):
-            assert _bits(evaluate(spec.id, points[k])) == _bits(g), (spec.id, points[k])
+            assert _bits(evaluate(entry.id, points[k])) == _bits(g), (entry.id, points[k])
 
     for diff_id in diff_ids():
         diff = verify._DIFF_BY_ID[diff_id]
-        inside = [k for k, p in enumerate(points) if catalog._in_region(diff.region, p.t)]
+        inside = [k for k, p in enumerate(points) if diff.t_lo <= p.t <= diff.t_hi]
         for r in ((0.0, 0.5, 1.0, 1.001) if diff.needs_r else (None,)):
             grid = diff.kernel(t[inside], v[inside], r)
             for k, g in zip(inside, grid):
