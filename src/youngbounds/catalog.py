@@ -108,12 +108,13 @@ def _half_hi(t):
 def _kernel(family, param):
     """(kernel, plan) of one member of a family, one formula for every t > 0.
 
-    kernel(t, v, r) reads floats and arbitrary arrays.  plan(v_row, r, arena)
-    serves a grid walk (verify._row_blocks): it tiles the v-only factors once
-    per walk, each into a view from the arena, and returns fill(t_col, out,
-    tmp), which computes the t-only factors as a column and writes the
-    kernel's block into out, with the kernel's ufuncs in the kernel's order,
-    so bit for bit.
+    kernel(t, v, r) reads floats and arbitrary arrays.  plan(t_col, v_row, r,
+    arena) serves a grid walk (verify._row_blocks): once per walk it computes
+    the t-only factors over the walk's whole t column, O(n_t) doubles each,
+    and tiles the v-only factors, each into a view from the arena.  It
+    returns fill(i0, out, tmp), which writes the kernel's block of rows i0,
+    i0 + 1, ... into out from slices of those columns, with the kernel's
+    ufuncs in the kernel's order, so bit for bit.
 
     The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
     c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
@@ -122,23 +123,23 @@ def _kernel(family, param):
     the weight picker and the base.
     """
     if family == "K-power":
-        def plan(v, r, arena):
-            weight = param(v, 1.0 - v, out=next(arena))
+        def plan(t, v, r, arena):
+            weight, log_k = param(v, 1.0 - v, out=next(arena)), np.log(_kantorovich(t))
 
-            def fill(t_col, out, tmp):
-                np.exp(np.multiply(weight[:len(t_col)], np.log(_kantorovich(t_col)), out=out),
-                       out=out)
+            def fill(i0, out, tmp):
+                np.exp(np.multiply(weight[:len(out)], log_k[i0:i0 + len(out)], out=out), out=out)
             return fill
         return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v)), plan
     if family == "FM":
-        def plan(v, r, arena):
+        def plan(t, v, r, arena):
             weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena))
             power = np.subtract(-v, 1.0, out=next(arena))
+            sq, log_base = _sq(t), np.log(param(t))
 
-            def fill(t_col, out, tmp):
-                m = len(t_col)
-                np.multiply(weight[:m], _sq(t_col), out=out)
-                np.exp(np.multiply(power[:m], np.log(param(t_col)), out=tmp), out=tmp)
+            def fill(i0, out, tmp):
+                m = len(out)
+                np.multiply(weight[:m], sq[i0:i0 + m], out=out)
+                np.exp(np.multiply(power[:m], log_base[i0:i0 + m], out=tmp), out=tmp)
                 np.add(1.0, np.multiply(out, tmp, out=out), out=out)
             return fill
         return (lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0),
@@ -146,11 +147,12 @@ def _kernel(family, param):
     c, s = ((1.0, _identity_arg) if family == "expr"
             else (0.5, _half_lo if family == "half-lo" else _half_hi))
 
-    def plan(v, r, arena):
-        cv, r = np.multiply(c * v, 1.0 - v, out=next(arena)), r if param is None else param
+    def plan(t, v, r, arena):
+        cv, st = np.multiply(c * v, 1.0 - v, out=next(arena)), s(t)
+        r = r if param is None else param
 
-        def fill(t_col, out, tmp):
-            _dexp(r, np.multiply(cv[:len(t_col)], s(t_col), out=out), out=out)
+        def fill(i0, out, tmp):
+            _dexp(r, np.multiply(cv[:len(out)], st[i0:i0 + len(out)], out=out), out=out)
         return fill
     return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan
 

@@ -172,7 +172,7 @@ class SandwichSpec:
 
     def __post_init__(self):
         values = (self.m, self.m_prime, self.M_prime, self.M)
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise SandwichViolationError(f"sandwich constants must be finite, got {values}")
         if not 0.0 < self.m <= self.m_prime < self.M_prime <= self.M:
             raise SandwichViolationError(
@@ -191,7 +191,7 @@ class SandwichSpec:
         return self.M_prime / self.m_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorCertificate:
     """One Loewner-order claim checked for one matrix pair.
 
@@ -210,6 +210,16 @@ class OperatorCertificate:
     holds: bool
     variant: str | None
     tol: float
+
+    # Fills __dict__ directly, as catalog.Certificate does.
+    def __init__(self, claim_id, scalar_factor, min_eigen_margin, holds, variant, tol):
+        fields = self.__dict__
+        fields["claim_id"] = claim_id
+        fields["scalar_factor"] = scalar_factor
+        fields["min_eigen_margin"] = min_eigen_margin
+        fields["holds"] = holds
+        fields["variant"] = variant
+        fields["tol"] = tol
 
 
 def _same_dim(A, B):
@@ -308,6 +318,7 @@ class _Pencil:
     X = L^{-1}bL^{-*}, symmetrized; lam = spec(X), read-only, on first use."""
 
     def __init__(self, a, b):
+        self.sandwich = self.means = None  # _certify's memo
         try:
             self.L = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
@@ -353,14 +364,23 @@ def _certify(A, B, v, s, tol, variant, claims):
     is loewner_leq's for the two diagonals.  An overflow in the factor's exp
     or log is numpy's, under the caller's np.errstate; its squares are float
     products and overflow to inf silently.  A factor that is not a finite
-    double (h or h' too large) raises DomainError.
+    double (h or h' too large) raises DomainError.  The pair's _Pencil keeps
+    the last s that validated (matched by identity; a failed one is never
+    kept) and the last v's means, so one pair's certificates validate and
+    reduce once.
     """
     _check_threshold("tol", tol)
-    if not validate_sandwich(A, B, s):
-        raise SandwichViolationError("matrices do not satisfy the declared sandwich")
-    lam = _pencil(A, B).lam
-    arithmetic, geometric = (1.0 - v) + v * lam, lam**v
-    arithmetic_scale = float(np.abs(arithmetic).max())
+    memo = A.__dict__.get("_pencil")
+    if memo is None or memo[0]() is not B or memo[1].sandwich is not s:
+        if not validate_sandwich(A, B, s):
+            raise SandwichViolationError("matrices do not satisfy the declared sandwich")
+    pencil = _pencil(A, B)
+    pencil.sandwich = s
+    if pencil.means is None or pencil.means[0] != v:
+        lam = pencil.lam
+        arithmetic = (1.0 - v) + v * lam
+        pencil.means = v, arithmetic, lam**v, float(np.abs(arithmetic).max())
+    _, arithmetic, geometric, arithmetic_scale = pencil.means
     for (claim_id, row), end, r in claims:
         factor = float(row.kernel(end, v, r))
         if not math.isfinite(factor):

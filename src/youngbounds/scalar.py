@@ -156,9 +156,11 @@ def _ratio(t, v):
     return np.where(extreme, log_form, plain)
 
 
-def _ratio_plan(v, r, arena):
-    """R's plan for a grid walk: fill(t_col, out, tmp) writes _ratio(t_col, v)
-    into out, bit for bit, from v, 1-v and -v tiled once per walk.
+def _ratio_plan(t, v, r, arena):
+    """R's plan for a grid walk: fill(i0, out, tmp) writes _ratio(t[i0:i0 + m], v)
+    into the m rows of out, bit for bit, from v, 1-v and -v tiled once per walk,
+    and from log t and each row's side of the window, taken once per walk over
+    the whole t column (O(n_t) doubles and bytes).
 
     A block inside the window takes the plain form and a wholly extreme one
     the log form, each in place with _ratio's ufuncs in _ratio's order; a
@@ -167,21 +169,21 @@ def _ratio_plan(v, r, arena):
     v_tile = next(arena)
     v_tile[...] = v
     rest, minus_v = np.subtract(1.0, v, out=next(arena)), np.negative(v, out=next(arena))
+    # One byte per row, 1 outside the window: a block's count is one bytes.count.
+    log_t, extreme = np.log(t), ((t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)).tobytes()
 
-    def fill(t_col, out, tmp):
-        extreme = (t_col < 1.0 / RATIO_LOG_FORM) | (t_col > RATIO_LOG_FORM)
-        some = extreme.any()
-        if some and not extreme.all():
+    def fill(i0, out, tmp):
+        m = len(out)
+        t_col, log_col, some = t[i0:i0 + m], log_t[i0:i0 + m], extreme.count(1, i0, i0 + m)
+        if 0 < some < m:
             np.copyto(out, _ratio(t_col, v))
             return
-        m = len(t_col)
         np.add(rest[:m], np.multiply(v_tile[:m], t_col, out=out), out=out)
-        log_t = np.log(t_col)
         if some:
-            np.subtract(np.log(out, out=out), np.multiply(v_tile[:m], log_t, out=tmp), out=out)
+            np.subtract(np.log(out, out=out), np.multiply(v_tile[:m], log_col, out=tmp), out=out)
             np.exp(out, out=out)
         else:
-            np.multiply(out, np.exp(np.multiply(minus_v[:m], log_t, out=tmp), out=tmp), out=out)
+            np.multiply(out, np.exp(np.multiply(minus_v[:m], log_col, out=tmp), out=tmp), out=out)
 
     return fill
 

@@ -14,25 +14,26 @@ Three jobs live here:
 Scans are deterministic.  Grids are walked with t as the outer axis, in
 blocks of whole t-rows of about _BLOCK_POINTS points each (never less than
 one row), in ascending row-major order.  A walk builds a plan once: the
-plan of each row it reads (catalog._kernel, scalar._ratio_plan) tiles the
-row's v-only factors, and its fill writes each block in place, with the
-kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
+plan of each row it reads (catalog._kernel, scalar._ratio_plan) computes the
+row's t-only factors once over the walk's whole t column and tiles its v-only
+factors, and its fill writes each block in place from slices of those, with
+the kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
 arena that the walk owns (_row_blocks).  Each block is reduced on the spot
 to its first extremum, and the walk picks one of those at the end (_pick),
 as one whole-grid argmin/argmax would: the first NaN, or else the first
-least or greatest value.  Every reported value is the
-value the kernels give on the whole grid, bit for bit, and each view holds
-at most max(_BLOCK_POINTS, n_v) points, whatever n_t.  Each block does only
-the work its verdict needs: a block whose t all lie outside [1e-3, 1e3]
-evaluates R in its log form only, and a sweep counts a block's violations
-only when its least margin is below -tol or is NaN (the least margin is the
-first NaN if there is one).  A
-sweep reports a NaN margin (it is a violation); the witness search skips
-non-finite values (NaN, and the infinities left where one side of a
-difference overflowed), which are evidence of neither sign, so its extrema
-are the first extrema of the finite values.  The kernels leave numpy's error
-state alone; sweep and find_sign_change silence overflow and invalid
-operations once per call.
+least or greatest value.  Every reported value is the value the kernels
+give on the whole grid, bit for bit.  Each view holds at most
+max(_BLOCK_POINTS, n_v) points, whatever n_t; the t-only columns are O(n_t)
+doubles each, the order of the t grid the walk already holds.  Each block
+does only the work its verdict needs: a block whose t all lie outside
+[1e-3, 1e3] evaluates R in its log form only, and a sweep counts a block's
+violations only when its least margin is below -tol or is NaN (the least
+margin is the first NaN if there is one).  A sweep reports a NaN margin (it
+is a violation); the witness search skips non-finite values (NaN, and the
+infinities left where one side of a difference overflowed), which are
+evidence of neither sign, so its extrema are the first extrema of the finite
+values.  The kernels leave numpy's error state alone; sweep and
+find_sign_change silence overflow and invalid operations once per call.
 """
 
 import math
@@ -142,8 +143,8 @@ class _Diff:
     def kernel(self, t, v, r):
         return self.lhs.kernel(t, v, r) - self.rhs.kernel(t, v, None)
 
-    def plan(self, v, r, arena):
-        return _subtract(self.lhs.plan(v, r, arena), self.rhs.plan(v, None, arena), arena)
+    def plan(self, t, v, r, arena):
+        return _subtract(self.lhs.plan(t, v, r, arena), self.rhs.plan(t, v, None, arena), arena)
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -254,21 +255,22 @@ def _arena(rows, n_v):
 def _row_blocks(plan, tg, vg, r):
     """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
 
-    The walk builds plan(vg, r, arena) once: the plan takes its v tiles from
-    the walk's arena, each filled by the last ufunc of its v factor.  Its
-    fill(t_col, out, tmp) then writes each block, a column of t against the
-    row of v, into the same (rows, vg.size) view of the arena.  A block is
-    valid until the walk advances.
+    The walk builds plan(tg[:, None], vg, r, arena) once: the plan computes
+    its t-only factors over the whole t column, O(n_t) doubles each, the
+    order of tg itself, and takes its v tiles from the walk's arena, each
+    filled by the last ufunc of its v factor.  Its fill(i0, out, tmp) then
+    writes each block, rows i0, i0 + 1, ... of t against the row of v, from
+    slices of those columns into the same (rows, vg.size) view of the arena,
+    at most max(_BLOCK_POINTS, n_v) points.  A block is valid until the walk
+    advances.
     """
     rows = min(max(1, _BLOCK_POINTS // vg.size), tg.size)
     arena = _arena(rows, vg.size)
     out, tmp = next(arena), next(arena)
-    fill = plan(vg, r, arena)
+    fill = plan(tg[:, None], vg, r, arena)
     for i0 in range(0, tg.size, rows):
-        t_col = tg[i0:i0 + rows, None]
-        m = len(t_col)
-        block = out[:m]
-        fill(t_col, block, tmp[:m])
+        block = out[:min(rows, tg.size - i0)]
+        fill(i0, block, tmp[:len(block)])
         yield i0, block
 
 
@@ -277,9 +279,9 @@ def _subtract(fill_lhs, fill_rhs, arena):
     arena as its scratch, then one subtract in place."""
     scratch = next(arena)
 
-    def fill(t_col, out, tmp):
-        fill_lhs(t_col, out, tmp)
-        fill_rhs(t_col, tmp, scratch[:len(t_col)])
+    def fill(i0, out, tmp):
+        fill_lhs(i0, out, tmp)
+        fill_rhs(i0, tmp, scratch[:len(out)])
         np.subtract(out, tmp, out=out)
     return fill
 
@@ -337,8 +339,8 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
 
     # The margin (catalog._margin): bound - R for an upper row, R - bound for
     # a lower one.
-    def margin(v, r, arena):
-        bound, ratio = entry.plan(v, r, arena), _R_ROW.plan(v, None, arena)
+    def margin(t, v, r, arena):
+        bound, ratio = entry.plan(t, v, r, arena), _R_ROW.plan(t, v, None, arena)
         return _subtract(bound, ratio, arena) if upper else _subtract(ratio, bound, arena)
 
     tg = region.t_grid()

@@ -26,6 +26,7 @@ from youngbounds import (
     haar_unitary,
     hermitian_power,
     loewner_leq,
+    operators,
     random_sandwich_pair,
     read_matrix,
     validate_sandwich,
@@ -984,6 +985,48 @@ def test_pencil_memo_does_not_keep_b_alive():
     # the memo no longer matches anything; a new B is computed afresh
     B_new = random_hpd(3, rng)
     assert _pencil(A, B_new).lam is not lam
+
+
+def test_a_failing_sandwich_raises_after_one_that_held():
+    # The pair keeps the spec that validated, never one that failed: B's
+    # eigenvalues lie in [1, 1.3], so a spec claiming [1.5, 1.6] for it fails.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0, "ii")
+    A, B = random_sandwich_pair(s, 4, np.random.default_rng(101), commuting=False)
+    assert certify_corollary_one(A, B, 0.3, 0.5, s).holds
+    bad = SandwichSpec(1.5, 1.6, 2.0, 5.0, "ii")
+    for _ in range(2):
+        with pytest.raises(SandwichViolationError):
+            certify_corollary_two(A, B, 0.3, -0.5, 0.5, bad)
+    assert certify_corollary_one(A, B, 0.3, 0.5, s).holds
+
+
+def test_certificates_at_a_new_weight_equal_a_fresh_pairs():
+    rng = np.random.default_rng(103)
+    s = random_spec(rng, "i")
+    A, B = random_sandwich_pair(s, 5, rng, commuting=False)
+    spectral_certificates(A, B, 0.3, s, 0)
+    for k, v in enumerate((0.7, 0.3, 0.0, 1.0, 0.7)):
+        fresh = HermitianMatrix(A.entries), HermitianMatrix(B.entries)
+        assert repr(spectral_certificates(A, B, v, s, k)) == \
+            repr(spectral_certificates(*fresh, v, s, k))
+
+
+def test_one_instance_validates_its_sandwich_twice(monkeypatch):
+    # The calls of one operator-certify instance of the benchmark: the direct
+    # validation, and the first certificate's; the two after it reuse it.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    a, b = random_sandwich_pair(s, 4, np.random.default_rng(107), commuting=False)
+    A, B = HermitianMatrix(a.entries), HermitianMatrix(b.entries)
+    calls = []
+    real = operators.validate_sandwich
+    monkeypatch.setattr(operators, "validate_sandwich",
+                        lambda *args: calls.append(1) or real(*args))
+    assert operators.validate_sandwich(A, B, s)
+    assert loewner_leq(weighted_geometric(A, B, 0.3), weighted_arithmetic(A, B, 0.3))[0]
+    certify_corollary_one(A, B, 0.3, 0.5, s)
+    for variant in ("interval-extremal", "as-stated"):
+        certify_corollary_two(A, B, 0.3, -0.5, 0.5, s, variant)
+    assert len(calls) == 2
 
 
 def test_operator_layer_imports_numpy_only():

@@ -391,6 +391,18 @@ def test_witness_search_memory_is_set_by_the_block_not_the_grid():
     assert _traced_peak(lambda: find_sign_change("diff-l", region, 1e-3)) < 2 * 2**20
 
 
+@pytest.mark.parametrize("bound_id", ["K-upper", "FM-m", "C38-lo"])
+def test_sweep_holds_a_few_t_columns_beside_the_t_grid(bound_id):
+    # A walk computes each t-only factor once over the whole t column, so a
+    # 200,000x2 sweep holds a few columns of tg's size.  Walks that computed
+    # them per block peaked at 2 x tg.nbytes here, while np.geomspace built tg.
+    lo, hi = _WIDE_WINDOWS[catalog.get_bound(bound_id).region]
+    region = Region(lo, hi, 0.0, 1.0, LOG, 200_000, 2)
+    column = region.t_grid().nbytes
+    sweep(bound_id, region)
+    assert _traced_peak(lambda: sweep(bound_id, region)) < (2 + 3) * column
+
+
 def test_every_kernel_returns_whole_row_blocks(monkeypatch):
     # _block_extremum's divmod reads each block as (rows, n_v): the walk of
     # every catalog and difference plan must yield that full shape, the
@@ -434,23 +446,32 @@ def _walk(plan, tg, vg, r):
     return blocks
 
 
-@pytest.mark.parametrize("block_points", [14, 5, None], ids=["two-row", "one-row", "default"])
+# (block points, or None for the real block size; t grid; v grid) per walk.
+_PLAN_GRIDS = {
+    "two-row": (14, _EDGE_T, _EDGE_V),
+    "one-row": (5, _EDGE_T, _EDGE_V),
+    # A 600x301 wide grid at the real block size: a ragged last block,
+    # in-window blocks and wholly extreme ones at both ends.
+    "default": (None, np.geomspace(1e-9, 1e9, 600), np.linspace(0.0, 1.0, 301)),
+    # A refinement window clipped at its region's edge t = 2e3: in-window,
+    # straddling and wholly extreme blocks, the last ones of one repeated t.
+    "refine-edge": (14, verify._refine_axis(1e3, 0.5, 1e-9, 2e3, True), _EDGE_V),
+    # One block holding both extremes and no t inside the window.
+    "extremes": (None, np.array([1e-6, 1e6]), _EDGE_V),
+}
+
+
+@pytest.mark.parametrize("grid", list(_PLAN_GRIDS))
 @pytest.mark.parametrize("name, plan, kernel, r", _PLANS,
                          ids=[f"{name}@{r}" for name, _, _, r in _PLANS])
-def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, block_points,
-                                                 monkeypatch):
-    if block_points is None:
-        # A 600x301 wide grid at the real block size: a ragged last block,
-        # in-window blocks and wholly extreme ones at both ends.
-        tg = np.geomspace(1e-9, 1e9, 600)
-        vg = np.linspace(0.0, 1.0, 301)
-    else:
+def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, grid, monkeypatch):
+    block_points, tg, vg = _PLAN_GRIDS[grid]
+    if block_points is not None:
         monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
-        tg, vg = _EDGE_T, _EDGE_V
     with np.errstate(all="ignore"):
         want = np.broadcast_to(kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
         blocks = _walk(plan, tg, vg, r)
-    rows = 2 if block_points == 14 else 1 if block_points == 5 else verify._BLOCK_POINTS // 301
+    rows = max(1, verify._BLOCK_POINTS // vg.size)
     assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
     got = np.concatenate([block for _, block in blocks])
     assert got.tobytes() == want.tobytes()
