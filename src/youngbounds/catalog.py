@@ -151,8 +151,10 @@ def _kernel(family, param):
         cv, st = np.multiply(c * v, 1.0 - v, out=next(arena)), s(t)
         r = r if param is None else param
 
+        # x = c v(1-v) s(t) is >= 0, or NaN where 0 * inf: nonneg.
         def fill(i0, out, tmp):
-            _dexp(r, np.multiply(cv[:len(out)], st[i0:i0 + len(out)], out=out), out=out)
+            x = np.multiply(cv[:len(out)], st[i0:i0 + len(out)], out=out)
+            _dexp(r, x, out=out, nonneg=True)
         return fill
     return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan
 

@@ -162,28 +162,37 @@ def _ratio_plan(t, v, r, arena):
     and from log t and each row's side of the window, taken once per walk over
     the whole t column (O(n_t) doubles and bytes).
 
-    A block inside the window takes the plain form and a wholly extreme one
-    the log form, each in place with _ratio's ufuncs in _ratio's order; a
-    block that straddles the window takes _ratio itself and copies it.
+    Each maximal run of a block's rows on one side of the window takes that
+    side's form, in place with _ratio's ufuncs in _ratio's order: the plain
+    form inside the window, the log form outside.  So a block that straddles
+    the window costs what its runs cost, not both forms at every point.
     """
     v_tile = next(arena)
     v_tile[...] = v
     rest, minus_v = np.subtract(1.0, v, out=next(arena)), np.negative(v, out=next(arena))
-    # One byte per row, 1 outside the window: a block's count is one bytes.count.
+    # One byte per row, 1 outside the window: a run ends at one bytes.find.
     log_t, extreme = np.log(t), ((t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)).tobytes()
 
-    def fill(i0, out, tmp):
+    def fill_run(i0, out, tmp, outside):
         m = len(out)
-        t_col, log_col, some = t[i0:i0 + m], log_t[i0:i0 + m], extreme.count(1, i0, i0 + m)
-        if 0 < some < m:
-            np.copyto(out, _ratio(t_col, v))
-            return
+        t_col, log_col = t[i0:i0 + m], log_t[i0:i0 + m]
         np.add(rest[:m], np.multiply(v_tile[:m], t_col, out=out), out=out)
-        if some:
+        if outside:
             np.subtract(np.log(out, out=out), np.multiply(v_tile[:m], log_col, out=tmp), out=out)
             np.exp(out, out=out)
         else:
             np.multiply(out, np.exp(np.multiply(minus_v[:m], log_col, out=tmp), out=tmp), out=out)
+
+    # The run loop is its own closure: a fill_run that called itself would
+    # hold its own cell, a cycle keeping the walk's arena until gc runs.
+    def fill(i0, out, tmp):
+        start, end = i0, i0 + len(out)
+        while start < end:
+            outside = extreme[start]
+            stop = extreme.find(1 - outside, start, end)
+            stop = end if stop < 0 else stop
+            fill_run(start, out[start - i0:stop - i0], tmp[start - i0:stop - i0], outside)
+            start = stop
 
     return fill
 
@@ -205,11 +214,13 @@ def _identity_arg(t):
     return _sq(t) / t
 
 
-def _dexp(r, x, out=None):
+def _dexp(r, x, out=None, nonneg=False):
     """exp_r(x) = (1+rx)^(1/r) for a float r and float/array x, written into
     the array out (x itself allowed) when out is given.
 
-    Requires 1 + r*x >= 0.  The boundary 1 + r*x = 0 maps to the limit
+    Requires 1 + r*x >= 0, checked in one pass over x.  nonneg promises
+    every x is >= 0 or NaN: then at r > 0, 1 + r*x >= 1 or NaN, and the pass
+    is skipped (r <= 0 keeps it).  The boundary 1 + r*x = 0 maps to the limit
     value: 0 for r > 0, +inf for r < 0, which numpy reports as a divide by
     zero under the caller's np.errstate.  1 * x and -1 * x are exact, so at
     r = +-1 the code forms 1 + x or 1 - x and returns it or its reciprocal.
@@ -231,9 +242,11 @@ def _dexp(r, x, out=None):
         arg = np.multiply(r, x, out=out)
     # fmin skips NaN, so one pass finds the least defined value; the initial
     # value lets an empty array through.
-    least = np.fmin.reduce(arg, axis=None, initial=np.inf) if isinstance(arg, np.ndarray) else arg
-    if least < (0.0 if unit else -1.0):
-        raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
+    if not (nonneg and r > 0.0):
+        least = (np.fmin.reduce(arg, axis=None, initial=np.inf)
+                 if isinstance(arg, np.ndarray) else arg)
+        if least < (0.0 if unit else -1.0):
+            raise DomainError(f"exp_r undefined: 1 + r*x < 0 at r={r}")
     if r == 1.0:
         return arg
     if out is not None:

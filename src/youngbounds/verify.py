@@ -25,15 +25,17 @@ least or greatest value.  Every reported value is the value the kernels
 give on the whole grid, bit for bit.  Each view holds at most
 max(_BLOCK_POINTS, n_v) points, whatever n_t; the t-only columns are O(n_t)
 doubles each, the order of the t grid the walk already holds.  Each block
-does only the work its verdict needs: a block whose t all lie outside
-[1e-3, 1e3] evaluates R in its log form only, and a sweep counts a block's
-violations only when its least margin is below -tol or is NaN (the least
-margin is the first NaN if there is one).  A sweep reports a NaN margin (it
-is a violation); the witness search skips non-finite values (NaN, and the
-infinities left where one side of a difference overflowed), which are
-evidence of neither sign, so its extrema are the first extrema of the finite
-values.  The kernels leave numpy's error state alone; sweep and
-find_sign_change silence overflow and invalid operations once per call.
+does only the work its verdict needs: each run of a block's rows on one side
+of [1e-3, 1e3] evaluates R in that side's form only, a deformed row at r > 0
+skips exp_r's domain pass (its argument is >= 0 or NaN, so it cannot fail),
+and a sweep counts a block's violations only when its least margin is below
+-tol or is NaN (the least margin is the first NaN if there is one).  A
+sweep reports a NaN margin (it is a violation); the witness search skips
+non-finite values (NaN, and the infinities left where one side of a
+difference overflowed), which are evidence of neither sign, so its extrema
+are the first extrema of the finite values.  The kernels leave numpy's
+error state alone; sweep and find_sign_change silence overflow and invalid
+operations once per call.
 """
 
 import math
@@ -294,7 +296,7 @@ def _block_extremum(block, i0, lower, skip_nonfinite=False):
     non-finite); only a block whose plain argmin/argmax lands on a
     non-finite value pays for the second, finite-only search.
     """
-    flat = int(np.argmin(block) if lower else np.argmax(block))
+    flat = int(block.argmin() if lower else block.argmax())
     i, j = divmod(flat, block.shape[1])
     value = float(block[i, j])
     if skip_nonfinite and not math.isfinite(value):

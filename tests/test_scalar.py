@@ -307,6 +307,25 @@ def test_dexp_domain_edge_is_r_x_equal_to_minus_one(r):
                     _dexp(r, arg, out=arg)
 
 
+# x >= 0 or NaN, edges first: zero, the least subnormal, the least normal,
+# where exp overflows, +inf and NaN.
+_NONNEG_X = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 709.79, math.inf,
+                                       math.nan]),
+                      st.floats(0.0, allow_infinity=True))
+
+
+@given(st.one_of(st.sampled_from([1.0, 2.0, 1e-22, 5e-324]), st.floats(0.0, 2.0, exclude_min=True)),
+       st.lists(_NONNEG_X, min_size=1, max_size=8))
+@relaxed
+def test_dexp_skips_its_domain_pass_for_nonneg_x_at_positive_r(r, xs):
+    # With r > 0 and every x >= 0 or NaN, 1 + r*x cannot fall below 1: the
+    # unchecked call writes the checked call's bits.
+    with np.errstate(all="ignore"):
+        checked = _dexp(r, np.array(xs), out=np.empty(len(xs)))
+        unchecked = _dexp(r, np.array(xs), out=np.empty(len(xs)), nonneg=True)
+    assert unchecked.tobytes() == checked.tobytes()
+
+
 def test_point_admission_messages():
     # One t rule and one v rule, each quoting the value it was given.
     cases = [

@@ -1,8 +1,10 @@
 """Sweep, sign-change search, and reference-table checks."""
 
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from youngbounds import (
     sweep,
     tightest,
 )
-from youngbounds import catalog, verify
+from youngbounds import catalog, scalar, verify
 from youngbounds.errors import (
     DomainError,
     RegionError,
@@ -458,6 +460,13 @@ _PLAN_GRIDS = {
     "refine-edge": (14, verify._refine_axis(1e3, 0.5, 1e-9, 2e3, True), _EDGE_V),
     # One block holding both extremes and no t inside the window.
     "extremes": (None, np.array([1e-6, 1e6]), _EDGE_V),
+    # Blocks of three rows, each row's side of the window set by its own t:
+    # extreme, in-window, extreme; then in-window, extreme, in-window; the
+    # window's ends 1e-3 and 1e3 inside it, their outer neighbours outside.
+    "three-runs": (21, np.array([1e-300, 1e-3, np.nextafter(1e3, np.inf), 1e3,
+                                 np.nextafter(1e-3, 0.0), 0.5, 1e300]), _EDGE_V),
+    # Unsorted t: runs of every length in either order, at both ends.
+    "unsorted": (35, np.random.default_rng(7).permutation(np.geomspace(1e-9, 1e9, 61)), _EDGE_V),
 }
 
 
@@ -475,6 +484,56 @@ def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, grid, mo
     assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
     got = np.concatenate([block for _, block in blocks])
     assert got.tobytes() == want.tobytes()
+
+
+def test_plan_walks_never_call_the_ratio_kernel(monkeypatch):
+    # The kernel _ratio stays the reference for points and evaluate_grid; a
+    # walk fills every block, straddling ones included, from its plan alone.
+    def refuse(t, v):
+        raise AssertionError("a plan walk called scalar._ratio")
+
+    monkeypatch.setattr(scalar, "_ratio", refuse)
+    sweep("K-upper", Region(1e-9, 1e9, 0.0, 1.0, LOG, 600, 301))
+    find_sign_change("diff-ropt", Region(1e-7, 1e4, 0.99, 1.0, LOG, 81, 41), 1e-5, r=1.001)
+    default = verify._BLOCK_POINTS
+    with np.errstate(all="ignore"):
+        for block_points, tg, vg in _PLAN_GRIDS.values():
+            monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points or default)
+            for _, plan, _, r in _PLANS:
+                _walk(plan, tg, vg, r)
+
+
+def test_a_walk_frees_its_arena_by_reference_counting(monkeypatch):
+    # With the cyclic collector off, a walk's arena must be gone once the
+    # walk ends: a plan whose closures formed a cycle would keep every view
+    # alive until the next collection, and a process of many walks would hold
+    # many arenas at once.
+    refs, arena = [], verify._arena
+
+    def tracked(rows, n_v):
+        views = list(arena(rows, n_v))
+        refs.extend(weakref.ref(view) for view in [views[0].base, *views])
+        return iter(views)
+
+    monkeypatch.setattr(verify, "_arena", tracked)
+    straddling = np.geomspace(1e-4, 1e4, 600)
+    walks = [
+        lambda: sweep("C33-expr", Region(1e-9, 1e9, 0.0, 1.0, LOG, 600, 301), deform=0.5),
+        lambda: find_sign_change("diff-ropt", Region(1e-7, 1e4, 0.99, 1.0, LOG, 81, 41), 1e-5,
+                                 r=1.001),
+        lambda: _walk(scalar._R_ROW.plan, straddling, _EDGE_V, None),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for walk in walks:
+            del refs[:]
+            with np.errstate(all="ignore"):
+                walk()
+            assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_interleaved_walks_yield_the_blocks_of_separate_walks(monkeypatch):
