@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
 from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp,
-                     _identity_arg, _kantorovich, _pow, _row, _sq)
+                     _identity_arg, _kantorovich, _pow, _record, _row, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -50,10 +50,7 @@ class BoundSpec:
     description: str
 
 
-# Certificate and ChainLink are built many times per point query, so each
-# fills its __dict__ directly (init=False): the generated __init__ of a frozen
-# dataclass sets every field through object.__setattr__.
-@dataclass(frozen=True, init=False)
+@_record
 class Certificate:
     """One inequality checked at one point.
 
@@ -69,28 +66,13 @@ class Certificate:
     holds: bool
     tol: float
 
-    def __init__(self, bound_id, point, ratio_value, bound_value, margin, holds, tol):
-        fields = self.__dict__
-        fields["bound_id"] = bound_id
-        fields["point"] = point
-        fields["ratio_value"] = ratio_value
-        fields["bound_value"] = bound_value
-        fields["margin"] = margin
-        fields["holds"] = holds
-        fields["tol"] = tol
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class ChainLink:
     """One inequality of the t <= 1 ordering chain and its signed margin."""
 
     claim: str
     margin: float
-
-    def __init__(self, claim, margin):
-        fields = self.__dict__
-        fields["claim"] = claim
-        fields["margin"] = margin
 
 
 # The one square of each half-square family: (s-1)^2 with s = min{t, 1/t} (lo)

@@ -291,6 +291,7 @@ def build_parser():
                     "non-ordering witnesses, and check operator-mean claims.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # the subcommand parsers by name, filled below
 
     p_eval = sub.add_parser("eval", help="certify one bound at one point")
     p_eval.add_argument("--bound", required=True, choices=catalog.bound_ids())
@@ -350,13 +351,7 @@ def build_parser():
 @functools.cache
 def _parser():
     # Parsing does not change the parser, so one serves every call of main.
-    # Its subcommand parsers by name are kept on it, so cache_clear drops both.
-    # argparse has no public handle on them: _actions and _SubParsersAction
-    # are its internal names, checked on Python 3.10 through 3.13.
-    parser = build_parser()
-    parser.commands = next(action.choices for action in parser._actions
-                           if isinstance(action, argparse._SubParsersAction))
-    return parser
+    return build_parser()
 
 
 def _parse(tokens):

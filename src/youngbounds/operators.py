@@ -47,7 +47,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from .scalar import _admit_r, _admit_v, _check_threshold
+from .scalar import _admit_r, _admit_v, _check_threshold, _record
 
 # Construction rejects matrices whose skew part exceeds this relative size.
 HERMITIAN_TOL = 1e-12
@@ -191,7 +191,7 @@ class SandwichSpec:
         return self.M_prime / self.m_prime
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class OperatorCertificate:
     """One Loewner-order claim checked for one matrix pair.
 
@@ -210,16 +210,6 @@ class OperatorCertificate:
     holds: bool
     variant: str | None
     tol: float
-
-    # Fills __dict__ directly, as catalog.Certificate does.
-    def __init__(self, claim_id, scalar_factor, min_eigen_margin, holds, variant, tol):
-        fields = self.__dict__
-        fields["claim_id"] = claim_id
-        fields["scalar_factor"] = scalar_factor
-        fields["min_eigen_margin"] = min_eigen_margin
-        fields["holds"] = holds
-        fields["variant"] = variant
-        fields["tol"] = tol
 
 
 def _same_dim(A, B):

@@ -20,6 +20,7 @@ from numpy's square in the last bit and raises OverflowError where the
 product would give inf.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -38,6 +39,26 @@ R_ZERO_SWITCH = 1e-22
 RATIO_LOG_FORM = 1e3
 
 
+def _record(cls):
+    """cls as a frozen dataclass whose __init__ takes one parameter per field,
+    in field order with no defaults, and stores each into __dict__.
+
+    The generated __init__ of a frozen dataclass sets every field through
+    object.__setattr__, which took 2.6-2.8x as long for a 7-field record,
+    and the point path builds many records per query.  The __init__ is
+    compiled with exec, as dataclasses compiles its own: a zip over the
+    fields or a keyword __dict__.update took 1.4-2x as long.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    stores = "".join(f"    fields[{name!r}] = {name}\n" for name in names)
+    namespace = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n    fields = self.__dict__\n{stores}",
+         namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
 @dataclass(frozen=True, init=False)
 class EvalPoint:
     """A (t, v) evaluation point: t > 0, weight v in [0, 1]."""
@@ -45,9 +66,8 @@ class EvalPoint:
     t: float
     v: float
 
-    # Fills __dict__ directly: the generated __init__ of a frozen dataclass
-    # sets each field through object.__setattr__, which costs more than the
-    # point's validation.
+    # Fills __dict__ directly, as _record's __init__s do, but admits t and v
+    # first and starts the row memo, so it is written by hand.
     def __init__(self, t, v):
         fields = self.__dict__
         fields["t"] = _admit_t(t)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import _R_ROW, EvalPoint, _check_threshold, _finite_r, _row
+from .scalar import _R_ROW, EvalPoint, _check_threshold, _finite_r, _record, _row
 
 LINEAR = "linear"
 LOG = "log"
@@ -102,7 +102,7 @@ class Region:
         return np.linspace(self.v_min, self.v_max, self.n_v)
 
 
-@dataclass(frozen=True)
+@_record
 class SweepReport:
     """Outcome of certifying one bound over a full grid."""
 
@@ -113,7 +113,7 @@ class SweepReport:
     argmin_point: EvalPoint
 
 
-@dataclass(frozen=True)
+@_record
 class NonOrderingWitness:
     """Two points where a difference function takes strictly opposite signs."""
 
@@ -191,7 +191,7 @@ REMARK_VALUES = (
 )
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class RemarkRow:
     """One recomputed reference value and its absolute error."""
 
@@ -199,14 +199,6 @@ class RemarkRow:
     paper_value: float
     computed: float
     abs_error: float
-
-    # Fills __dict__ directly, as catalog.Certificate does.
-    def __init__(self, label, paper_value, computed, abs_error):
-        fields = self.__dict__
-        fields["label"] = label
-        fields["paper_value"] = paper_value
-        fields["computed"] = computed
-        fields["abs_error"] = abs_error
 
 
 def diff_ids():

@@ -2,6 +2,7 @@
 and a reference kernel per entry that the catalog must match bit for bit."""
 
 import dataclasses
+import inspect
 import pickle
 
 import numpy as np
@@ -24,7 +25,7 @@ from youngbounds import (
     tightest,
     young_ratio,
 )
-from youngbounds import catalog, scalar, verify
+from youngbounds import catalog, operators, scalar, verify
 from youngbounds.catalog import ALL_T, LOWER, T_GE_1, T_LE_1, UPPER
 from youngbounds.errors import DomainError, RegionError, UnknownBoundError
 
@@ -306,6 +307,18 @@ _RECORDS = {
     "ChainLink": (catalog.ChainLink, ("claim", "margin"), ("FM-m <= ratio", 0.25)),
     "RemarkRow": (verify.RemarkRow, ("label", "paper_value", "computed", "abs_error"),
                   ("l(1/2,1/5)", 0.0155215, 0.01552151, 1e-8)),
+    "SweepReport": (verify.SweepReport,
+                    ("bound_id", "n_points", "n_violations", "min_margin", "argmin_point"),
+                    ("K-upper", 4, 0, 0.0, EvalPoint(1.0, 0.5))),
+    "NonOrderingWitness": (verify.NonOrderingWitness,
+                           ("diff_id", "point_pos", "point_neg", "value_pos", "value_neg",
+                            "delta"),
+                           ("diff-l", EvalPoint(0.5, 0.2), EvalPoint(5.0, 0.2), 0.0155,
+                            -0.0683, 1e-3)),
+    "OperatorCertificate": (operators.OperatorCertificate,
+                            ("claim_id", "scalar_factor", "min_eigen_margin", "holds",
+                             "variant", "tol"),
+                            ("corollary-two-upper", 1.25, 0.0625, True, "as-stated", 1e-10)),
 }
 
 
@@ -314,6 +327,11 @@ def test_point_path_records_are_frozen_dataclasses(name):
     cls, names, values = _RECORDS[name]
     assert [f.name for f in dataclasses.fields(cls)] == list(names)
     assert tuple(cls.__dataclass_fields__) == names
+    # one positional-or-keyword parameter per field, in field order, no defaults
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == list(names)
+    assert {(p.kind, p.default) for p in parameters} == {
+        (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)}
     record = cls(*values)
     assert record == cls(**dict(zip(names, values)))
     assert hash(record) == hash(cls(*values))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import youngbounds
-from youngbounds import HermitianMatrix, catalog, cli, verify, write_matrix
+from youngbounds import HermitianMatrix, catalog, cli, operators, verify, write_matrix
 from youngbounds.cli import main
 
 
@@ -124,10 +124,17 @@ def _generated_init(cls):
     (("eval", "--bound", "C33-expr", "--t", "0.3", "--v", "0.4"), catalog, "Certificate"),
     (("eval", "--bound", "FM-m", "--t", "0.7", "--v", "0.2"), catalog, "Certificate"),
     (("remarks",), verify, "RemarkRow"),
-], ids=["eval-C33-expr", "eval-FM-m", "remarks"])
+    (("sweep", "--bound", "K-lower", "--t-max", "1e9", "--nt", "60", "--nv", "11"), verify,
+     "SweepReport"),
+    (("witness", "--diff", "diff-l"), verify, "NonOrderingWitness"),
+    (("operator", "--a", "{a}", "--b", "{b}", "--v", "0.4", "--claim", "two", "--m", "1",
+      "--mprime", "1", "--Mprime", "2", "--M", "6"), operators, "OperatorCertificate"),
+], ids=["eval-C33-expr", "eval-FM-m", "remarks", "sweep", "witness", "operator"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_envelopes_do_not_depend_on_the_record_constructor(capsys, monkeypatch, argv, module,
-                                                          name, fmt):
+def test_envelopes_do_not_depend_on_the_record_constructor(capsys, monkeypatch, end_hitting_pair,
+                                                          argv, module, name, fmt):
+    a, b = end_hitting_pair
+    argv = [token.format(a=a, b=b) for token in argv]
     written = run(capsys, *argv, "--format", fmt)
     monkeypatch.setattr(module, name, _generated_init(getattr(module, name)))
     assert run(capsys, *argv, "--format", fmt) == written

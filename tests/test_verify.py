@@ -857,3 +857,37 @@ def test_reference_table_matches_independent_recomputation():
 
 def test_reference_table_is_deterministic():
     assert reproduce_remarks() == reproduce_remarks()
+
+
+# The known false verdicts (ROADMAP "Where things stand").  Each test asserts
+# the correct verdict and is a strict xfail: the change that mends one must
+# drop its marker.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: at t = 1e200 K-lower's linear margin reads bound inf, margin -inf; "
+    "test_cli.py::test_eval_past_overflow_writes_one_stderr_line asserts exit 1 for the "
+    "same defect at v in {0, 1}"))
+def test_k_lower_holds_past_overflow_on_its_equality_curve():
+    # at v = 1/2, K-lower is sqrt(K(t)), which equals R exactly
+    assert certify_point("K-lower", EvalPoint(1e200, 0.5)).holds
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: past t ~ 1e154 the linear margin is NaN at v = 0 (48 violations)"))
+def test_d1_exp_holds_on_a_window_to_1e300():
+    assert sweep("D1-exp", Region(1e-3, 1e300, 0.0, 1.0, LOG, 50, 11)).n_violations == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 1-2: the absolute tol 1e-12 reads rounding as violation where K-upper "
+    "equals R at v = 1/2 (10 violations, min -2.73e-11 at t = 9.0e8)"))
+def test_k_upper_holds_on_its_equality_curve_to_1e9():
+    assert sweep("K-upper", Region(1.0, 1e9, 0.0, 1.0, LOG, 200, 101)).n_violations == 0
+
+
+@pytest.mark.xfail(strict=True, raises=WitnessNotFoundError, reason=(
+    "ROADMAP item 3: the preset window's search finds no negative value below -2.22e-16 "
+    "after depth 3, so it cannot show that C33-expr's r <= 1 is sharp"))
+def test_diff_ropt_witness_shows_r_past_1_fails():
+    t_lo, t_hi, delta = DIFF_PRESETS["diff-ropt"]
+    w = find_sign_change("diff-ropt", Region(t_lo, t_hi, 0.0, 1.0, LOG, 41, 41), delta, r=1.001)
+    assert w.value_pos > delta and w.value_neg < -delta
