@@ -101,17 +101,26 @@ def _kernel(family, param):
     The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
     c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
     family's one square otherwise.  Their param is the fixed r, or None for the
-    caller's (a fixed-r entry is called with r = None).  K-power and FM take
-    the weight picker and the base.
+    caller's (a fixed-r entry is called with r = None).  K-power takes the
+    weight picker as a ufunc and a builtin, FM the base.
     """
     if family == "K-power":
+        # The ufunc picks for arrays and the plan, the builtin for a float:
+        # on two floats the ufunc takes about 1 us, the builtin 0.18 us, and
+        # they agree on every v in [0, 1].
+        pick_array, pick = param
+
         def plan(t, v, r, arena):
-            weight, log_k = param(v, 1.0 - v, out=next(arena)), np.log(_kantorovich(t))
+            weight, log_k = pick_array(v, 1.0 - v, out=next(arena)), np.log(_kantorovich(t))
 
             def fill(i0, out, tmp):
                 np.exp(np.multiply(weight[:len(out)], log_k[i0:i0 + len(out)], out=out), out=out)
             return fill
-        return lambda t, v, r: _pow(_kantorovich(t), param(v, 1.0 - v)), plan
+
+        def kernel(t, v, r):
+            weight = pick_array(v, 1.0 - v) if isinstance(v, np.ndarray) else pick(v, 1.0 - v)
+            return _pow(_kantorovich(t), weight)
+        return kernel, plan
     if family == "FM":
         def plan(t, v, r, arena):
             weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena))
@@ -176,9 +185,9 @@ class _Entry:
 _CATALOG = tuple(_Entry(*row) for row in (
     ("D1-exp", UPPER, ALL_T, "expr", 0.0,
      "exponential upper bound exp(v(1-v)(t-1)^2/t)"),
-    ("K-upper", UPPER, ALL_T, "K-power", np.maximum,
+    ("K-upper", UPPER, ALL_T, "K-power", (np.maximum, max),
      "Kantorovich power upper bound K(t)^max{v,1-v}"),
-    ("K-lower", LOWER, ALL_T, "K-power", np.minimum,
+    ("K-lower", LOWER, ALL_T, "K-power", (np.minimum, min),
      "Kantorovich power lower bound K(t)^min{v,1-v}"),
     ("D2-lo-le1", LOWER, T_LE_1, "half-lo", 0.0,
      "exponential lower bound exp((v(1-v)/2)(t-1)^2) for t <= 1"),

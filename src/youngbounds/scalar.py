@@ -14,7 +14,7 @@ exp_r is one function, _dexp, for points, grids and the blocks that grid
 walks fill in place (its out argument).
 Floats and arrays go through the same numpy ufuncs and the same IEEE
 arithmetic, so a point's value equals its grid value bitwise.  That is why
-powers are computed as exp(v*log t) and squares as parenthesised products:
+powers are computed as exp(v*log t) and squares as products d * d:
 Python's ``**`` on a float goes through the C library's pow, which can differ
 from numpy's square in the last bit and raises OverflowError where the
 product would give inf.
@@ -218,7 +218,8 @@ def _ratio_plan(t, v, r, arena):
 
 
 def _sq(s):
-    return (s - 1.0) * (s - 1.0)
+    d = s - 1.0
+    return d * d
 
 
 def _kantorovich(t):

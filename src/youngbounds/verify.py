@@ -94,12 +94,47 @@ class Region:
             raise RegionError(f"grid must be at least 2x2, got {self.n_t}x{self.n_v}")
 
     def t_grid(self):
-        if self.t_scale == LOG:
-            return np.geomspace(self.t_min, self.t_max, self.n_t)
-        return np.linspace(self.t_min, self.t_max, self.n_t)
+        """np.geomspace (log scale) or np.linspace (linear) of [t_min, t_max]
+        at n_t points, bit for bit, built by _linspace."""
+        if self.t_scale == LINEAR:
+            return _linspace(self.t_min, self.t_max, self.n_t)
+        t = _logspace(np.log10(float(self.t_min)), np.log10(float(self.t_max)), self.n_t)
+        # As np.geomspace: 10^log10(t) need not give t back.
+        t[0], t[-1] = self.t_min, self.t_max
+        return t
 
     def v_grid(self):
-        return np.linspace(self.v_min, self.v_max, self.n_v)
+        """np.linspace of [v_min, v_max] at n_v points, bit for bit, built by
+        _linspace."""
+        return _linspace(self.v_min, self.v_max, self.n_v)
+
+
+def _linspace(lo, hi, n):
+    """np.linspace(lo, hi, n)'s float64 values for n >= 2, bit for bit.
+
+    numpy's own arithmetic in a few ufunc calls on one fresh array.  numpy's
+    range builders spend 6-37 us a call on generic dtype and shape handling,
+    a third of a small walk's cost.
+    """
+    lo, hi = float(lo), float(hi)
+    y = np.arange(n, dtype=float)
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        # numpy's branch for a step that underflows to zero
+        y /= n - 1
+        y *= delta
+    else:
+        y *= step
+    y += lo
+    y[-1] = hi
+    return y
+
+
+def _logspace(lo, hi, n):
+    """np.logspace(lo, hi, n)'s values (base 10) for n >= 2, bit for bit."""
+    y = _linspace(lo, hi, n)
+    return np.power(10.0, y, out=y)
 
 
 @_record
@@ -395,10 +430,10 @@ def _refine_axis(center, step, lo, hi, log_scale):
     """21-point window of +-step around center, clipped to [lo, hi]."""
     if log_scale:
         lg = np.log10(center)
-        grid = np.logspace(lg - step, lg + step, _REFINE_POINTS)
+        grid = _logspace(lg - step, lg + step, _REFINE_POINTS)
     else:
-        grid = np.linspace(center - step, center + step, _REFINE_POINTS)
-    return np.clip(grid, lo, hi)
+        grid = _linspace(center - step, center + step, _REFINE_POINTS)
+    return np.clip(grid, lo, hi, out=grid)
 
 
 def find_sign_change(diff_id, region, delta, refine_depth=3, r=None):

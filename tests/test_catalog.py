@@ -595,6 +595,19 @@ def test_point_values_equal_the_reference_bitwise(bid):
                 assert _bits(evaluate(bid, p, deform)) == want, (bid, p, r)
 
 
+@pytest.mark.parametrize("bid", ["K-upper", "K-lower"])
+def test_k_power_point_weight_equals_its_grid_weight_bitwise(bid):
+    # A point picks the weight with builtin max/min, a grid with
+    # np.maximum/np.minimum.
+    edges = [-0.0, 0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+             1.0 - 2.0**-53, 1.0]
+    v = np.concatenate([np.linspace(0.0, 1.0, 100_001), edges])
+    t = np.random.default_rng(3).permutation(np.geomspace(1e-6, 1e6, v.size))
+    grid = evaluate_grid(bid, t, v)
+    points = [evaluate(bid, EvalPoint(ti, vi)) for ti, vi in zip(t.tolist(), v.tolist())]
+    assert np.array(points).tobytes() == grid.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("diff_id", REFERENCE_PAIRS)
 def test_differences_are_k_minus_the_reference_bitwise(diff_id):

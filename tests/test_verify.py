@@ -388,6 +388,87 @@ def test_sweep_memory_is_set_by_the_block_not_the_grid():
     assert _traced_peak(lambda: sweep("K-upper", region)) < 2 * 2**20
 
 
+# Python floats, ints and numpy floats: the types a Region may hold.
+_T_ENDS = st.one_of(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308).map(np.float64),
+                    st.integers(1, 2**53))
+_V_ENDS = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64),
+                    st.integers(0, 1))
+_SIZES = st.one_of(st.integers(2, 2000), st.integers(2, 2000).map(np.int64))
+
+
+def _assert_fresh_copy_of(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_numpys_grids(region):
+    lo, hi, n = region.t_min, region.t_max, region.n_t
+    want_t = np.geomspace(lo, hi, n) if region.t_scale == LOG else np.linspace(lo, hi, n)
+    _assert_fresh_copy_of(region.t_grid(), want_t)
+    _assert_fresh_copy_of(region.v_grid(), np.linspace(region.v_min, region.v_max, region.n_v))
+    assert not np.shares_memory(region.t_grid(), region.t_grid())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_T_ENDS, _T_ENDS, _V_ENDS, _V_ENDS, _SIZES, _SIZES, st.sampled_from([LOG, LINEAR]))
+def test_grids_are_numpys_range_builders_bitwise(t1, t2, v1, v2, n_t, n_v, t_scale):
+    (t_min, t_max), (v_min, v_max) = sorted((t1, t2)), sorted((v1, v2))
+    _assert_numpys_grids(Region(t_min, t_max, v_min, v_max, t_scale, n_t, n_v))
+
+
+@pytest.mark.parametrize("t_scale", [LOG, LINEAR])
+@pytest.mark.parametrize("t_min, t_max, v_min, v_max, n_t, n_v", [
+    (0.1, 10.0, 0.0, 1.0, 2, 2),
+    (1.0, 1.0, 0.5, 0.5, 7, 3),
+    (5e-324, 5e-324, 0.0, 5e-324, 3, 9),
+    (1.7e308, 1.7e308, -0.0, 1.0, 2, 5),
+    (5e-324, 1.7e308, -0.0, 1.0, 200_001, 200_001),
+    (1, 10, 0, 1, np.int32(5), np.uint8(4)),
+    (np.float64(1e-3), np.float64(1e3), np.float64(0.25), np.float64(0.75), 600, 301),
+])
+def test_grids_are_numpys_range_builders_at_the_edges(t_min, t_max, v_min, v_max, n_t, n_v,
+                                                      t_scale):
+    _assert_numpys_grids(Region(t_min, t_max, v_min, v_max, t_scale, n_t, n_v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_T_ENDS, _T_ENDS, st.floats(0.0, 1.0), st.floats(1e-9, 5.0), _V_ENDS, _V_ENDS,
+       st.floats(0.0, 1.0), st.floats(0.0, 0.5))
+def test_refinement_windows_are_numpys_range_builders_bitwise(t1, t2, t_at, t_step, v1, v2,
+                                                              v_at, v_step):
+    (t_lo, t_hi), (v_lo, v_hi) = sorted((t1, t2)), sorted((v1, v2))
+    # a window's center is a grid point: float(tg[i]) or float(vg[j])
+    t_center = float(np.geomspace(t_lo, t_hi, 3)[round(2 * t_at)])
+    v_center = float(v_lo + (v_hi - v_lo) * v_at)
+    lg = np.log10(t_center)
+    with np.errstate(over="ignore"):
+        want_t = np.clip(np.logspace(lg - t_step, lg + t_step, verify._REFINE_POINTS), t_lo, t_hi)
+        got_t = verify._refine_axis(t_center, t_step, t_lo, t_hi, True)
+    _assert_fresh_copy_of(got_t, want_t)
+    want_v = np.clip(np.linspace(v_center - v_step, v_center + v_step, verify._REFINE_POINTS),
+                     v_lo, v_hi)
+    _assert_fresh_copy_of(verify._refine_axis(v_center, v_step, v_lo, v_hi, False), want_v)
+
+
+def test_walks_never_call_numpys_range_builders(monkeypatch):
+    # The grids and refinement windows come from verify's own builder: at
+    # 6-37 us a call, numpy's were a third of a small walk's cost.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk called one of numpy's range builders")
+
+    for name in ("geomspace", "linspace", "logspace"):
+        monkeypatch.setattr(np, name, refuse)
+    sweep("K-upper", Region(1e-3, 1e3, 0.0, 1.0, LINEAR, 3, 5))
+    sweep("FM-m", Region(1e-3, 1.0, 0.0, 1.0, LOG, 3, 5))
+    # diff-l2 at 3x5 finds its witness only after refinement windows
+    calls = []
+    refine = verify._refine_axis
+    monkeypatch.setattr(verify, "_refine_axis", lambda *a: calls.append(a) or refine(*a))
+    find_sign_change("diff-l2", Region(1.0, 10.0, 0.0, 1.0, LOG, 3, 5), 1e-4)
+    assert calls
+
+
 def test_witness_search_memory_is_set_by_the_block_not_the_grid():
     region = Region(0.1, 10.0, 0.0, 1.0, LOG, 1001, 1001)
     assert _traced_peak(lambda: find_sign_change("diff-l", region, 1e-3)) < 2 * 2**20
