@@ -22,9 +22,17 @@ arena that the walk owns (_row_blocks).  Each block is reduced on the spot
 to its first extremum, and the walk picks one of those at the end (_pick),
 as one whole-grid argmin/argmax would: the first NaN, or else the first
 least or greatest value.  Every reported value is the value the kernels
-give on the whole grid, bit for bit.  Each view holds at most
-max(_BLOCK_POINTS, n_v) points, whatever n_t; the t-only columns are O(n_t)
-doubles each, the order of the t grid the walk already holds.  Each block
+give on the whole grid, bit for bit.  A walk of rows of at least
+_UNBUFFERED_ROW points runs with numpy's ufunc buffer cut to 16 elements
+(_RowBuffer), once per walk: its fills broadcast (rows, 1) t columns against
+(rows, n_v) tiles, and numpy copies every operand of such a ufunc through
+its buffer, which costs more than running the inner loop row by row once
+rows are long.  So 600x301 sweeps and the coarse walks of 401x401 searches
+run unbuffered, while 41x41 searches and every 21-point refinement walk keep
+numpy's buffer.  Buffering only moves data: no bit depends on it.  Each view
+holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t; the t-only
+columns are O(n_t) doubles each, the order of the t grid the walk already
+holds.  Each block
 does only the work its verdict needs: each run of a block's rows on one side
 of [1e-3, 1e3] evaluates R in that side's form only, a deformed row at r > 0
 skips exp_r's domain pass (its argument is >= 0 or NaN, so it cannot fail),
@@ -60,6 +68,40 @@ _REFINE_POINTS = 21
 # threshold, so their memory went back to the OS and was faulted in again
 # (about 950 minor faults per wide 600x301 sweep); at 64 KiB, none.
 _BLOCK_POINTS = 1 << 13
+
+# Row length from which a walk runs numpy's ufuncs unbuffered (_RowBuffer):
+# the inner loop then runs row by row, which costs more than numpy's buffer
+# copies when rows are short.  Whole sweeps in the default window, buffered
+# -> unbuffered (timeit minima, numpy 2.4.6, one CPU):
+#
+#   n_t x n_v    T31-poly  FM-M
+#   600 x 301    -19.2%    -19.4%
+#   1000 x 101   -4.7%     -4.8%
+#   1100 x 91    -2.2%     -3.2%
+#   1200 x 81    -1.0%     +0.2%
+#   1500 x 64    +8.9%     +5.9%
+#   2000 x 41    +19.2%    +25.8%
+_UNBUFFERED_ROW = 91
+
+
+class _RowBuffer:
+    """numpy's ufunc buffer over one walk of n_v-point rows, as a context:
+    16 elements from _UNBUFFERED_ROW points on (numpy 1.x takes only
+    multiples of 16), numpy's own size below.  Exit restores the caller's
+    size, which numpy 1.x's errstate does not.  Entered once per walk, not
+    per block: a set-and-restore pair costs about 2 us."""
+
+    def __init__(self, n_v):
+        self.unbuffered = n_v >= _UNBUFFERED_ROW
+
+    def __enter__(self):
+        if self.unbuffered:
+            self.saved = np.setbufsize(16)
+
+    def __exit__(self, *exc):
+        if self.unbuffered:
+            np.setbufsize(self.saved)
+
 
 # Views per arena: the three work buffers of a difference (_subtract) and
 # the v tiles of its two plans, at most FM's two and R's three.
@@ -376,7 +418,7 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     vg = region.v_grid()
     n_violations = 0
     extrema = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _RowBuffer(vg.size):
         for i0, block in _row_blocks(margin, tg, vg, r):
             least = _block_extremum(block, i0, lower=True)
             # Counted as not holding, like certify_point, so NaN margins
@@ -415,9 +457,10 @@ def _grid_extrema(diff, tg, vg, r):
     extremum is None when no value is finite.
     """
     his, los = [], []
-    for i0, block in _row_blocks(diff.plan, tg, vg, r):
-        his.append(_block_extremum(block, i0, False, True))
-        los.append(_block_extremum(block, i0, True, True))
+    with _RowBuffer(vg.size):
+        for i0, block in _row_blocks(diff.plan, tg, vg, r):
+            his.append(_block_extremum(block, i0, False, True))
+            los.append(_block_extremum(block, i0, True, True))
     hi, lo = _pick(his, lower=False), _pick(los, lower=True)
     if hi is None:
         return None, None

@@ -186,13 +186,20 @@ _DEFAULT_WINDOWS = {catalog.ALL_T: (1e-3, 1e3), catalog.T_LE_1: (1e-3, 1.0),
 _WIDE_WINDOWS = {catalog.ALL_T: (1e-9, 1e9), catalog.T_LE_1: (1e-9, 1.0),
                  catalog.T_GE_1: (1.0, 1e9)}
 
+# Row-length floors that make every walk unbuffered (2) or buffered: the
+# values of a walk must not depend on numpy's ufunc buffer.
+_FORCED_FLOORS = (2, 2**62)
+
 
 @pytest.mark.parametrize("windows", [_DEFAULT_WINDOWS, _WIDE_WINDOWS], ids=["default", "wide"])
 @pytest.mark.parametrize("bound_id", catalog.bound_ids())
-def test_blocked_sweep_equals_full_grid_bitwise(bound_id, windows):
+def test_blocked_sweep_equals_full_grid_bitwise(bound_id, windows, monkeypatch):
     lo, hi = windows[catalog.get_bound(bound_id).region]
     region = Region(lo, hi, 0.0, 1.0, LOG, 600, 301)
-    assert repr(sweep(bound_id, region)) == repr(_full_grid_sweep(bound_id, region))
+    want = repr(_full_grid_sweep(bound_id, region))
+    for floor in _FORCED_FLOORS:
+        monkeypatch.setattr(verify, "_UNBUFFERED_ROW", floor)
+        assert repr(sweep(bound_id, region)) == want, floor
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -209,9 +216,12 @@ def test_blocked_sweep_equals_full_grid_bitwise(bound_id, windows):
     ("D1-exp", Region(1e-3, 1e300, 0.0, 1.0, LOG, 50, 11), None),
     ("K-lower", Region(1e-3, 1e300, 0.0, 1.0, LOG, 700, 101), None),
 ], ids=["ragged", "one-row-blocks", "2x2", "deformed", "all-tie", "nan", "nan-blocks"])
-def test_blocked_sweep_edge_grids_equal_full_grid(bound_id, region, deform):
-    report = sweep(bound_id, region, deform=deform)
-    assert repr(report) == repr(_full_grid_sweep(bound_id, region, deform=deform))
+def test_blocked_sweep_edge_grids_equal_full_grid(bound_id, region, deform, monkeypatch):
+    want = repr(_full_grid_sweep(bound_id, region, deform=deform))
+    for floor in _FORCED_FLOORS:
+        monkeypatch.setattr(verify, "_UNBUFFERED_ROW", floor)
+        report = sweep(bound_id, region, deform=deform)
+        assert repr(report) == want, floor
     if region.v_max == 0.0:
         assert report.min_margin == 0.0
         assert report.argmin_point == EvalPoint(region.t_min, 0.0)
@@ -374,6 +384,86 @@ def test_sweeps_and_witness_searches_own_their_error_state():
     assert got == expected
 
 
+# A window whose differences stay below the threshold, so the search refines
+# to its full depth (six 21x21 walks) and finds nothing.
+_NEAR_EQUALITY = (0.9, 1.1, 0.49, 0.51, LINEAR)
+
+# (walk, exception it raises or None): long rows and short ones.
+_STATEFUL_WALKS = {
+    "sweep-600x301": (lambda: sweep("T31-poly", Region(1e-3, 1e3, 0.0, 1.0, LOG, 600, 301)),
+                      None),
+    "sweep-200x11": (lambda: sweep("T31-poly", Region(1e-3, 1e3, 0.0, 1.0, LOG, 200, 11)),
+                     None),
+    "found": (lambda: find_sign_change("diff-l", Region(0.1, 10.0, 0.0, 1.0, LOG, 401, 401),
+                                       1e-3), None),
+    "not-found": (lambda: find_sign_change("diff-l", Region(*_NEAR_EQUALITY, 401, 401), 0.5),
+                  WitnessNotFoundError),
+    # exp_r's domain pass fails inside the coarse walk
+    "domain-error": (lambda: find_sign_change("diff-ropt", Region(0.1, 10, 0, 1, LOG, 401, 401),
+                                              1e-3, r=-1.0), DomainError),
+    # outside any np.errstate, which restores the buffer size on numpy 2
+    "bare-walk": (lambda: _walk(catalog._BY_ID["T31-poly"].plan, np.geomspace(1e-3, 1e3, 600),
+                                np.linspace(0.0, 1.0, 301), None), None),
+}
+
+
+@pytest.mark.parametrize("bufsize", [None, 4096], ids=["default", "caller-4096"])
+@pytest.mark.parametrize("walk", list(_STATEFUL_WALKS))
+def test_walks_leave_numpys_state_as_they_found_it(walk, bufsize):
+    run, raises = _STATEFUL_WALKS[walk]
+    saved = np.getbufsize()
+    try:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+        before = (np.getbufsize(), np.geterr())
+        if raises is None:
+            run()
+        else:
+            with pytest.raises(raises):
+                run()
+        assert (np.getbufsize(), np.geterr()) == before
+    finally:
+        np.setbufsize(saved)
+
+
+def test_walks_set_the_buffer_once_per_walk(monkeypatch):
+    # A long-row walk sets and restores the buffer once, not once per block;
+    # a short-row walk never touches it, refinement rounds included.
+    calls, walks = [], []
+    setbufsize, grid_extrema = np.setbufsize, verify._grid_extrema
+
+    def recorded(size):
+        calls.append(size)
+        return setbufsize(size)
+
+    def counted(*args):
+        walks.append(args[2].size)
+        return grid_extrema(*args)
+
+    monkeypatch.setattr(np, "setbufsize", recorded)
+    monkeypatch.setattr(verify, "_grid_extrema", counted)
+    default = np.getbufsize()
+    sweep("FM-M", Region(1e-3, 1.0, 0.0, 1.0, LOG, 600, 301))
+    assert calls == [16, default]
+    for n, want in ((41, []), (401, [16, default])):
+        del calls[:], walks[:]
+        with pytest.raises(WitnessNotFoundError):
+            find_sign_change("diff-l", Region(*_NEAR_EQUALITY, n, n), 0.5)
+        assert walks == [n] + [verify._REFINE_POINTS] * 6
+        assert calls == want, n
+
+
+@pytest.mark.parametrize("n", [41, 401])
+def test_witness_presets_do_not_depend_on_the_buffer_mode(n, monkeypatch):
+    found = []
+    for floor in _FORCED_FLOORS:
+        monkeypatch.setattr(verify, "_UNBUFFERED_ROW", floor)
+        found.append([repr(find_sign_change(d.id, Region(lo, hi, 0.0, 1.0, LOG, n, n), delta))
+                      for d in verify._DIFFS if not d.needs_r
+                      for lo, hi, delta in [d.preset]])
+    assert len(found[0]) == 6 and found[0] == found[1]
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -523,9 +613,10 @@ _EDGE_V = np.array([0.0, 5e-324, 0.25, 0.37, 0.5, np.nextafter(1.0, 0.0), 1.0])
 def _walk(plan, tg, vg, r):
     """The blocks of one walk, copied (a block is valid until the walk advances)."""
     blocks = []
-    for i0, block in verify._row_blocks(plan, tg, vg, r):
-        assert block.flags.c_contiguous and block.__array_interface__["data"][0] % 64 == 0
-        blocks.append((i0, block.copy()))
+    with verify._RowBuffer(vg.size):
+        for i0, block in verify._row_blocks(plan, tg, vg, r):
+            assert block.flags.c_contiguous and block.__array_interface__["data"][0] % 64 == 0
+            blocks.append((i0, block.copy()))
     return blocks
 
 
@@ -560,11 +651,14 @@ def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, grid, mo
         monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
     with np.errstate(all="ignore"):
         want = np.broadcast_to(kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
-        blocks = _walk(plan, tg, vg, r)
     rows = max(1, verify._BLOCK_POINTS // vg.size)
-    assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
-    got = np.concatenate([block for _, block in blocks])
-    assert got.tobytes() == want.tobytes()
+    for floor in _FORCED_FLOORS:
+        monkeypatch.setattr(verify, "_UNBUFFERED_ROW", floor)
+        with np.errstate(all="ignore"):
+            blocks = _walk(plan, tg, vg, r)
+        assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
+        got = np.concatenate([block for _, block in blocks])
+        assert got.tobytes() == want.tobytes(), floor
 
 
 def test_plan_walks_never_call_the_ratio_kernel(monkeypatch):
