@@ -88,15 +88,15 @@ def _half_hi(t):
 
 
 def _kernel(family, param):
-    """(kernel, plan) of one member of a family, one formula for every t > 0.
+    """(kernel, plan, v_rows) of one member of a family, one formula for every t > 0.
 
     kernel(t, v, r) reads floats and arbitrary arrays.  plan(t_col, v_row, r,
     arena) serves a grid walk (verify._row_blocks): once per walk it computes
     the t-only factors over the walk's whole t column, O(n_t) doubles each,
-    and tiles the v-only factors, each into a view from the arena.  It
+    and its v_rows v-only factors, each into one of the arena's rows.  It
     returns fill(i0, out, tmp), which writes the kernel's block of rows i0,
-    i0 + 1, ... into out from slices of those columns, with the kernel's
-    ufuncs in the kernel's order, so bit for bit.
+    i0 + 1, ... into out by broadcasting those rows against slices of those
+    columns, with the kernel's ufuncs in the kernel's order, so bit for bit.
 
     The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
     c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
@@ -111,43 +111,43 @@ def _kernel(family, param):
         pick_array, pick = param
 
         def plan(t, v, r, arena):
-            weight, log_k = pick_array(v, 1.0 - v, out=next(arena)), np.log(_kantorovich(t))
+            weight, log_k = pick_array(v, 1.0 - v, out=next(arena.rows)), np.log(_kantorovich(t))
 
             def fill(i0, out, tmp):
-                np.exp(np.multiply(weight[:len(out)], log_k[i0:i0 + len(out)], out=out), out=out)
+                np.exp(np.multiply(weight, log_k[i0:i0 + len(out)], out=out), out=out)
             return fill
 
         def kernel(t, v, r):
             weight = pick_array(v, 1.0 - v) if isinstance(v, np.ndarray) else pick(v, 1.0 - v)
             return _pow(_kantorovich(t), weight)
-        return kernel, plan
+        return kernel, plan, 1
     if family == "FM":
         def plan(t, v, r, arena):
-            weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena))
-            power = np.subtract(-v, 1.0, out=next(arena))
+            weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena.rows))
+            power = np.subtract(-v, 1.0, out=next(arena.rows))
             sq, log_base = _sq(t), np.log(param(t))
 
             def fill(i0, out, tmp):
                 m = len(out)
-                np.multiply(weight[:m], sq[i0:i0 + m], out=out)
-                np.exp(np.multiply(power[:m], log_base[i0:i0 + m], out=tmp), out=tmp)
+                np.multiply(weight, sq[i0:i0 + m], out=out)
+                np.exp(np.multiply(power, log_base[i0:i0 + m], out=tmp), out=tmp)
                 np.add(1.0, np.multiply(out, tmp, out=out), out=out)
             return fill
         return (lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0),
-                plan)
+                plan, 2)
     c, s = ((1.0, _identity_arg) if family == "expr"
             else (0.5, _half_lo if family == "half-lo" else _half_hi))
 
     def plan(t, v, r, arena):
-        cv, st = np.multiply(c * v, 1.0 - v, out=next(arena)), s(t)
+        cv, st = np.multiply(c * v, 1.0 - v, out=next(arena.rows)), s(t)
         r = r if param is None else param
 
         # x = c v(1-v) s(t) is >= 0, or NaN where 0 * inf: nonneg.
         def fill(i0, out, tmp):
-            x = np.multiply(cv[:len(out)], st[i0:i0 + len(out)], out=out)
+            x = np.multiply(cv, st[i0:i0 + len(out)], out=out)
             _dexp(r, x, out=out, nonneg=True)
         return fill
-    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan
+    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan, 1
 
 
 class _Entry:
@@ -168,7 +168,7 @@ class _Entry:
         self.id, self.region = bid, region
         self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
-        self.kernel, self.plan = _kernel(family, param)
+        self.kernel, self.plan, self.v_rows = _kernel(family, param)
 
     def admit(self, deform):
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""

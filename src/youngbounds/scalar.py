@@ -178,30 +178,28 @@ def _ratio(t, v):
 
 def _ratio_plan(t, v, r, arena):
     """R's plan for a grid walk: fill(i0, out, tmp) writes _ratio(t[i0:i0 + m], v)
-    into the m rows of out, bit for bit, from v, 1-v and -v tiled once per walk,
-    and from log t and each row's side of the window, taken once per walk over
-    the whole t column (O(n_t) doubles and bytes).
+    into the m rows of out, bit for bit, broadcasting v, 1-v and -v (two arena
+    rows, once per walk) against log t and each row's side of the window, taken
+    once per walk over the whole t column (O(n_t) doubles and bytes).
 
     Each maximal run of a block's rows on one side of the window takes that
     side's form, in place with _ratio's ufuncs in _ratio's order: the plain
     form inside the window, the log form outside.  So a block that straddles
     the window costs what its runs cost, not both forms at every point.
     """
-    v_tile = next(arena)
-    v_tile[...] = v
-    rest, minus_v = np.subtract(1.0, v, out=next(arena)), np.negative(v, out=next(arena))
+    rest, minus_v = np.subtract(1.0, v, out=next(arena.rows)), np.negative(v, out=next(arena.rows))
     # One byte per row, 1 outside the window: a run ends at one bytes.find.
     log_t, extreme = np.log(t), ((t < 1.0 / RATIO_LOG_FORM) | (t > RATIO_LOG_FORM)).tobytes()
 
     def fill_run(i0, out, tmp, outside):
         m = len(out)
         t_col, log_col = t[i0:i0 + m], log_t[i0:i0 + m]
-        np.add(rest[:m], np.multiply(v_tile[:m], t_col, out=out), out=out)
+        np.add(rest, np.multiply(v, t_col, out=out), out=out)
         if outside:
-            np.subtract(np.log(out, out=out), np.multiply(v_tile[:m], log_col, out=tmp), out=out)
+            np.subtract(np.log(out, out=out), np.multiply(v, log_col, out=tmp), out=out)
             np.exp(out, out=out)
         else:
-            np.multiply(out, np.exp(np.multiply(minus_v[:m], log_col, out=tmp), out=tmp), out=out)
+            np.multiply(out, np.exp(np.multiply(minus_v, log_col, out=tmp), out=tmp), out=out)
 
     # The run loop is its own closure: a fill_run that called itself would
     # hold its own cell, a cycle keeping the walk's arena until gc runs.
@@ -282,7 +280,7 @@ def _dexp(r, x, out=None, nonneg=False):
 # R itself as a row, the operand every bound is compared with.  The lambda
 # looks _ratio up at each call, so a substitute put in its place is the one used.
 _R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None,
-                         kernel=lambda t, v, r: _ratio(t, v), plan=_ratio_plan)
+                         kernel=lambda t, v, r: _ratio(t, v), plan=_ratio_plan, v_rows=2)
 
 
 def _row(row, p, r):

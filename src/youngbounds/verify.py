@@ -15,35 +15,34 @@ Scans are deterministic.  Grids are walked with t as the outer axis, in
 blocks of whole t-rows of about _BLOCK_POINTS points each (never less than
 one row), in ascending row-major order.  A walk builds a plan once: the
 plan of each row it reads (catalog._kernel, scalar._ratio_plan) computes the
-row's t-only factors once over the walk's whole t column and tiles its v-only
-factors, and its fill writes each block in place from slices of those, with
-the kernel's ufuncs in the kernel's order, into views of one 64-byte-aligned
-arena that the walk owns (_row_blocks).  Each block is reduced on the spot
-to its first extremum, and the walk picks one of those at the end (_pick),
-as one whole-grid argmin/argmax would: the first NaN, or else the first
-least or greatest value.  Every reported value is the value the kernels
-give on the whole grid, bit for bit.  A walk of rows of at least
+row's t-only factors once over the walk's whole t column and each v-only
+factor once as a row of n_v doubles, and its fill writes each block in place
+by broadcasting those rows against slices of those columns, with the
+kernel's ufuncs in the kernel's order.  A walk's one 64-byte-aligned arena
+(_Arena) holds three block views and its v rows.  Each block is reduced on
+the spot to its first extremum, and the walk picks one of those at the end
+(_pick), as one whole-grid argmin/argmax would: the first NaN, or else the
+first least or greatest value.  Every reported value is the value the
+kernels give on the whole grid, bit for bit.  A walk of rows of at least
 _UNBUFFERED_ROW points runs with numpy's ufunc buffer cut to 16 elements
-(_RowBuffer), once per walk: its fills broadcast (rows, 1) t columns against
-(rows, n_v) tiles, and numpy copies every operand of such a ufunc through
-its buffer, which costs more than running the inner loop row by row once
-rows are long.  So 600x301 sweeps and the coarse walks of 401x401 searches
-run unbuffered, while 41x41 searches and every 21-point refinement walk keep
-numpy's buffer.  Buffering only moves data: no bit depends on it.  Each view
-holds at most max(_BLOCK_POINTS, n_v) points, whatever n_t; the t-only
-columns are O(n_t) doubles each, the order of the t grid the walk already
-holds.  Each block
-does only the work its verdict needs: each run of a block's rows on one side
-of [1e-3, 1e3] evaluates R in that side's form only, a deformed row at r > 0
-skips exp_r's domain pass (its argument is >= 0 or NaN, so it cannot fail),
-and a sweep counts a block's violations only when its least margin is below
--tol or is NaN (the least margin is the first NaN if there is one).  A
-sweep reports a NaN margin (it is a violation); the witness search skips
-non-finite values (NaN, and the infinities left where one side of a
-difference overflowed), which are evidence of neither sign, so its extrema
-are the first extrema of the finite values.  The kernels leave numpy's
-error state alone; sweep and find_sign_change silence overflow and invalid
-operations once per call.
+(_RowBuffer), once per walk: numpy copies every operand of a broadcast
+ufunc through its buffer, which costs more than running the inner loop row
+by row once rows are long.  So 600x301 sweeps and the coarse walks of
+401x401 searches run unbuffered, while 41x41 searches and every 21-point
+refinement walk keep numpy's buffer.  Buffering only moves data: no bit
+depends on it.  A block view holds at most max(_BLOCK_POINTS, n_v) points,
+whatever n_t; the t-only columns are O(n_t) doubles each, the order of the t
+grid the walk already holds.  Each block does only the work its verdict
+needs: each run of a block's rows on one side of [1e-3, 1e3] evaluates R in
+that side's form only, a deformed row at r > 0 skips exp_r's domain pass
+(its argument is >= 0 or NaN, so it cannot fail), and a sweep counts a
+block's violations only when its least margin is below -tol or is NaN (the
+least margin is the first NaN if there is one).  A sweep reports a NaN
+margin (it is a violation); the witness search skips non-finite values
+(NaN, and the infinities left where one side of a difference overflowed),
+which are evidence of neither sign, so its extrema are the first extrema of
+the finite values.  The kernels leave numpy's error state alone; sweep and
+find_sign_change silence overflow and invalid operations once per call.
 """
 
 import math
@@ -63,25 +62,30 @@ LOG = "log"
 # +-1-step window around the incumbent extremum.
 _REFINE_POINTS = 21
 
-# Grid points per evaluation block: 64 KiB per float64 view of a walk's
-# arena.  At 128 KiB the kernels' per-block temporaries sat at glibc's mmap
-# threshold, so their memory went back to the OS and was faulted in again
-# (about 950 minor faults per wide 600x301 sweep); at 64 KiB, none.
-_BLOCK_POINTS = 1 << 13
+# Grid points per evaluation block: 256 KiB per float64 block view, 768 KiB
+# for a walk's three (_Arena), inside a 2 MiB per-core L2.  A sweep-grid
+# round (seed 1, sum of per-op minima in ms, numpy 2.4.6, one CPU):
+#
+#   block points           4K     8K     16K    32K    64K
+#   8 views, v tiles       63.7   51.9   46.6   48.5   60.1
+#   3 views, 1-D v rows    62.3   50.8   44.4   41.4   44.3
+_BLOCK_POINTS = 1 << 15
 
 # Row length from which a walk runs numpy's ufuncs unbuffered (_RowBuffer):
 # the inner loop then runs row by row, which costs more than numpy's buffer
 # copies when rows are short.  Whole sweeps in the default window, buffered
-# -> unbuffered (timeit minima, numpy 2.4.6, one CPU):
+# -> unbuffered (minima of 7-10 processes, numpy 2.4.6, one CPU); at 48 and
+# 56 points the two modes were within 5%:
 #
 #   n_t x n_v    T31-poly  FM-M
-#   600 x 301    -19.2%    -19.4%
-#   1000 x 101   -4.7%     -4.8%
-#   1100 x 91    -2.2%     -3.2%
-#   1200 x 81    -1.0%     +0.2%
-#   1500 x 64    +8.9%     +5.9%
-#   2000 x 41    +19.2%    +25.8%
-_UNBUFFERED_ROW = 91
+#   600 x 301    -44.0%    -40.4%
+#   1000 x 101   -26.8%    -25.0%
+#   1100 x 91    -24.0%    -24.8%
+#   1200 x 81    -24.9%    -25.0%
+#   1500 x 64    -10.3%    -9.0%
+#   2000 x 41    -0.3%     -0.5%
+#   2000 x 21    +42.3%    +45.3%
+_UNBUFFERED_ROW = 64
 
 
 class _RowBuffer:
@@ -101,11 +105,6 @@ class _RowBuffer:
     def __exit__(self, *exc):
         if self.unbuffered:
             np.setbufsize(self.saved)
-
-
-# Views per arena: the three work buffers of a difference (_subtract) and
-# the v tiles of its two plans, at most FM's two and R's three.
-_ARENA_VIEWS = 8
 
 
 @dataclass(frozen=True)
@@ -202,28 +201,43 @@ class NonOrderingWitness:
     delta: float
 
 
-class _Diff:
-    """lhs - rhs of two rows (catalog._ROWS, R included) on the narrower of
-    their regions, t in [t_lo, t_hi].  Only an lhs row that takes the caller's
-    r (needs_r) gets it; every other kernel is called with r = None.  kernel
-    is the array form and plan the grid walk's; eval_diff reads the same two
-    rows at a point."""
+class _Pair:
+    """lhs - rhs of two rows (catalog._ROWS, R included), or rhs - lhs if
+    reversed, as one row of a grid walk: lhs's plan is built first, its fill
+    writes lhs into out, rhs into tmp (with the arena's scratch as its tmp),
+    then subtracts in place.  A plan without a free r ignores the walk's r."""
+
+    def __init__(self, lhs, rhs, reverse=False):
+        self.lhs, self.rhs, self.reverse = lhs, rhs, reverse
+        self.v_rows = lhs.v_rows + rhs.v_rows
+
+    def plan(self, t, v, r, arena):
+        fill_lhs, fill_rhs = self.lhs.plan(t, v, r, arena), self.rhs.plan(t, v, r, arena)
+        scratch, reverse = arena.scratch, self.reverse
+
+        def fill(i0, out, tmp):
+            fill_lhs(i0, out, tmp)
+            fill_rhs(i0, tmp, scratch[:len(out)])
+            np.subtract(*((tmp, out) if reverse else (out, tmp)), out=out)
+        return fill
+
+
+class _Diff(_Pair):
+    """A difference function: the _Pair of two rows on the narrower of their
+    regions, t in [t_lo, t_hi].  At a point (kernel, eval_diff) only an lhs
+    row that takes the caller's r (needs_r) gets it; the rest get r = None."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
-        lhs = self.lhs = catalog._ROWS[lhs_id]
-        rhs = self.rhs = catalog._ROWS[rhs_id]
+        lhs, rhs = catalog._ROWS[lhs_id], catalog._ROWS[rhs_id]
+        super().__init__(lhs, rhs)
         # Regions nest: a half-line lies inside all-t.
         self.region = rhs.region if lhs.region == catalog.ALL_T else lhs.region
         self.t_lo, self.t_hi = catalog._REGION_T[self.region]
-        self.id = diff_id
-        self.preset = (t_lo, t_hi, delta)
+        self.id, self.preset = diff_id, (t_lo, t_hi, delta)
         self.needs_r = lhs.default_r is not None
 
     def kernel(self, t, v, r):
         return self.lhs.kernel(t, v, r) - self.rhs.kernel(t, v, None)
-
-    def plan(self, t, v, r, arena):
-        return _subtract(self.lhs.plan(t, v, r, arena), self.rhs.plan(t, v, None, arena), arena)
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -307,54 +321,46 @@ def _admit_diff_r(diff, r):
     return _finite_r(diff.id, r)
 
 
-def _arena(rows, n_v):
-    """One grid walk's memory: an iterator over _ARENA_VIEWS (rows, n_v)
-    views cut from one np.empty, each starting on a 64-byte boundary.
+class _Arena:
+    """One grid walk's memory, cut from one np.empty, each piece starting on a
+    64-byte boundary: three (rows, n_v) block views, out, tmp and scratch (a
+    _Pair's third buffer), then rows, an iterator over n_rows v rows of n_v.
 
-    On an AVX-512 host a multiply of 8K doubles into a 64-byte-aligned
-    output ran about twice as fast as into any other alignment, and heap
-    temporaries land where the heap's history puts them.  One allocation per
-    walk, not one per view, leaves the heap one chunk to reuse.  Each walk
-    owns its arena, so walks stay re-entrant.
+    On an AVX-512 host a multiply of 8K doubles into a 64-byte-aligned output
+    ran about twice as fast as into any other alignment.  One allocation per
+    walk leaves the heap one chunk to reuse: with fresh arrays as v rows, a
+    4 x 200,001 sweep took about 55% longer, as glibc trimmed the heap after
+    each walk.  Each walk owns its arena, so walks stay re-entrant.
     """
-    stride = -(-rows * n_v // 8) * 64  # bytes per view, whole 64-byte lines
-    buf = np.empty(_ARENA_VIEWS * stride // 8 + 7)
-    return iter(np.ndarray((_ARENA_VIEWS, rows, n_v), float, buf,
-                           -buf.__array_interface__["data"][0] % 64, (stride, 8 * n_v, 8)))
+
+    def __init__(self, rows, n_v, n_rows):
+        block, line = -(-rows * n_v // 8) * 64, -(-n_v // 8) * 64  # bytes, whole 64-byte lines
+        buf = np.empty((3 * block + n_rows * line) // 8 + 7)
+        start = -buf.__array_interface__["data"][0] % 64
+        views = np.ndarray((3, rows, n_v), float, buf, start, (block, 8 * n_v, 8))
+        self.out, self.tmp, self.scratch = views
+        self.rows = iter(np.ndarray((n_rows, n_v), float, buf, start + 3 * block, (line, 8)))
 
 
-def _row_blocks(plan, tg, vg, r):
-    """Yield (first_row, values) for blocks of whole t-rows of the tg x vg grid.
+def _row_blocks(row, tg, vg, r):
+    """Yield (first_row, values) for blocks of whole t-rows of a row (a catalog
+    row, R or a _Pair) on the tg x vg grid.
 
-    The walk builds plan(tg[:, None], vg, r, arena) once: the plan computes
-    its t-only factors over the whole t column, O(n_t) doubles each, the
-    order of tg itself, and takes its v tiles from the walk's arena, each
-    filled by the last ufunc of its v factor.  Its fill(i0, out, tmp) then
-    writes each block, rows i0, i0 + 1, ... of t against the row of v, from
-    slices of those columns into the same (rows, vg.size) view of the arena,
-    at most max(_BLOCK_POINTS, n_v) points.  A block is valid until the walk
-    advances.
+    The walk builds row.plan(tg[:, None], vg, r, arena) once, in an _Arena of
+    row.v_rows v rows: the plan computes its t-only factors over the whole t
+    column, O(n_t) doubles each, and each v-only factor into one v row.  Its
+    fill(i0, out, tmp) then writes each block, rows i0, i0 + 1, ... of t, by
+    broadcasting the v rows against slices of those columns, into the same
+    (rows, vg.size) view, at most max(_BLOCK_POINTS, n_v) points.  A block is
+    valid until the walk advances.
     """
     rows = min(max(1, _BLOCK_POINTS // vg.size), tg.size)
-    arena = _arena(rows, vg.size)
-    out, tmp = next(arena), next(arena)
-    fill = plan(tg[:, None], vg, r, arena)
+    arena = _Arena(rows, vg.size, row.v_rows)
+    fill = row.plan(tg[:, None], vg, r, arena)
     for i0 in range(0, tg.size, rows):
-        block = out[:min(rows, tg.size - i0)]
-        fill(i0, block, tmp[:len(block)])
+        block = arena.out[:min(rows, tg.size - i0)]
+        fill(i0, block, arena.tmp[:len(block)])
         yield i0, block
-
-
-def _subtract(fill_lhs, fill_rhs, arena):
-    """fill of lhs - rhs: lhs into out, rhs into tmp with a third view of the
-    arena as its scratch, then one subtract in place."""
-    scratch = next(arena)
-
-    def fill(i0, out, tmp):
-        fill_lhs(i0, out, tmp)
-        fill_rhs(i0, tmp, scratch[:len(out)])
-        np.subtract(out, tmp, out=out)
-    return fill
 
 
 def _block_extremum(block, i0, lower, skip_nonfinite=False):
@@ -406,16 +412,12 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     _check_window(entry, region.t_min, region.t_max)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
-    upper = entry.spec.side == catalog.UPPER
 
     # The margin (catalog._margin): bound - R for an upper row, R - bound for
-    # a lower one.
-    def margin(t, v, r, arena):
-        bound, ratio = entry.plan(t, v, r, arena), _R_ROW.plan(t, v, None, arena)
-        return _subtract(bound, ratio, arena) if upper else _subtract(ratio, bound, arena)
-
-    tg = region.t_grid()
-    vg = region.v_grid()
+    # a lower one.  The bound's plan is built first either way, so its t-only
+    # temporaries are gone before R's plan takes log t.
+    margin = _Pair(entry, _R_ROW, reverse=entry.spec.side == catalog.LOWER)
+    tg, vg = region.t_grid(), region.v_grid()
     n_violations = 0
     extrema = []
     with np.errstate(over="ignore", invalid="ignore"), _RowBuffer(vg.size):
@@ -458,7 +460,7 @@ def _grid_extrema(diff, tg, vg, r):
     """
     his, los = [], []
     with _RowBuffer(vg.size):
-        for i0, block in _row_blocks(diff.plan, tg, vg, r):
+        for i0, block in _row_blocks(diff, tg, vg, r):
             his.append(_block_extremum(block, i0, False, True))
             los.append(_block_extremum(block, i0, True, True))
     hi, lo = _pick(his, lower=False), _pick(los, lower=True)

@@ -190,6 +190,12 @@ _WIDE_WINDOWS = {catalog.ALL_T: (1e-9, 1e9), catalog.T_LE_1: (1e-9, 1.0),
 # values of a walk must not depend on numpy's ufunc buffer.
 _FORCED_FLOORS = (2, 2**62)
 
+# Two edge grids of test_blocked_sweep_edge_grids_equal_full_grid: n_t is not
+# a multiple of the rows per block (ragged), and n_v exceeds a block, so every
+# block is one row.
+_RAGGED = Region(1e-3, 1.0, 0.0, 1.0, LINEAR, 2500, 33)
+_ONE_ROW = Region(1e-9, 1e9, 0.0, 1.0, LOG, 3, 40000)
+
 
 @pytest.mark.parametrize("windows", [_DEFAULT_WINDOWS, _WIDE_WINDOWS], ids=["default", "wide"])
 @pytest.mark.parametrize("bound_id", catalog.bound_ids())
@@ -204,10 +210,8 @@ def test_blocked_sweep_equals_full_grid_bitwise(bound_id, windows, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bound_id, region, deform", [
-    # n_t is not a multiple of the rows per block
-    ("T36-lo-le1", Region(1e-3, 1.0, 0.0, 1.0, LINEAR, 777, 33), None),
-    # n_v exceeds a block, so every block is one row
-    ("K-upper", Region(1e-9, 1e9, 0.0, 1.0, LOG, 3, 40000), None),
+    ("T36-lo-le1", _RAGGED, None),
+    ("K-upper", _ONE_ROW, None),
     ("FM-M", Region(0.2, 1.0, 0.0, 1.0, LINEAR, 2, 2), None),
     ("C38-lo", Region(1e-3, 1e3, 0.0, 1.0, LOG, 200, 101), DeformParam(-0.5)),
     # every margin is 0 at v = 0: the argmin is the first point
@@ -227,9 +231,17 @@ def test_blocked_sweep_edge_grids_equal_full_grid(bound_id, region, deform, monk
         assert report.argmin_point == EvalPoint(region.t_min, 0.0)
 
 
+def _block_rows(bound_id, region):
+    row = catalog._BY_ID[bound_id]
+    return [len(block) for _, block in
+            verify._row_blocks(row, region.t_grid(), region.v_grid(), row.default_r)]
+
+
 def test_edge_grids_reach_ragged_and_one_row_blocks():
-    assert 777 % (verify._BLOCK_POINTS // 33) != 0
-    assert verify._BLOCK_POINTS < 40000
+    # At least two blocks, the last one partial; and one row per block.
+    ragged = _block_rows("T36-lo-le1", _RAGGED)
+    assert len(ragged) >= 2 and ragged[-1] < ragged[0]
+    assert _block_rows("K-upper", _ONE_ROW) == [1, 1, 1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -402,7 +414,7 @@ _STATEFUL_WALKS = {
     "domain-error": (lambda: find_sign_change("diff-ropt", Region(0.1, 10, 0, 1, LOG, 401, 401),
                                               1e-3, r=-1.0), DomainError),
     # outside any np.errstate, which restores the buffer size on numpy 2
-    "bare-walk": (lambda: _walk(catalog._BY_ID["T31-poly"].plan, np.geomspace(1e-3, 1e3, 600),
+    "bare-walk": (lambda: _walk(catalog._BY_ID["T31-poly"], np.geomspace(1e-3, 1e3, 600),
                                 np.linspace(0.0, 1.0, 301), None), None),
 }
 
@@ -576,31 +588,41 @@ def test_sweep_holds_a_few_t_columns_beside_the_t_grid(bound_id):
     assert _traced_peak(lambda: sweep(bound_id, region)) < (2 + 3) * column
 
 
+def test_one_row_walk_holds_three_block_views_and_its_v_rows():
+    # A K-upper sweep at one row per block holds three block views (out, tmp
+    # and the margin's scratch), its plans' three v rows (K's weight, R's 1-v
+    # and -v), the v grid, one v-sized temporary of a v factor, and t columns
+    # of three points.
+    row = _ONE_ROW.v_grid().nbytes
+    assert catalog._BY_ID["K-upper"].v_rows + scalar._R_ROW.v_rows == 3
+    sweep("K-upper", _ONE_ROW)
+    assert _traced_peak(lambda: sweep("K-upper", _ONE_ROW)) < (3 + 3 + 2) * row + 2**14
+
+
 def test_every_kernel_returns_whole_row_blocks(monkeypatch):
     # _block_extremum's divmod reads each block as (rows, n_v): the walk of
     # every catalog and difference plan must yield that full shape, the
     # ragged last block included.
     monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)  # blocks of 2, 2 and 1 rows
     vg = np.linspace(0.0, 1.0, 7)
-    plans = [(e.spec.region, e.plan, e.default_r) for e in catalog._CATALOG]
-    plans += [(d.region, d.plan, 1.5 if d.needs_r else None) for d in verify._DIFFS]
-    assert len(plans) == 17 + 7
-    for region, plan, r in plans:
-        lo, hi = catalog._REGION_T[region]
+    rows = [(e, e.default_r) for e in catalog._CATALOG]
+    rows += [(d, 1.5 if d.needs_r else None) for d in verify._DIFFS]
+    assert len(rows) == 17 + 7
+    for row, r in rows:
+        lo, hi = catalog._REGION_T[row.region]
         tg = np.geomspace(max(lo, 1e-3), min(hi, 1e3), 5)
         with np.errstate(over="ignore", invalid="ignore"):
-            shapes = [block.shape for _, block in verify._row_blocks(plan, tg, vg, r)]
-        assert shapes == [(2, 7), (2, 7), (1, 7)], region
+            shapes = [block.shape for _, block in verify._row_blocks(row, tg, vg, r)]
+        assert shapes == [(2, 7), (2, 7), (1, 7)], row.region
 
 
-# Every row's plan and every difference's, at its default r and at a caller's:
-# (name, plan, kernel, r).
+# Every row and every difference, at its default r and at a caller's:
+# (name, row, r).
 _CALLER_R = {"C33-expr": 0.37, "C38-hi": 0.37, "C38-lo": -0.37}
-_PLANS = ([(e.id, e.plan, e.kernel, e.default_r) for e in catalog._CATALOG]
-          + [(e.id, e.plan, e.kernel, _CALLER_R[e.id]) for e in catalog._CATALOG
-             if e.default_r is not None]
-          + [("ratio", catalog._R_ROW.plan, catalog._R_ROW.kernel, None)]
-          + [(d.id, d.plan, d.kernel, r) for d in verify._DIFFS
+_PLANS = ([(e.id, e, e.default_r) for e in catalog._CATALOG]
+          + [(e.id, e, _CALLER_R[e.id]) for e in catalog._CATALOG if e.default_r is not None]
+          + [("ratio", catalog._R_ROW, None)]
+          + [(d.id, d, r) for d in verify._DIFFS
              for r in ((1.001, 0.7) if d.needs_r else (None,))])
 
 # Blocks of two rows at n_v = 7: wholly extreme (the smallest subnormal among
@@ -610,11 +632,11 @@ _EDGE_T = np.array([5e-324, 1e-300, 1e-3, 0.5, 0.9, 1e5, 1.0, 7.0, 1e300, 1.7e30
 _EDGE_V = np.array([0.0, 5e-324, 0.25, 0.37, 0.5, np.nextafter(1.0, 0.0), 1.0])
 
 
-def _walk(plan, tg, vg, r):
+def _walk(row, tg, vg, r):
     """The blocks of one walk, copied (a block is valid until the walk advances)."""
     blocks = []
     with verify._RowBuffer(vg.size):
-        for i0, block in verify._row_blocks(plan, tg, vg, r):
+        for i0, block in verify._row_blocks(row, tg, vg, r):
             assert block.flags.c_contiguous and block.__array_interface__["data"][0] % 64 == 0
             blocks.append((i0, block.copy()))
     return blocks
@@ -643,22 +665,51 @@ _PLAN_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", list(_PLAN_GRIDS))
-@pytest.mark.parametrize("name, plan, kernel, r", _PLANS,
-                         ids=[f"{name}@{r}" for name, _, _, r in _PLANS])
-def test_plans_fill_their_kernels_blocks_bitwise(name, plan, kernel, r, grid, monkeypatch):
+@pytest.mark.parametrize("name, row, r", _PLANS, ids=[f"{name}@{r}" for name, _, r in _PLANS])
+def test_plans_fill_their_kernels_blocks_bitwise(name, row, r, grid, monkeypatch):
     block_points, tg, vg = _PLAN_GRIDS[grid]
     if block_points is not None:
         monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
     with np.errstate(all="ignore"):
-        want = np.broadcast_to(kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
+        want = np.broadcast_to(row.kernel(tg[:, None], vg[None, :], r), (tg.size, vg.size))
     rows = max(1, verify._BLOCK_POINTS // vg.size)
     for floor in _FORCED_FLOORS:
         monkeypatch.setattr(verify, "_UNBUFFERED_ROW", floor)
         with np.errstate(all="ignore"):
-            blocks = _walk(plan, tg, vg, r)
+            blocks = _walk(row, tg, vg, r)
         assert [i0 for i0, _ in blocks] == list(range(0, tg.size, rows))
         got = np.concatenate([block for _, block in blocks])
         assert got.tobytes() == want.tobytes(), floor
+
+
+def test_plans_take_exactly_their_v_rows():
+    # A walk's arena holds row.v_rows v rows: a plan that took more would stop
+    # the walk, and one that took fewer would leave a row unused.
+    for name, row, r in _PLANS:
+        arena = verify._Arena(2, _EDGE_V.size, row.v_rows)
+        with np.errstate(all="ignore"):
+            row.plan(_EDGE_T[:, None], _EDGE_V, r, arena)
+        assert next(arena.rows, None) is None, name
+
+
+@pytest.mark.parametrize("windows", [_DEFAULT_WINDOWS, _WIDE_WINDOWS], ids=["default", "wide"])
+def test_outputs_do_not_depend_on_the_block_size(windows, monkeypatch):
+    # The benchmark's grids: every catalog sweep, the deformed rows at a
+    # caller's r too, on 600x301, and the six preset witness searches at 401x401.
+    sweeps = [(e.id, r) for e in catalog._CATALOG
+              for r in ((None, _CALLER_R[e.id]) if e.default_r is not None else (None,))]
+    assert len(sweeps) == 17 + 3
+    found = []
+    for block_points in (1 << 13, 1 << 15, 1 << 17):
+        monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
+        reports = [repr(sweep(bound_id, Region(*windows[catalog.get_bound(bound_id).region],
+                                               0.0, 1.0, LOG, 600, 301), deform=r))
+                   for bound_id, r in sweeps]
+        if windows is _DEFAULT_WINDOWS:
+            reports += [repr(find_sign_change(d.id, Region(lo, hi, 0.0, 1.0, LOG, 401, 401), delta))
+                        for d in verify._DIFFS if not d.needs_r for lo, hi, delta in [d.preset]]
+        found.append(reports)
+    assert found[0] == found[1] == found[2]
 
 
 def test_plan_walks_never_call_the_ratio_kernel(monkeypatch):
@@ -674,8 +725,8 @@ def test_plan_walks_never_call_the_ratio_kernel(monkeypatch):
     with np.errstate(all="ignore"):
         for block_points, tg, vg in _PLAN_GRIDS.values():
             monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points or default)
-            for _, plan, _, r in _PLANS:
-                _walk(plan, tg, vg, r)
+            for _, row, r in _PLANS:
+                _walk(row, tg, vg, r)
 
 
 def test_a_walk_frees_its_arena_by_reference_counting(monkeypatch):
@@ -683,20 +734,23 @@ def test_a_walk_frees_its_arena_by_reference_counting(monkeypatch):
     # walk ends: a plan whose closures formed a cycle would keep every view
     # alive until the next collection, and a process of many walks would hold
     # many arenas at once.
-    refs, arena = [], verify._arena
+    refs, arena = [], verify._Arena
 
-    def tracked(rows, n_v):
-        views = list(arena(rows, n_v))
-        refs.extend(weakref.ref(view) for view in [views[0].base, *views])
-        return iter(views)
+    def tracked(rows, n_v, n_rows):
+        made = arena(rows, n_v, n_rows)
+        v_rows = list(made.rows)
+        refs.extend(weakref.ref(piece) for piece in
+                    [made, made.out.base, made.out, made.tmp, made.scratch, *v_rows])
+        made.rows = iter(v_rows)
+        return made
 
-    monkeypatch.setattr(verify, "_arena", tracked)
+    monkeypatch.setattr(verify, "_Arena", tracked)
     straddling = np.geomspace(1e-4, 1e4, 600)
     walks = [
         lambda: sweep("C33-expr", Region(1e-9, 1e9, 0.0, 1.0, LOG, 600, 301), deform=0.5),
         lambda: find_sign_change("diff-ropt", Region(1e-7, 1e4, 0.99, 1.0, LOG, 81, 41), 1e-5,
                                  r=1.001),
-        lambda: _walk(scalar._R_ROW.plan, straddling, _EDGE_V, None),
+        lambda: _walk(scalar._R_ROW, straddling, _EDGE_V, None),
     ]
     enabled = gc.isenabled()
     gc.disable()
@@ -715,11 +769,11 @@ def test_interleaved_walks_yield_the_blocks_of_separate_walks(monkeypatch):
     # Each walk owns its arena: two walks advanced alternately yield what the
     # same walks yield one after the other.
     monkeypatch.setattr(verify, "_BLOCK_POINTS", 14)
-    ropt, l_plan = verify._DIFF_BY_ID["diff-ropt"].plan, verify._DIFF_BY_ID["diff-l"].plan
+    ropt, diff_l = verify._DIFF_BY_ID["diff-ropt"], verify._DIFF_BY_ID["diff-l"]
     with np.errstate(all="ignore"):
-        alone = (_walk(ropt, _EDGE_T, _EDGE_V, 0.7), _walk(l_plan, _EDGE_T, _EDGE_V, None))
+        alone = (_walk(ropt, _EDGE_T, _EDGE_V, 0.7), _walk(diff_l, _EDGE_T, _EDGE_V, None))
         pairs = zip(verify._row_blocks(ropt, _EDGE_T, _EDGE_V, 0.7),
-                    verify._row_blocks(l_plan, _EDGE_T, _EDGE_V, None))
+                    verify._row_blocks(diff_l, _EDGE_T, _EDGE_V, None))
         interleaved = [((i, a.copy()), (j, b.copy())) for (i, a), (j, b) in pairs]
     for k, walk in enumerate(alone):
         assert [i for i, _ in walk] == [pair[k][0] for pair in interleaved]
@@ -749,7 +803,7 @@ def test_plans_raise_where_and_as_their_kernels_raise(monkeypatch):
     tg = np.array([1.0, 1.0, 1.0, 1.0, 10.0, 1.0, 0.1])
     message = "exp_r undefined: 1 + r*x < 0 at r=-2.0"
     for row in (verify._DIFF_BY_ID["diff-ropt"], catalog._BY_ID["C33-expr"]):
-        walked = _raised_after(verify._row_blocks(row.plan, tg, _EDGE_V, -2.0))
+        walked = _raised_after(verify._row_blocks(row, tg, _EDGE_V, -2.0))
         kernel_walked = _raised_after(_kernel_blocks(row.kernel, tg, _EDGE_V, -2.0))
         assert walked == kernel_walked == ([0, 2], message)
     # The public paths: a grid walk and a point raise the same error.
