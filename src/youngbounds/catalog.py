@@ -2,13 +2,12 @@
 
 Each entry records which side it bounds (an upper entry satisfies R <= bound,
 a lower one bound <= R), on which t-range it is valid, and how to evaluate it.
-The catalog is data: one row per entry, a member of one of five families
-(exp_r of v(1-v)(t-1)^2/t or of two half-squares, the Kantorovich power, the
-FM polynomial) with its parameter.  Ten entries are deformed families at a
-fixed r in {-1, 0, 1}.  Three carry r as a parameter; when the caller omits it
-the tightest admissible value is used (r = 1 for C33-expr and C38-hi, r = -1
-for C38-lo, best-in-family by the monotonicity of exp_r in r).  Every deformed
-entry is one scalar._dexp call.  A row's value at an EvalPoint is computed
+The catalog is data: one row per entry, naming its pieces of one formula,
+exp_r(W(v) s(t) base(t)^(-v-1)) (_kernel), so every entry is one
+scalar._dexp call.  The Kantorovich power is exp_0, the FM polynomial exp_1.
+Three entries carry r as a parameter; when the caller omits it the tightest
+admissible value is used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, by
+the monotonicity of exp_r in r).  A row's value at an EvalPoint is computed
 once, by scalar._row, and kept on the point for every later query there.  R
 itself is one more row of that memo, scalar._R_ROW: comparisons (the ordering
 chain, the differences, the margins) name it as "ratio" beside the catalog
@@ -75,7 +74,7 @@ class ChainLink:
     margin: float
 
 
-# The one square of each half-square family: (s-1)^2 with s = min{t, 1/t} (lo)
+# One square of each half-square argument: (s-1)^2 with s = min{t, 1/t} (lo)
 # or max{t, 1/t} (hi).  For t <= 1, fl(1/t) >= 1 >= t: s is t or 1/t exactly.
 def _half_lo(t):
     s = np.minimum(t, 1.0 / t) if isinstance(t, np.ndarray) else t if t <= 1.0 else 1.0 / t
@@ -87,67 +86,60 @@ def _half_hi(t):
     return _sq(s)
 
 
-def _kernel(family, param):
-    """(kernel, plan, v_rows) of one member of a family, one formula for every t > 0.
+def _log_k(t):
+    return np.log(_kantorovich(t))
+
+
+def _kernel(c, pick, s, base, fixed):
+    """(kernel, plan, v_rows) of the one formula of every row, for every t > 0:
+    exp_r(x) with x = W(v) s(t) base(t)^(-v-1), the base factor only where
+    base is given.  W is c v(1-v) (1 v is exact), or pick(v, 1-v) for the K
+    rows: pick pairs a ufunc, for arrays and plans, with a builtin for a float
+    (0.18 us against 1 us on two floats; they agree on every v in [0, 1]).  r
+    is fixed, or the caller's where fixed is None (a fixed-r row is called with
+    r = None).  K(t)^W is exp_0(W log K(t)) and the FM polynomial exp_1 of its
+    product: _dexp computes exp(W log K) and 1 + x.  x is >= 0, or NaN where
+    0 * inf, so no domain pass runs at r > 0 (nonneg).
 
     kernel(t, v, r) reads floats and arbitrary arrays.  plan(t_col, v_row, r,
     arena) serves a grid walk (verify._row_blocks): once per walk it computes
     the t-only factors over the walk's whole t column, O(n_t) doubles each,
-    and its v_rows v-only factors, each into one of the arena's rows.  It
-    returns fill(i0, out, tmp), which writes the kernel's block of rows i0,
+    and its v_rows v-only factors, each in place in one of the arena's rows.
+    It returns fill(i0, out, tmp), which writes the kernel's block of rows i0,
     i0 + 1, ... into out by broadcasting those rows against slices of those
     columns, with the kernel's ufuncs in the kernel's order, so bit for bit.
-
-    The deformed families are one exp_r call, _dexp(r, c v(1-v) s(t)):
-    c = 1 and s = (t-1)^2/t for "expr" (1 * v is exact), c = 1/2 and the
-    family's one square otherwise.  Their param is the fixed r, or None for the
-    caller's (a fixed-r entry is called with r = None).  K-power takes the
-    weight picker as a ufunc and a builtin, FM the base.
     """
-    if family == "K-power":
-        # The ufunc picks for arrays and the plan, the builtin for a float:
-        # on two floats the ufunc takes about 1 us, the builtin 0.18 us, and
-        # they agree on every v in [0, 1].
-        pick_array, pick = param
+    pick_array, pick = pick or (None, None)
 
-        def plan(t, v, r, arena):
-            weight, log_k = pick_array(v, 1.0 - v, out=next(arena.rows)), np.log(_kantorovich(t))
-
-            def fill(i0, out, tmp):
-                np.exp(np.multiply(weight, log_k[i0:i0 + len(out)], out=out), out=out)
-            return fill
-
-        def kernel(t, v, r):
-            weight = pick_array(v, 1.0 - v) if isinstance(v, np.ndarray) else pick(v, 1.0 - v)
-            return _pow(_kantorovich(t), weight)
-        return kernel, plan, 1
-    if family == "FM":
-        def plan(t, v, r, arena):
-            weight = np.multiply(0.5 * v, 1.0 - v, out=next(arena.rows))
-            power = np.subtract(-v, 1.0, out=next(arena.rows))
-            sq, log_base = _sq(t), np.log(param(t))
-
-            def fill(i0, out, tmp):
-                m = len(out)
-                np.multiply(weight, sq[i0:i0 + m], out=out)
-                np.exp(np.multiply(power, log_base[i0:i0 + m], out=tmp), out=tmp)
-                np.add(1.0, np.multiply(out, tmp, out=out), out=out)
-            return fill
-        return (lambda t, v, r: 1.0 + 0.5 * v * (1.0 - v) * _sq(t) * _pow(param(t), -v - 1.0),
-                plan, 2)
-    c, s = ((1.0, _identity_arg) if family == "expr"
-            else (0.5, _half_lo if family == "half-lo" else _half_hi))
+    def kernel(t, v, r):
+        if pick is None:
+            x = c * v * (1.0 - v) * s(t)
+        else:
+            x = (pick_array(v, 1.0 - v) if isinstance(v, np.ndarray) else pick(v, 1.0 - v)) * s(t)
+        if base is not None:
+            x = x * _pow(base(t), -v - 1.0)
+        return _dexp(r if fixed is None else fixed, x, nonneg=True)
 
     def plan(t, v, r, arena):
-        cv, st = np.multiply(c * v, 1.0 - v, out=next(arena.rows)), s(t)
-        r = r if param is None else param
+        r = r if fixed is None else fixed
+        weight, st = np.subtract(1.0, v, out=next(arena.rows)), s(t)
+        if pick is None:
+            np.multiply(c * v, weight, out=weight)
+        else:
+            pick_array(v, weight, out=weight)
+        if base is not None:
+            power, log_base = next(arena.rows), np.log(base(t))
+            np.subtract(np.negative(v, out=power), 1.0, out=power)
 
-        # x = c v(1-v) s(t) is >= 0, or NaN where 0 * inf: nonneg.
         def fill(i0, out, tmp):
-            x = np.multiply(cv, st[i0:i0 + len(out)], out=out)
+            m = len(out)
+            x = np.multiply(weight, st[i0:i0 + m], out=out)
+            if base is not None:
+                np.multiply(x, np.exp(np.multiply(power, log_base[i0:i0 + m], out=tmp), out=tmp),
+                            out=x)
             _dexp(r, x, out=out, nonneg=True)
         return fill
-    return lambda t, v, r: _dexp(r if param is None else param, c * v * (1.0 - v) * s(t)), plan, 1
+    return kernel, plan, 1 if base is None else 2
 
 
 class _Entry:
@@ -156,19 +148,19 @@ class _Entry:
     row (a point, a grid, a difference, a claim) calls, and the kernel's plan,
     which the grid walks of sweeps and witness searches fill in place.
 
-    param is the family parameter, or None for a deformed entry whose r the
-    caller may choose within scalar._admit_r's interval for its side.
+    c, pick, s, base and r are the row's pieces of _kernel's formula; r is None
+    where the caller may choose r within scalar._admit_r's interval for its side.
     """
 
-    def __init__(self, bid, side, region, family, param, description):
+    def __init__(self, bid, side, region, c, pick, s, base, r, description):
         deform = self.default_r = None
-        if param is None:  # r is the caller's, by default the tightest
+        if r is None:  # r is the caller's, by default the tightest
             self.default_r = _admit_r(bid, side == UPPER)
             deform = DeformParam(self.default_r)
         self.id, self.region = bid, region
         self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
-        self.kernel, self.plan, self.v_rows = _kernel(family, param)
+        self.kernel, self.plan, self.v_rows = _kernel(c, pick, s, base, r)
 
     def admit(self, deform):
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""
@@ -179,43 +171,43 @@ class _Entry:
         return _admit_r(self.id, self.spec.side == UPPER, deform)
 
 
-# One row per entry.  Ten entries are deformed families at a fixed r, at every
-# t > 0: D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-* at r = 0,
-# and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1.
+# One row per entry: id, side, region, c, pick, s, base, r, description.  At
+# every t > 0, D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-*
+# at r = 0, and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1.
 _CATALOG = tuple(_Entry(*row) for row in (
-    ("D1-exp", UPPER, ALL_T, "expr", 0.0,
+    ("D1-exp", UPPER, ALL_T, 1.0, None, _identity_arg, None, 0.0,
      "exponential upper bound exp(v(1-v)(t-1)^2/t)"),
-    ("K-upper", UPPER, ALL_T, "K-power", (np.maximum, max),
+    ("K-upper", UPPER, ALL_T, None, (np.maximum, max), _log_k, None, 0.0,
      "Kantorovich power upper bound K(t)^max{v,1-v}"),
-    ("K-lower", LOWER, ALL_T, "K-power", (np.minimum, min),
+    ("K-lower", LOWER, ALL_T, None, (np.minimum, min), _log_k, None, 0.0,
      "Kantorovich power lower bound K(t)^min{v,1-v}"),
-    ("D2-lo-le1", LOWER, T_LE_1, "half-lo", 0.0,
+    ("D2-lo-le1", LOWER, T_LE_1, 0.5, None, _half_lo, None, 0.0,
      "exponential lower bound exp((v(1-v)/2)(t-1)^2) for t <= 1"),
-    ("D2-hi-le1", UPPER, T_LE_1, "half-hi", 0.0,
+    ("D2-hi-le1", UPPER, T_LE_1, 0.5, None, _half_hi, None, 0.0,
      "exponential upper bound exp((v(1-v)/2)(1/t-1)^2) for t <= 1"),
-    ("D2-lo-ge1", LOWER, T_GE_1, "half-lo", 0.0,
+    ("D2-lo-ge1", LOWER, T_GE_1, 0.5, None, _half_lo, None, 0.0,
      "exponential lower bound exp((v(1-v)/2)(1/t-1)^2) for t >= 1"),
-    ("D2-hi-ge1", UPPER, T_GE_1, "half-hi", 0.0,
+    ("D2-hi-ge1", UPPER, T_GE_1, 0.5, None, _half_hi, None, 0.0,
      "exponential upper bound exp((v(1-v)/2)(t-1)^2) for t >= 1"),
-    ("FM-m", LOWER, T_LE_1, "FM", lambda t: 0.5 * (t + 1.0),
+    ("FM-m", LOWER, T_LE_1, 0.5, None, _sq, lambda t: 0.5 * (t + 1.0), 1.0,
      "polynomial lower bound 1 + (v(1-v)(t-1)^2/2)((t+1)/2)^(-v-1) for t <= 1"),
-    ("FM-M", UPPER, T_LE_1, "FM", lambda t: t,
+    ("FM-M", UPPER, T_LE_1, 0.5, None, _sq, lambda t: t, 1.0,
      "polynomial upper bound 1 + (v(1-v)(t-1)^2/2) t^(-v-1) for t <= 1"),
-    ("T31-poly", UPPER, ALL_T, "expr", 1.0,
+    ("T31-poly", UPPER, ALL_T, 1.0, None, _identity_arg, None, 1.0,
      "polynomial upper bound 1 + v(1-v)(t-1)^2/t"),
-    ("C33-expr", UPPER, ALL_T, "expr", None,
+    ("C33-expr", UPPER, ALL_T, 1.0, None, _identity_arg, None, None,
      "deformed-exponential upper bound exp_r(v(1-v)(t-1)^2/t), 0 < r <= 1"),
-    ("T36-lo-le1", LOWER, T_LE_1, "half-lo", -1.0,
+    ("T36-lo-le1", LOWER, T_LE_1, 0.5, None, _half_lo, None, -1.0,
      "reciprocal lower bound 1/(1 - (v(1-v)/2)(t-1)^2) for t <= 1"),
-    ("T36-hi-le1", UPPER, T_LE_1, "half-hi", 1.0,
+    ("T36-hi-le1", UPPER, T_LE_1, 0.5, None, _half_hi, None, 1.0,
      "polynomial upper bound 1 + (v(1-v)/2)(1/t-1)^2 for t <= 1"),
-    ("T36-lo-ge1", LOWER, T_GE_1, "half-lo", -1.0,
+    ("T36-lo-ge1", LOWER, T_GE_1, 0.5, None, _half_lo, None, -1.0,
      "reciprocal lower bound 1/(1 - (v(1-v)/2)(1/t-1)^2) for t >= 1"),
-    ("T36-hi-ge1", UPPER, T_GE_1, "half-hi", 1.0,
+    ("T36-hi-ge1", UPPER, T_GE_1, 0.5, None, _half_hi, None, 1.0,
      "polynomial upper bound 1 + (v(1-v)/2)(t-1)^2 for t >= 1"),
-    ("C38-lo", LOWER, ALL_T, "half-lo", None,
+    ("C38-lo", LOWER, ALL_T, 0.5, None, _half_lo, None, None,
      "deformed-exponential lower bound exp_r((v(1-v)/2)(1 - min{1,t}/max{1,t})^2), -1 <= r < 0"),
-    ("C38-hi", UPPER, ALL_T, "half-hi", None,
+    ("C38-hi", UPPER, ALL_T, 0.5, None, _half_hi, None, None,
      "deformed-exponential upper bound exp_r((v(1-v)/2)(1 - max{1,t}/min{1,t})^2), 0 < r <= 1"),
 ))
 
@@ -287,8 +279,9 @@ def evaluate(bound_id, p, deform=None):
 
 def evaluate_grid(bound_id, t, v, deform=None):
     """Vectorized evaluate over broadcastable t/v arrays, region unchecked.  Off
-    its half-line an entry is still its family at its r, so it equals its twin bit
-    for bit: D2-lo-le1 is D2-lo-ge1, T36-lo-* is C38-lo at r = -1, hi rows alike."""
+    its half-line an entry is still its formula at its r, so it equals its twin bit
+    for bit: D2-lo-le1 is D2-lo-ge1, T36-lo-* is C38-lo at r = -1, hi rows alike.
+    Nor are t > 0 and v in [0, 1] checked: outside them a value means nothing."""
     entry = _lookup(bound_id)
     return entry.kernel(np.asarray(t, dtype=float), np.asarray(v, dtype=float),
                         entry.admit(deform))

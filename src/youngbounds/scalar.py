@@ -247,7 +247,7 @@ def _dexp(r, x, out=None, nonneg=False):
     without it.  Without out no ufunc gets an out keyword, not even None: a
     ufunc on a float takes about four times as long with one.
     """
-    if abs(r) < R_ZERO_SWITCH:
+    if -R_ZERO_SWITCH < r < R_ZERO_SWITCH:
         return np.exp(x) if out is None else np.exp(x, out=out)
     unit = r == 1.0 or r == -1.0
     # The domain test reads 1 + x or 1 - x at r = +-1, and elsewhere r*x, log1p's

@@ -14,10 +14,10 @@ Three jobs live here:
 Scans are deterministic.  Grids are walked with t as the outer axis, in
 blocks of whole t-rows of about _BLOCK_POINTS points each (never less than
 one row), in ascending row-major order.  A walk builds a plan once: the
-plan of each row it reads (catalog._kernel, scalar._ratio_plan) computes the
-row's t-only factors once over the walk's whole t column and each v-only
-factor once as a row of n_v doubles, and its fill writes each block in place
-by broadcasting those rows against slices of those columns, with the
+plan of each row it reads (catalog._kernel's one plan, scalar._ratio_plan)
+computes the row's t-only factors once over the walk's whole t column and
+each v-only factor once, in place, as a row of n_v doubles; its fill writes
+each block in place by broadcasting them against column slices, with the
 kernel's ufuncs in the kernel's order.  A walk's one 64-byte-aligned arena
 (_Arena) holds three block views and its v rows.  Each block is reduced on
 the spot to its first extremum, and the walk picks one of those at the end
@@ -34,7 +34,7 @@ depends on it.  A block view holds at most max(_BLOCK_POINTS, n_v) points,
 whatever n_t; the t-only columns are O(n_t) doubles each, the order of the t
 grid the walk already holds.  Each block does only the work its verdict
 needs: each run of a block's rows on one side of [1e-3, 1e3] evaluates R in
-that side's form only, a deformed row at r > 0 skips exp_r's domain pass
+that side's form only, a catalog row at r > 0 skips exp_r's domain pass
 (its argument is >= 0 or NaN, so it cannot fail), and a sweep counts a
 block's violations only when its least margin is below -tol or is NaN (the
 least margin is the first NaN if there is one).  A sweep reports a NaN

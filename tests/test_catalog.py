@@ -482,6 +482,14 @@ def test_a_query_that_raised_keeps_nothing():
         assert evaluate("D1-exp", p) == np.inf
 
 
+def test_every_row_is_one_formula():
+    # The 17 rows differ only in their pieces: one kernel code object and one
+    # plan code object serve them all.
+    assert len(catalog._CATALOG) == 17
+    assert len({e.kernel.__code__ for e in catalog._CATALOG}) == 1
+    assert len({e.plan.__code__ for e in catalog._CATALOG}) == 1
+
+
 # Reference kernels: every entry's formula written out on its own, apart
 # from the family rows the catalog builds them from.  The catalog must give
 # the same bits, in grids and at points.

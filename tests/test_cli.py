@@ -373,18 +373,32 @@ def test_witness_nan_in_coarse_grid_is_skipped(capsys):
     assert "nan" not in err and "inf" not in err
 
 
-def test_witness_past_overflow_writes_one_stderr_line():
-    # stderr is one summary line: numpy's overflow warnings must not reach it.
+def _run_module(module, *argv):
+    """python -m module argv in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(youngbounds.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "youngbounds.cli", "witness", "--diff", "diff-l",
-         "--t-max", "1e300"], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True,
+                          text=True)
+
+
+def test_witness_past_overflow_writes_one_stderr_line():
+    # stderr is one summary line: numpy's overflow warnings must not reach it.
+    proc = _run_module("youngbounds.cli", "witness", "--diff", "diff-l", "--t-max", "1e300")
     assert proc.returncode == 0
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("witness diff-l: ")
     assert math.isfinite(json.loads(proc.stdout)["results"]["value_neg"])
+
+
+def test_python_m_youngbounds_is_the_command_line():
+    # python -m youngbounds runs cli.main and exits with its code.
+    package = _run_module("youngbounds", "remarks", "--format", "csv")
+    module = _run_module("youngbounds.cli", "remarks", "--format", "csv")
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout
+    assert _run_module("youngbounds", "eval", "--bound", "ratio", "--t", "2",
+                       "--v", "0.5").returncode == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

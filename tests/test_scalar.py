@@ -319,11 +319,14 @@ _NONNEG_X = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 709
 @relaxed
 def test_dexp_skips_its_domain_pass_for_nonneg_x_at_positive_r(r, xs):
     # With r > 0 and every x >= 0 or NaN, 1 + r*x cannot fall below 1: the
-    # unchecked call writes the checked call's bits.
+    # unchecked call writes the checked call's bits, into out on an array and
+    # on each float x without out, as the catalog's point kernels call it.
     with np.errstate(all="ignore"):
         checked = _dexp(r, np.array(xs), out=np.empty(len(xs)))
         unchecked = _dexp(r, np.array(xs), out=np.empty(len(xs)), nonneg=True)
+        points = [(_dexp(r, x), _dexp(r, x, nonneg=True)) for x in xs]
     assert unchecked.tobytes() == checked.tobytes()
+    assert np.array([u for _, u in points]).tobytes() == np.array([c for c, _ in points]).tobytes()
 
 
 def test_point_admission_messages():

@@ -589,14 +589,19 @@ def test_sweep_holds_a_few_t_columns_beside_the_t_grid(bound_id):
 
 
 def test_one_row_walk_holds_three_block_views_and_its_v_rows():
-    # A K-upper sweep at one row per block holds three block views (out, tmp
-    # and the margin's scratch), its plans' three v rows (K's weight, R's 1-v
-    # and -v), the v grid, one v-sized temporary of a v factor, and t columns
-    # of three points.
+    # A sweep at one row per block holds three block views (out, tmp and the
+    # margin's scratch), its plans' v rows (the row's weight, FM's -v-1, R's
+    # 1-v and -v), the v grid, and t columns of three points.  Every v row is
+    # written in place: K's weight takes no v-sized temporary, and c v(1-v)
+    # takes one, c v.
     row = _ONE_ROW.v_grid().nbytes
-    assert catalog._BY_ID["K-upper"].v_rows + scalar._R_ROW.v_rows == 3
-    sweep("K-upper", _ONE_ROW)
-    assert _traced_peak(lambda: sweep("K-upper", _ONE_ROW)) < (3 + 3 + 2) * row + 2**14
+    for bound_id, t_max, v_rows, temporaries in (("K-upper", 1e9, 3, 0), ("D1-exp", 1e9, 3, 1),
+                                                 ("FM-m", 1.0, 4, 1)):
+        region = Region(_ONE_ROW.t_min, t_max, 0.0, 1.0, LOG, 3, _ONE_ROW.n_v)
+        assert catalog._BY_ID[bound_id].v_rows + scalar._R_ROW.v_rows == v_rows
+        sweep(bound_id, region)
+        peak = _traced_peak(lambda: sweep(bound_id, region))
+        assert peak < (3 + v_rows + 1 + temporaries) * row + 2**14, bound_id
 
 
 def test_every_kernel_returns_whole_row_blocks(monkeypatch):
