@@ -40,10 +40,8 @@ from .operators import (
     SandwichSpec,
     certify_corollary_one,
     certify_corollary_two,
-    haar_unitary,
     hermitian_power,
     loewner_leq,
-    random_sandwich_pair,
     read_matrix,
     validate_sandwich,
     weighted_arithmetic,
@@ -112,13 +110,11 @@ __all__ = [
     "evaluate_grid",
     "find_sign_change",
     "get_bound",
-    "haar_unitary",
     "hermitian_power",
     "kantorovich",
     "kantorovich_identity_arg",
     "list_bounds",
     "loewner_leq",
-    "random_sandwich_pair",
     "read_matrix",
     "reproduce_remarks",
     "sweep",

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _check_threshold, _dexp,
-                     _identity_arg, _kantorovich, _pow, _record, _row, _sq)
+from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _admit_t, _admit_v, _check_threshold,
+                     _dexp, _identity_arg, _kantorovich, _pow, _record, _row, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -142,11 +142,43 @@ def _kernel(c, pick, s, base, fixed):
     return kernel, plan, 1 if base is None else 2
 
 
+class _Pair:
+    """The one comparison of two rows (_ROWS, R included): lhs - rhs, or rhs - lhs
+    if reversed, on the narrower of their regions (they nest), t in [t_lo, t_hi].
+    sub reads two values or two spectra, kernel arrays (rhs at r = None), and plan
+    a grid walk: lhs's plan first, so a bound's t-only temporaries are gone before
+    R's takes log t; fill writes lhs into out, rhs into tmp (scratch as its tmp),
+    then subtracts in place.  A plan without a free r ignores the walk's r."""
+
+    def __init__(self, lhs, rhs, reverse=False):
+        self.lhs, self.rhs, self.reverse = lhs, rhs, reverse
+        self.v_rows = lhs.v_rows + rhs.v_rows
+        self.region = rhs.region if lhs.region == ALL_T else lhs.region
+        self.t_lo, self.t_hi = _REGION_T[self.region]
+
+    def sub(self, lhs, rhs):
+        return rhs - lhs if self.reverse else lhs - rhs
+
+    def kernel(self, t, v, r):
+        return self.sub(self.lhs.kernel(t, v, r), self.rhs.kernel(t, v, None))
+
+    def plan(self, t, v, r, arena):
+        fill_lhs, fill_rhs = self.lhs.plan(t, v, r, arena), self.rhs.plan(t, v, r, arena)
+        scratch, reverse = arena.scratch, self.reverse
+
+        def fill(i0, out, tmp):
+            fill_lhs(i0, out, tmp)
+            fill_rhs(i0, tmp, scratch[:len(out)])
+            np.subtract(*((tmp, out) if reverse else (out, tmp)), out=out)
+        return fill
+
+
 class _Entry:
     """One catalog row: its id, region (and the region's closed t-interval
     [t_lo, t_hi]), BoundSpec and kernel, the one kernel that every read of the
     row (a point, a grid, a difference, a claim) calls, and the kernel's plan,
-    which the grid walks of sweeps and witness searches fill in place.
+    which the grid walks of sweeps and witness searches fill in place.  margin
+    is its _Pair with R (bound - R if upper, R - bound if lower, >= 0 if it holds).
 
     c, pick, s, base and r are the row's pieces of _kernel's formula; r is None
     where the caller may choose r within scalar._admit_r's interval for its side.
@@ -161,6 +193,7 @@ class _Entry:
         self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
         self.kernel, self.plan, self.v_rows = _kernel(c, pick, s, base, r)
+        self.margin = _Pair(self, _R_ROW, reverse=side == LOWER)
 
     def admit(self, deform):
         """Resolve the deformation (a DeformParam, a float or None) to a float r."""
@@ -241,11 +274,6 @@ def _lookup(bound_id):
         raise UnknownBoundError(f"unknown bound id {bound_id!r}") from None
 
 
-def _margin(side, bound, ratio):
-    """bound - R for an upper row, R - bound for a lower one: >= 0 where it holds."""
-    return bound - ratio if side == UPPER else ratio - bound
-
-
 def bound_ids():
     """All catalog identifiers in stable catalog order."""
     return tuple(e.id for e in _CATALOG)
@@ -281,10 +309,16 @@ def evaluate_grid(bound_id, t, v, deform=None):
     """Vectorized evaluate over broadcastable t/v arrays, region unchecked.  Off
     its half-line an entry is still its formula at its r, so it equals its twin bit
     for bit: D2-lo-le1 is D2-lo-ge1, T36-lo-* is C38-lo at r = -1, hi rows alike.
-    Nor are t > 0 and v in [0, 1] checked: outside them a value means nothing."""
+    t and v are checked as EvalPoint checks them (DomainError), each operand
+    before broadcasting by its least and greatest value, NaN if it holds one,
+    so in O(n_t + n_v); an empty operand passes and gives an empty result."""
     entry = _lookup(bound_id)
-    return entry.kernel(np.asarray(t, dtype=float), np.asarray(v, dtype=float),
-                        entry.admit(deform))
+    t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    if t.size:
+        _admit_t(float(t.min())), _admit_t(float(t.max()))
+    if v.size:
+        _admit_v("v", float(v.min())), _admit_v("v", float(v.max()))
+    return entry.kernel(t, v, entry.admit(deform))
 
 
 def certify_point(bound_id, p, deform=None, tol=1e-12):
@@ -296,7 +330,7 @@ def certify_point(bound_id, p, deform=None, tol=1e-12):
     entry = _lookup(bound_id)
     bound_value = _value(entry, p, deform)
     ratio_value = _row(_R_ROW, p, None)
-    margin = _margin(entry.spec.side, bound_value, ratio_value)
+    margin = entry.margin.sub(bound_value, ratio_value)
     return Certificate(bound_id, p, ratio_value, bound_value, margin, margin >= -tol, tol)
 
 

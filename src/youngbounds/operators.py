@@ -63,9 +63,6 @@ PD_FLOOR = 1e-12
 # Tolerance for the four sandwich comparisons against scalar multiples of I.
 SANDWICH_TOL = 1e-10
 
-# Draws random_sandwich_pair makes before it gives up.
-_SANDWICH_TRIES = 16
-
 
 def _relative_skew(X, XH):
     """(||X - X*||_F / ||X||_F, ||X||_F^2) for X and its conjugate transpose XH.
@@ -350,7 +347,7 @@ def _certify(A, B, v, s, tol, variant, claims):
 
     Each compares the reduced means on lam = spec(A^{-1/2}BA^{-1/2}):
     arithmetic <= factor * geometric for an upper claim, the reverse for a
-    lower one, the row's catalog._margin with R the arithmetic.  The margin
+    lower one, the row's margin with the arithmetic mean as R.  The margin
     is loewner_leq's for the two diagonals.  An overflow in the factor's exp
     or log is numpy's, under the caller's np.errstate; its squares are float
     products and overflow to inf silently.  A factor that is not a finite
@@ -378,7 +375,7 @@ def _certify(A, B, v, s, tol, variant, claims):
                               f"h' = {s.h_prime!r} ({row.id} at t = {end!r})")
         bound = factor * geometric
         scale = max(arithmetic_scale, float(np.abs(bound).max()))
-        margin = _relative(float(catalog._margin(row.spec.side, bound, arithmetic).min()), scale)
+        margin = _relative(float(row.margin.sub(bound, arithmetic).min()), scale)
         yield OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol)
 
 
@@ -409,38 +406,6 @@ def certify_corollary_two(A, B, v, r1, r2, s, variant="as-stated", tol=1e-10):
         )
     ends = (s.h, s.h_prime) if variant == "as-stated" else (s.h_prime, s.h)
     return tuple(_certify(A, B, v, s, tol, variant, zip(_TWO, ends, rs)))
-
-
-def haar_unitary(dim, rng):
-    """Haar-distributed random unitary via QR of a complex Ginibre sample."""
-    Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R).copy()
-    d[d == 0.0] = 1.0  # measure-zero guard
-    return Q * (d / np.abs(d))
-
-
-def random_sandwich_pair(s, dim, rng, commuting=True):
-    """An (A, B) pair satisfying the sandwich, built to order.
-
-    The small matrix draws eigenvalues uniformly from [m, m'], the large one
-    from [M', M].  With commuting=True both live in one Haar-random basis;
-    otherwise the large matrix gets its own basis.  The pair is re-validated
-    numerically before being returned.
-    """
-    for _ in range(_SANDWICH_TRIES):
-        U = haar_unitary(dim, rng)
-        V = U if commuting else haar_unitary(dim, rng)
-        w_small = rng.uniform(s.m, s.m_prime, dim)
-        w_large = rng.uniform(s.M_prime, s.M, dim)
-        small = HermitianMatrix((U * w_small) @ U.conj().T)
-        large = HermitianMatrix((V * w_large) @ V.conj().T)
-        A, B = (small, large) if s.case == "i" else (large, small)
-        if validate_sandwich(A, B, s):
-            return A, B
-    raise SandwichViolationError(
-        f"could not build a sandwich-valid pair in {_SANDWICH_TRIES} attempts"
-    )
 
 
 def write_matrix(path, A):

@@ -2,12 +2,12 @@
 
 Three jobs live here:
 
-- sweep: certify one catalog bound on a full (t, v) grid and report the
-  violation count and the worst margin;
+- sweep: walk one catalog bound's margin (its catalog._Pair with R) over a
+  full (t, v) grid and report the violation count and the worst margin;
 - find_sign_change: look for floating-point evidence that a difference
   function takes both signs (so neither of the two compared bounds
-  dominates the other).  Each is one row minus another, R being one more
-  row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
+  dominates the other).  Each is the catalog._Pair of two rows, R being one
+  more row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import _R_ROW, EvalPoint, _check_threshold, _finite_r, _record, _row
+from .scalar import EvalPoint, _check_threshold, _finite_r, _record, _row
 
 LINEAR = "linear"
 LOG = "log"
@@ -201,43 +201,15 @@ class NonOrderingWitness:
     delta: float
 
 
-class _Pair:
-    """lhs - rhs of two rows (catalog._ROWS, R included), or rhs - lhs if
-    reversed, as one row of a grid walk: lhs's plan is built first, its fill
-    writes lhs into out, rhs into tmp (with the arena's scratch as its tmp),
-    then subtracts in place.  A plan without a free r ignores the walk's r."""
-
-    def __init__(self, lhs, rhs, reverse=False):
-        self.lhs, self.rhs, self.reverse = lhs, rhs, reverse
-        self.v_rows = lhs.v_rows + rhs.v_rows
-
-    def plan(self, t, v, r, arena):
-        fill_lhs, fill_rhs = self.lhs.plan(t, v, r, arena), self.rhs.plan(t, v, r, arena)
-        scratch, reverse = arena.scratch, self.reverse
-
-        def fill(i0, out, tmp):
-            fill_lhs(i0, out, tmp)
-            fill_rhs(i0, tmp, scratch[:len(out)])
-            np.subtract(*((tmp, out) if reverse else (out, tmp)), out=out)
-        return fill
-
-
-class _Diff(_Pair):
-    """A difference function: the _Pair of two rows on the narrower of their
-    regions, t in [t_lo, t_hi].  At a point (kernel, eval_diff) only an lhs
-    row that takes the caller's r (needs_r) gets it; the rest get r = None."""
+class _Diff(catalog._Pair):
+    """A difference function: the _Pair of two rows, lhs - rhs, with its id and
+    default search window.  At a point (kernel, eval_diff) only an lhs row that
+    takes the caller's r (needs_r) gets it; the rest get r = None."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
-        lhs, rhs = catalog._ROWS[lhs_id], catalog._ROWS[rhs_id]
-        super().__init__(lhs, rhs)
-        # Regions nest: a half-line lies inside all-t.
-        self.region = rhs.region if lhs.region == catalog.ALL_T else lhs.region
-        self.t_lo, self.t_hi = catalog._REGION_T[self.region]
+        super().__init__(catalog._ROWS[lhs_id], catalog._ROWS[rhs_id])
         self.id, self.preset = diff_id, (t_lo, t_hi, delta)
-        self.needs_r = lhs.default_r is not None
-
-    def kernel(self, t, v, r):
-        return self.lhs.kernel(t, v, r) - self.rhs.kernel(t, v, None)
+        self.needs_r = self.lhs.default_r is not None
 
 
 # (id, lhs, rhs, then the default search window t_lo, t_hi and threshold
@@ -324,7 +296,7 @@ def _admit_diff_r(diff, r):
 class _Arena:
     """One grid walk's memory, cut from one np.empty, each piece starting on a
     64-byte boundary: three (rows, n_v) block views, out, tmp and scratch (a
-    _Pair's third buffer), then rows, an iterator over n_rows v rows of n_v.
+    catalog._Pair's third buffer), then rows, an iterator over n_rows v rows.
 
     On an AVX-512 host a multiply of 8K doubles into a 64-byte-aligned output
     ran about twice as fast as into any other alignment.  One allocation per
@@ -344,7 +316,7 @@ class _Arena:
 
 def _row_blocks(row, tg, vg, r):
     """Yield (first_row, values) for blocks of whole t-rows of a row (a catalog
-    row, R or a _Pair) on the tg x vg grid.
+    row, R or a catalog._Pair) on the tg x vg grid.
 
     The walk builds row.plan(tg[:, None], vg, r, arena) once, in an _Arena of
     row.v_rows v rows: the plan computes its t-only factors over the whole t
@@ -412,16 +384,11 @@ def sweep(bound_id, region, tol=1e-12, deform=None):
     _check_window(entry, region.t_min, region.t_max)
     _check_threshold("tol", tol)
     r = entry.admit(deform)
-
-    # The margin (catalog._margin): bound - R for an upper row, R - bound for
-    # a lower one.  The bound's plan is built first either way, so its t-only
-    # temporaries are gone before R's plan takes log t.
-    margin = _Pair(entry, _R_ROW, reverse=entry.spec.side == catalog.LOWER)
     tg, vg = region.t_grid(), region.v_grid()
     n_violations = 0
     extrema = []
     with np.errstate(over="ignore", invalid="ignore"), _RowBuffer(vg.size):
-        for i0, block in _row_blocks(margin, tg, vg, r):
+        for i0, block in _row_blocks(entry.margin, tg, vg, r):
             least = _block_extremum(block, i0, lower=True)
             # Counted as not holding, like certify_point, so NaN margins
             # count.  The least margin is the first NaN if there is one, so

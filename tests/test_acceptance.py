@@ -26,13 +26,14 @@ from youngbounds import (
     kantorovich,
     kantorovich_identity_arg,
     loewner_leq,
-    random_sandwich_pair,
     sweep,
     weighted_arithmetic,
     weighted_geometric,
 )
 from youngbounds.catalog import ALL_T, T_GE_1, T_LE_1
 from youngbounds.cli import main as cli_main
+
+from sandwich_pairs import random_sandwich_pair
 
 WINDOWS = {ALL_T: (1e-3, 1e3), T_LE_1: (1e-3, 1.0), T_GE_1: (1.0, 1e3)}
 

@@ -146,6 +146,39 @@ def test_grid_evaluation_matches_pointwise():
             assert grid[i, j] == evaluate("FM-M", EvalPoint(float(ti), float(vj)))
 
 
+# Each grid read a number where a point query raises: -11.0, -3.5, 0.3247,
+# 0.0 and NaN before evaluate_grid checked its domain.
+@pytest.mark.parametrize("bid, t, v, quoted", [
+    ("FM-M", 0.5, 3.0, "v must lie in [0, 1], got 3.0"),
+    ("T31-poly", 4.0, 2.0, "v must lie in [0, 1], got 2.0"),
+    ("D1-exp", -2.0, 0.5, "t must be a finite positive real, got -2.0"),
+    ("K-upper", -1.0, 0.5, "t must be a finite positive real, got -1.0"),
+    ("D1-exp", np.nan, 0.5, "t must be a finite positive real, got nan"),
+], ids=["FM-M-v=3", "T31-poly-v=2", "D1-exp-t=-2", "K-upper-t=-1", "D1-exp-t=nan"])
+def test_grid_evaluation_checks_the_domain_as_a_point_does(bid, t, v, quoted):
+    for query in (lambda: evaluate_grid(bid, t, v), lambda: EvalPoint(t, v)):
+        with pytest.raises(DomainError) as raised:
+            query()
+        assert str(raised.value) == quoted
+
+
+def test_grid_evaluation_checks_every_value_of_each_operand():
+    t, v = np.geomspace(0.1, 10.0, 5), np.linspace(0.0, 1.0, 5)
+    for bad in (0.0, -0.0, -5e-324, np.inf, np.nan):
+        worse = t.copy()
+        worse[2] = bad
+        with pytest.raises(DomainError, match="^t must be a finite positive real"):
+            evaluate_grid("D1-exp", worse[:, None], v[None, :])
+    for bad in (-5e-324, np.nextafter(1.0, 2.0), np.inf, np.nan):
+        worse = v.copy()
+        worse[2] = bad
+        with pytest.raises(DomainError, match=r"^v must lie in \[0, 1\]"):
+            evaluate_grid("D1-exp", t[:, None], worse[None, :])
+    # An empty operand passes its check, and the result is empty.
+    assert evaluate_grid("D1-exp", t[:0, None], v[None, :]).shape == (0, 5)
+    assert evaluate_grid("K-lower", 2.0, v[:0]).shape == (0,)
+
+
 def test_certify_point_upper_margin():
     cert = certify_point("T36-hi-ge1", EvalPoint(2.0, 0.5))
     assert cert.holds and cert.tol == 1e-12

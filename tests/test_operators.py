@@ -23,11 +23,9 @@ from youngbounds import (
     certify_corollary_one,
     certify_corollary_two,
     evaluate,
-    haar_unitary,
     hermitian_power,
     loewner_leq,
     operators,
-    random_sandwich_pair,
     read_matrix,
     validate_sandwich,
     weighted_arithmetic,
@@ -40,7 +38,10 @@ from youngbounds.errors import (
     NotPositiveDefiniteError,
     SandwichViolationError,
 )
-from youngbounds.operators import _SANDWICH_TRIES, HERMITIAN_TOL, PD_FLOOR, _pencil
+from youngbounds.operators import HERMITIAN_TOL, PD_FLOOR, _pencil
+
+import sandwich_pairs
+from sandwich_pairs import _SANDWICH_TRIES, haar_unitary, random_sandwich_pair
 
 relaxed = settings(deadline=None)
 
@@ -392,7 +393,7 @@ def test_random_sandwich_pair_gives_up_after_its_tries(monkeypatch):
         calls.append(spec)
         return False
 
-    monkeypatch.setattr("youngbounds.operators.validate_sandwich", refuse)
+    monkeypatch.setattr(sandwich_pairs, "validate_sandwich", refuse)
     s = SandwichSpec(1.0, 1.2, 3.0, 4.0)
     with pytest.raises(SandwichViolationError, match=re.escape(
             f"could not build a sandwich-valid pair in {_SANDWICH_TRIES} attempts")):
@@ -1036,9 +1037,10 @@ def test_operator_layer_imports_numpy_only():
         "import sys\n"
         "import numpy as np\n"
         "import youngbounds\n"
-        "from youngbounds import SandwichSpec, certify_corollary_two, random_sandwich_pair\n"
+        "from youngbounds import HermitianMatrix, SandwichSpec, certify_corollary_two\n"
         "s = SandwichSpec(1.0, 1.2, 3.0, 4.0)\n"
-        "A, B = random_sandwich_pair(s, 4, np.random.default_rng(0))\n"
+        "A = HermitianMatrix.diagonal([1.0, 1.2])\n"
+        "B = HermitianMatrix(np.array([[3.5, 0.3], [0.3, 3.5]]))\n"
         "certify_corollary_two(A, B, 0.3, -0.5, 0.5, s)\n"
         "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
     )

@@ -144,15 +144,30 @@ def test_sweep_deform_passthrough():
     assert looser.min_margin >= default.min_margin
 
 
-def test_sweep_margins_match_pointwise_certificates():
+# FM-M is an upper row and FM-m a lower one, whose margin pair is reversed.
+@pytest.mark.parametrize("bound_id", ["FM-M", "FM-m"])
+def test_sweep_margins_match_pointwise_certificates(bound_id):
     region = Region(0.2, 1.0, 0.0, 1.0, LINEAR, 5, 5)
-    report = sweep("FM-M", region)
+    report = sweep(bound_id, region)
     worst = min(
-        certify_point("FM-M", EvalPoint(float(t), float(v))).margin
+        certify_point(bound_id, EvalPoint(float(t), float(v))).margin
         for t in region.t_grid()
         for v in region.v_grid()
     )
     assert report.min_margin == worst
+
+
+def test_every_margin_and_difference_is_one_catalog_pair():
+    # One comparison of two rows serves points, sweeps, searches and claims:
+    # each entry's margin is its pair with R, reversed exactly for a lower row.
+    for entry in catalog._CATALOG:
+        margin = entry.margin
+        assert type(margin) is catalog._Pair
+        assert margin.lhs is entry and margin.rhs is scalar._R_ROW
+        assert margin.reverse == (entry.spec.side == catalog.LOWER)
+        assert margin.region == entry.region
+    for diff in verify._DIFFS:
+        assert isinstance(diff, catalog._Pair) and not diff.reverse
 
 
 # The whole-grid reference that the blocked reductions must match bit for
