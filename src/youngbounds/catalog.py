@@ -7,11 +7,13 @@ exp_r(W(v) s(t) base(t)^(-v-1)) (_kernel), so every entry is one
 scalar._dexp call.  The Kantorovich power is exp_0, the FM polynomial exp_1.
 Three entries carry r as a parameter; when the caller omits it the tightest
 admissible value is used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, by
-the monotonicity of exp_r in r).  A row's value at an EvalPoint is computed
-once, by scalar._row, and kept on the point for every later query there.  R
-itself is one more row of that memo, scalar._R_ROW: comparisons (the ordering
-chain, the differences, the margins) name it as "ratio" beside the catalog
-rows, but it is not a catalog entry.
+the monotonicity of exp_r in r).  A point query reads a row as one subscript
+of the EvalPoint's memo, p._rows[row id, r]: the memo (scalar._Memo) computes
+a row it does not hold yet, once, looking it up in the one id -> row table
+_ROWS, and keeps it for every later query there.  R itself is one more row of
+that table, scalar._R_ROW: comparisons (the ordering chain, the differences,
+the margins) name it as "ratio" beside the catalog rows, but it is not a
+catalog entry.
 
 Each region is a closed t-interval (_REGION_T) where the entry is valid: t = 1
 lies in both half-lines, and every entry is exactly 1 there.  It does not pick
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, UnknownBoundError
-from .scalar import (_R_ROW, DeformParam, EvalPoint, _admit_r, _admit_t, _admit_v, _check_threshold,
-                     _dexp, _identity_arg, _kantorovich, _pow, _record, _row, _sq)
+from .scalar import (_R_ROW, _ROWS, DeformParam, EvalPoint, _admit_r, _admit_t, _admit_v,
+                     _check_threshold, _dexp, _identity_arg, _kantorovich, _pow, _record, _sq)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -246,8 +248,8 @@ _CATALOG = tuple(_Entry(*row) for row in (
 
 _BY_ID = {e.id: e for e in _CATALOG}
 
-# Every row a comparison may name: the catalog's, and R as "ratio".
-_ROWS = {**_BY_ID, "ratio": _R_ROW}
+# Every row a comparison or a point may name: the catalog's, and R as "ratio".
+_ROWS.update(_BY_ID)
 
 _SPECS = tuple(e.spec for e in _CATALOG)
 
@@ -260,10 +262,10 @@ _CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
     ("D2-lo-le1", "FM-m"), ("FM-m", "ratio"), ("ratio", "FM-M"), ("FM-M", "D2-hi-le1"),
     ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
 
-# The chain's seven rows in the order of their first read, each link's hi
-# before its lo: the first read of a row at a point decides whether it warns
-# or raises there.
-_CHAIN_ROWS = tuple(_ROWS[bid] for bid in dict.fromkeys(
+# The memo keys of the chain's seven rows in the order of their first read,
+# each link's hi before its lo: the first read of a row at a point decides
+# whether it warns or raises there.
+_CHAIN_KEYS = tuple((bid, _ROWS[bid].default_r) for bid in dict.fromkeys(
     bid for _, lo, hi in _CHAIN for bid in (hi, lo)))
 
 
@@ -289,10 +291,8 @@ def get_bound(bound_id):
     return _lookup(bound_id).spec
 
 
-def _value(entry, p, deform):
-    if not entry.t_lo <= p.t <= entry.t_hi:
-        raise RegionError(f"{entry.id} is not valid at t={p.t} (region {entry.region})")
-    return _row(entry, p, entry.admit(deform))
+def _outside(entry, p):
+    return RegionError(f"{entry.id} is not valid at t={p.t} (region {entry.region})")
 
 
 def evaluate(bound_id, p, deform=None):
@@ -302,7 +302,10 @@ def evaluate(bound_id, p, deform=None):
     for C33-expr/C38-hi/C38-lo it is a DeformParam or a float r, and
     defaults to the tightest admissible value.
     """
-    return _value(_lookup(bound_id), p, deform)
+    entry = _BY_ID.get(bound_id) or _lookup(bound_id)
+    if not entry.t_lo <= p.t <= entry.t_hi:
+        raise _outside(entry, p)
+    return p._rows[entry.id, entry.default_r if deform is None else entry.admit(deform)]
 
 
 def evaluate_grid(bound_id, t, v, deform=None):
@@ -324,12 +327,17 @@ def evaluate_grid(bound_id, t, v, deform=None):
 def certify_point(bound_id, p, deform=None, tol=1e-12):
     """Check the named inequality at one point and report the signed margin.
 
-    tol must be finite and >= 0 (DomainError otherwise).
+    tol must be finite and >= 0 (DomainError otherwise).  The checks that
+    pass (tol, the id, the region, an omitted r) call no function.
     """
-    _check_threshold("tol", tol)
-    entry = _lookup(bound_id)
-    bound_value = _value(entry, p, deform)
-    ratio_value = _row(_R_ROW, p, None)
+    if not 0.0 <= tol < math.inf:
+        _check_threshold("tol", tol)
+    entry = _BY_ID.get(bound_id) or _lookup(bound_id)
+    if not entry.t_lo <= p.t <= entry.t_hi:
+        raise _outside(entry, p)
+    rows = p._rows
+    bound_value = rows[entry.id, entry.default_r if deform is None else entry.admit(deform)]
+    ratio_value = rows["ratio", None]
     margin = entry.margin.sub(bound_value, ratio_value)
     return Certificate(bound_id, p, ratio_value, bound_value, margin, margin >= -tol, tol)
 
@@ -343,11 +351,11 @@ def tightest(side, p):
     if side not in (UPPER, LOWER):
         raise DomainError(f"side must be {UPPER!r} or {LOWER!r}, got {side!r}")
     upper = side == UPPER
-    t = p.t
+    t, rows = p.t, p._rows
     best = None
     for entry in _SIDE[side]:
         if entry.t_lo <= t <= entry.t_hi:
-            value = _row(entry, p, entry.default_r)
+            value = rows[entry.id, entry.default_r]
             if best is None or (value < best[1] if upper else value > best[1]):
                 best = (entry.id, value)
     return best
@@ -356,12 +364,13 @@ def tightest(side, p):
 def chain_check(p):
     """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
-    Each of the seven rows, R included, is read through _row once per call
-    (_CHAIN_ROWS), so it is evaluated once per point however many links name
-    it; every margin is hi - lo, the amount by which its inequality holds
+    Each of the seven rows, R included, is read from the point's memo once per
+    call (_CHAIN_KEYS), so it is evaluated once per point however many links
+    name it; every margin is hi - lo, the amount by which its inequality holds
     (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
-    value = {row.id: _row(row, p, row.default_r) for row in _CHAIN_ROWS}
+    rows = p._rows
+    value = {key[0]: rows[key] for key in _CHAIN_KEYS}
     return tuple([ChainLink(claim, value[hi] - value[lo]) for claim, lo, hi in _CHAIN])

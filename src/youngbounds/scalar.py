@@ -10,6 +10,8 @@ certificates) reduces to four functions of one or two real variables:
 
 The public entry points take the validated value types below; the private
 ``_*`` kernels accept floats or numpy arrays and are what the grid code uses.
+An EvalPoint's row memo (_Memo) is the one evaluator of rows at a point: a
+query reads p._rows[row id, r], and a miss runs the kernel of _ROWS[row id].
 exp_r is one function, _dexp, for points, grids and the blocks that grid
 walks fill in place (its out argument).
 Floats and arrays go through the same numpy ufuncs and the same IEEE
@@ -70,16 +72,16 @@ class EvalPoint:
     # first and starts the row memo, so it is written by hand.
     def __init__(self, t, v):
         fields = self.__dict__
-        fields["t"] = _admit_t(t)
-        fields["v"] = _admit_v("v", v)
-        # _row's memo, {(row id, r): value}, filled as rows are read; R is the
-        # row ("ratio", None).  Not a field: it takes no part in eq, hash or repr.
-        fields["_rows"] = {}
+        t = fields["t"] = _admit_t(t)
+        v = fields["v"] = _admit_v("v", v)
+        # The point's row memo (_Memo), {(row id, r): value}; R is the row
+        # ("ratio", None).  Not a field: it takes no part in eq, hash or repr.
+        fields["_rows"] = _Memo(t, v)
 
     @property
     def ratio(self):
         """R(t, v) at this point, read through the row memo."""
-        return _row(_R_ROW, self, None)
+        return self._rows["ratio", None]
 
 
 @dataclass(frozen=True)
@@ -283,25 +285,41 @@ _R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None,
                          kernel=lambda t, v, r: _ratio(t, v), plan=_ratio_plan, v_rows=2)
 
 
-def _row(row, p, r):
-    """row's kernel at the point p for a resolved r (None for a fixed-r row).
+# Every row a point may read, by id: R here as "ratio", and each catalog entry,
+# which catalog adds under its bound id as it builds the catalog.
+_ROWS = {"ratio": _R_ROW}
 
-    The one place a row, R included, is evaluated at a point: the value is
-    kept on p, keyed by (row id, r), so every later query of the same row at p
-    reads it.  A kernel that raises keeps nothing, and the same query raises
-    again.
+
+class _Memo(dict):
+    """The row memo of the point (t, v), {(row id, r): value}, r None for a
+    fixed-r row: the one place a row, R included, is evaluated at a point.
+
+    A point query reads a row as one subscript, p._rows[row id, r].  A miss
+    looks the row up in _ROWS, computes its kernel at (t, v, r) and keeps the
+    value, so every later query of the same row at the point reads it.  A
+    kernel that raises keeps nothing, and the same query raises again.
     """
-    key = (row.id, r)
-    memo = p._rows
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = float(row.kernel(p.t, p.v, r))
-    return value
+
+    __slots__ = ("t", "v")
+
+    def __init__(self, t, v):
+        self.t, self.v = t, v
+
+    def __missing__(self, key):
+        row_id, r = key
+        value = self[key] = float(_ROWS[row_id].kernel(self.t, self.v, r))
+        return value
+
+    # Slots without __getstate__ do not pickle at protocols 0 and 1; this
+    # rebuilds the memo at its point with its kept values, at every protocol
+    # and for copy and deepcopy.
+    def __reduce__(self):
+        return _Memo, (self.t, self.v), None, None, iter(self.items())
 
 
 def young_ratio(p):
     """Arithmetic-to-geometric mean ratio at an EvalPoint; always >= 1."""
-    return _row(_R_ROW, p, None)
+    return p._rows["ratio", None]
 
 
 def kantorovich(t):

@@ -7,7 +7,9 @@ Three jobs live here:
 - find_sign_change: look for floating-point evidence that a difference
   function takes both signs (so neither of the two compared bounds
   dominates the other).  Each is the catalog._Pair of two rows, R being one
-  more row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R;
+  more row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R.
+  At one point, eval_diff reads its two rows as every point query does, each
+  one subscript of the EvalPoint's memo, p._rows[row id, r];
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
@@ -53,7 +55,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DomainError, RegionError, UnknownDiffError, WitnessNotFoundError
-from .scalar import EvalPoint, _check_threshold, _finite_r, _record, _row
+from .scalar import EvalPoint, _check_threshold, _finite_r, _record
 
 LINEAR = "linear"
 LOG = "log"
@@ -412,11 +414,12 @@ def eval_diff(diff_id, p, r=None):
     r is consumed only by diff-ropt (where it is required, must be finite
     and may exceed 1); the other differences have no free parameter.
     """
-    diff = _lookup_diff(diff_id)
+    diff = _DIFF_BY_ID.get(diff_id) or _lookup_diff(diff_id)
     if not diff.t_lo <= p.t <= diff.t_hi:
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
-    lhs = _row(diff.lhs, p, _admit_diff_r(diff, r))
-    return lhs - _row(diff.rhs, p, None)
+    rows = p._rows
+    lhs = rows[diff.lhs.id, _admit_diff_r(diff, r)]
+    return lhs - rows[diff.rhs.id, None]
 
 
 def _grid_extrema(diff, tg, vg, r):

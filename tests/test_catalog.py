@@ -1,6 +1,7 @@
 """Catalog checks: census, evaluation, certificates, envelopes, the chain,
 and a reference kernel per entry that the catalog must match bit for bit."""
 
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -454,6 +455,38 @@ def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows):
     assert (tightest(UPPER, EvalPoint(t, 0.4)), tightest(LOWER, EvalPoint(t, 0.4))) == best
     assert [bid for bid, _ in calls] == [e.id for side in (UPPER, LOWER) for e in catalog._CATALOG
                                          if e.spec.side == side and e.t_lo <= t <= e.t_hi]
+
+
+def _copied(p, how):
+    if how == "copy":
+        return copy.copy(p)
+    if how == "deepcopy":
+        return copy.deepcopy(p)
+    return pickle.loads(pickle.dumps(p, protocol=int(how.removeprefix("pickle-"))))
+
+
+@pytest.mark.parametrize("how", [f"pickle-{k}" for k in range(6)] + ["copy", "deepcopy"])
+def test_a_point_with_kept_values_survives_pickle_and_copy(monkeypatch, how):
+    used = EvalPoint(0.3, 0.4)
+    kept = {("D1-exp", None): evaluate("D1-exp", used),
+            ("C33-expr", 0.7): evaluate("C33-expr", used, 0.7),
+            ("ratio", None): used.ratio}
+    same = _copied(used, how)
+    assert same == used and type(same._rows) is type(used._rows) and same._rows == kept
+    # Its kept values are read, not computed again.
+    calls = _count_kernel_calls(monkeypatch)
+    assert evaluate("D1-exp", same) == kept["D1-exp", None]
+    cert = certify_point("C33-expr", same, 0.7)
+    assert (cert.bound_value, cert.ratio_value) == (kept["C33-expr", 0.7], kept["ratio", None])
+    assert calls == []
+    # A new row is evaluated at the copy's own (t, v), once.
+    assert evaluate("K-upper", same) == evaluate("K-upper", EvalPoint(0.3, 0.4))
+    assert evaluate("K-upper", same) == same._rows["K-upper", None]
+    assert calls == [("K-upper", None)] * 2
+    # A shallow copy shares the memo, as it shares every attribute; the
+    # others own theirs, and the original keeps only its own values.
+    assert (same._rows is used._rows) == (how == "copy")
+    assert used._rows == (same._rows if how == "copy" else kept)
 
 
 def test_a_chain_row_that_raised_keeps_nothing():

@@ -7,6 +7,7 @@ converted from the binary64 values the package actually evaluates at.
 """
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from youngbounds import (
@@ -128,3 +129,42 @@ def test_operator_factors_match_high_precision_across_r(x):
             want_hi = float(_hp_dexp(r, v * (1 - v) / 2 * arg_hi))
             assert lower.scalar_factor == pytest.approx(want_lo, rel=1e-13), (variant, r1)
             assert upper.scalar_factor == pytest.approx(want_hi, rel=1e-13), (variant, r)
+
+
+def _signed_powers(rng, lo, hi, n):
+    return np.copysign(10.0 ** rng.uniform(lo, hi, n), rng.uniform(-1.0, 1.0, n))
+
+
+# Seeded arguments over the ranges the kernels feed each ufunc, half over the
+# whole range and half where most values lie.  exp: v log t for t over the
+# positive finite doubles, exp_r's log1p(r x)/r and R's log form, so
+# [-745, 709.78], and small arguments.  log: t, K(t), R's numerator, so the
+# positive normal doubles, and 1 + e, where log K(t) reads t near 1.  log1p:
+# r x > -1, so (-1, 0) and up to 1e308.
+_ULP_DRAWS = 10_000
+_ULP_ARGS = {
+    "exp": lambda rng, n: np.concatenate(
+        [rng.uniform(-745.0, 709.78, n), _signed_powers(rng, -20.0, 2.85, n)]),
+    "log": lambda rng, n: np.concatenate(
+        [10.0 ** rng.uniform(-307.0, 308.0, n), 1.0 + _signed_powers(rng, -15.0, -0.5, n)]),
+    "log1p": lambda rng, n: np.concatenate(
+        [10.0 ** rng.uniform(-300.0, 308.0, n), -(10.0 ** rng.uniform(-300.0, -1e-9, n))]),
+}
+
+
+@pytest.mark.parametrize("name", _ULP_ARGS)
+def test_numpy_exp_log_log1p_are_within_one_ulp(name):
+    # The error of numpy's float64 ufunc, in units in the last place of the
+    # exact 50-digit value's binade (2^-1074 below the normal range).  The
+    # point kernels call the ufunc on floats, the grids on arrays: each float
+    # call must give the array's bits.
+    ufunc, exact = getattr(np, name), getattr(mp, name)
+    x = _ULP_ARGS[name](np.random.default_rng([33, len(name)]), _ULP_DRAWS // 2)
+    y = ufunc(x)
+    worst = 0.0
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        want = exact(mp.mpf(xi))
+        ulp = mp.ldexp(1, max(mp.frexp(want)[1] - 53, -1074))
+        worst = max(worst, float(abs(mp.mpf(yi) - want) / ulp))
+    assert worst <= 1.0, (name, worst)
+    assert [ufunc(xi) for xi in x[::50].tolist()] == y[::50].tolist()
