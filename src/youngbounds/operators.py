@@ -10,8 +10,13 @@ eigenvalue margin, and certifies the two sandwich claims.
 
 Everything about a pair (A, B) goes through one value, its _Pencil: a
 Cholesky factor A = LL*, the pencil matrix X = L^{-1}BL^{-*} (Golub & Van
-Loan, section 8.7) and its spectrum lam, which the means and certificates of
-the pair share.  X is unitarily similar to A^{-1/2}BA^{-1/2}, so it has the
+Loan, section 8.7), its spectrum lam and the last weight's reduced means,
+which the means and certificates of the pair share.  A keeps the pencil of
+its last B, and apart from it the last (B, s) whose sandwich validated, both
+by weak reference to B: validate_sandwich remembers s on success (never a
+failed s) and factors nothing, and a certificate validates only a pair it
+does not remember, so an instance that validates and then certifies
+validates once.  X is unitarily similar to A^{-1/2}BA^{-1/2}, so it has the
 same spectrum, and since the Kubo-Ando mean is congruence invariant (Kubo &
 Ando 1980; Bhatia, Positive Definite Matrices, ch. 4) the geometric mean is
 A #_v B = L X^v L*, from one eigh of X.
@@ -36,7 +41,6 @@ spectrum reaches the interval ends, so inspect both margins.
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -64,25 +68,44 @@ PD_FLOOR = 1e-12
 SANDWICH_TOL = 1e-10
 
 
-def _relative_skew(X, XH):
-    """(||X - X*||_F / ||X||_F, ||X||_F^2) for X and its conjugate transpose XH.
+def _frobenius_sq(X):
+    """||X||_F^2 as <X, X>, one BLAS dot, no norm() dispatch; inf where it
+    overflows, and not finite where an entry is not."""
+    return np.vdot(X, X).real
 
-    The ratio is 0 for X = 0, and the squared norm is inf where it
-    overflows.  The norms come from <D, D> and <X, X>, one BLAS dot each, no
-    norm() dispatch.  Where ||X||_F^2 leaves [_FROBENIUS_SQ_MIN, inf) the
-    ratio is taken on X scaled by an exact power of two, part by part:
-    numpy's complex division by a subnormal real gives inf and NaN.
+
+def _relative_skew(X, XH, norm_sq):
+    """||X - X*||_F / ||X||_F for finite X, its conjugate transpose XH and
+    norm_sq = ||X||_F^2; 0 for X = 0.
+
+    Where norm_sq leaves [_FROBENIUS_SQ_MIN, inf) the ratio is taken on X
+    scaled by an exact power of two, part by part: numpy's complex division
+    by a subnormal real gives inf and NaN.
     """
-    D = X - XH
-    skew_sq, norm_sq = np.vdot(D, D).real, np.vdot(X, X).real
     if _FROBENIUS_SQ_MIN <= norm_sq < math.inf:
-        return math.sqrt(skew_sq / norm_sq), norm_sq
+        D = X - XH
+        return math.sqrt(np.vdot(D, D).real / norm_sq)
     peak = max(np.abs(X.real).max(), np.abs(X.imag).max())
     if peak == 0.0:
-        return 0.0, norm_sq
+        return 0.0
     e = int(np.frexp(peak)[1])
     Y = np.ldexp(X.real, -e) + 1j * np.ldexp(X.imag, -e)
-    return _relative_skew(Y, Y.conj().T)[0], norm_sq
+    return _relative_skew(Y, Y.conj().T, _frobenius_sq(Y))
+
+
+class _lazy:
+    """A non-data descriptor: the first read of the attribute calls fn and
+    stores its value in the instance dict, where later reads find it.  This
+    is cached_property without the lock Python 3.11 takes on each first read."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +115,9 @@ class HermitianMatrix:
     Input is symmetrized on construction: (X + X*)/2, or X/2 + X*/2 where
     ||X||_F^2 overflows.  A matrix whose skew ||X - X*||_F exceeds
     HERMITIAN_TOL * ||X||_F, with no floor, is rejected, not repaired, at
-    any scale, as is an empty or non-square matrix.  The spectrum is
-    computed on first use and kept, as is the _Pencil with the last partner
-    B (_pencil).
+    any scale, as is an empty or non-square matrix.  The spectrum and its
+    ends are computed on first use and kept, as are the _Pencil with the last
+    partner B (_pencil) and the last (B, s) that validated (validate_sandwich).
     """
 
     entries: np.ndarray
@@ -106,10 +129,13 @@ class HermitianMatrix:
             raise DimensionMismatchError(f"expected a square matrix, got shape {X.shape}")
         if X.size == 0:
             raise DimensionMismatchError(f"expected a non-empty matrix, got shape {X.shape}")
-        if not np.isfinite(X).all():
+        # A finite ||X||_F^2 has finite entries, so only another norm needs
+        # the entrywise test.
+        norm_sq = _frobenius_sq(X)
+        if not norm_sq < math.inf and not np.isfinite(X).all():
             raise DomainError("matrix entries must be finite")
         XH = X.conj().T
-        relative, norm_sq = _relative_skew(X, XH)
+        relative = _relative_skew(X, XH, norm_sq)
         if relative > HERMITIAN_TOL:
             raise DomainError(f"matrix is not Hermitian (relative skew {relative:.3g})")
         if norm_sq < math.inf:
@@ -134,23 +160,30 @@ class HermitianMatrix:
     def diagonal(cls, values):
         return cls(np.diag(np.asarray(values, dtype=complex)))
 
-    @cached_property
+    @_lazy
     def _spectrum(self):
+        """(eigenvalues, least, greatest, norm): the eigenvalues read-only and
+        ascending, the rest floats, norm the largest magnitude of the two ends."""
         w = np.linalg.eigvalsh(self.entries)
         w.setflags(write=False)
-        return w
+        least, greatest = float(w[0]), float(w[-1])
+        return w, least, greatest, max(abs(least), abs(greatest))
 
     def eigenvalues(self):
         """Real eigenvalues in ascending order (computed once, read-only)."""
-        return self._spectrum
+        return self._spectrum[0]
 
     def norm2(self):
         """Spectral norm (largest absolute eigenvalue)."""
-        w = self._spectrum
-        return float(max(abs(w[0]), abs(w[-1])))
+        return self._spectrum[3]
 
     def is_real(self):
         return bool(np.all(self.entries.imag == 0.0))
+
+    def __getstate__(self):
+        # The pair memos hold B by weak reference, which does not pickle; a
+        # copy builds its own.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_pencil", "_sandwich")}
 
 
 @dataclass(frozen=True)
@@ -218,19 +251,19 @@ def _check_weight(v):
     return _admit_v("weight", float(v))  # the message quotes v as a float
 
 
-def _require_pd(w):
-    """Reject an ascending spectrum w whose least eigenvalue is not above
-    PD_FLOOR relative to the largest magnitude."""
-    if w[0] <= PD_FLOOR * max(abs(w[0]), abs(w[-1])) or w[0] <= 0.0:
+def _require_pd(least, greatest):
+    """Reject a spectrum whose least eigenvalue is not above PD_FLOOR
+    relative to the largest magnitude; least and greatest are floats."""
+    if least <= PD_FLOOR * max(abs(least), abs(greatest)) or least <= 0.0:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {w[0]:.3g})"
+            f"matrix is not positive definite (min eigenvalue {least:.3g})"
         )
 
 
 def hermitian_power(A, p):
     """A^p by eigendecomposition; requires A positive definite."""
     w, Q = np.linalg.eigh(A.entries)
-    _require_pd(w)
+    _require_pd(float(w[0]), float(w[-1]))
     return HermitianMatrix((Q * w**float(p)) @ Q.conj().T)  # the constructor symmetrizes
 
 
@@ -251,10 +284,10 @@ def weighted_geometric(A, B, v):
     """
     _same_dim(A, B)
     v = _check_weight(v)
-    _require_pd(A.eigenvalues())
+    _require_pd(*A._spectrum[1:3])
     pencil = _pencil(A, B)
     w, Q = np.linalg.eigh(pencil.X)
-    _require_pd(w)
+    _require_pd(float(w[0]), float(w[-1]))
     C = pencil.L @ Q                             # L X^v L* = C diag(w^v) C*
     return HermitianMatrix((C * w**v) @ C.conj().T)
 
@@ -283,29 +316,37 @@ def validate_sandwich(A, B, s):
     """Check the four scalar-multiple comparisons of the declared case.
 
     Each comparison of a matrix X with c*I gives the verdict loewner_leq
-    would, read off the extreme eigenvalues of X.
+    would, read off the extreme eigenvalues of X.  On success A remembers
+    (B, s), by weak reference to B, so the pair's certificates under s do
+    not validate again; a failed s is never remembered, and nothing is
+    factored.
     """
     _same_dim(A, B)
     low, high = (A, B) if s.case == "i" else (B, A)
-    lo, hi = low.eigenvalues(), high.eigenvalues()
+    _, low_least, low_greatest, low_norm = low._spectrum
+    _, high_least, high_greatest, high_norm = high._spectrum
 
-    def within(gap, c, X):
-        return _relative(float(gap), max(c, X.norm2())) >= -SANDWICH_TOL
+    def within(gap, c, norm):
+        return _relative(gap, max(c, norm)) >= -SANDWICH_TOL
 
-    return (
-        within(lo[0] - s.m, s.m, low)
-        and within(s.m_prime - lo[-1], s.m_prime, low)
-        and within(hi[0] - s.M_prime, s.M_prime, high)
-        and within(s.M - hi[-1], s.M, high)
+    holds = (
+        within(low_least - s.m, s.m, low_norm)
+        and within(s.m_prime - low_greatest, s.m_prime, low_norm)
+        and within(high_least - s.M_prime, s.M_prime, high_norm)
+        and within(s.M - high_greatest, s.M, high_norm)
     )
+    if holds:
+        A.__dict__["_sandwich"] = weakref.ref(B), s
+    return holds
 
 
 class _Pencil:
     """The reduction of the pair with entry arrays a, b: a = LL* and
-    X = L^{-1}bL^{-*}, symmetrized; lam = spec(X), read-only, on first use."""
+    X = L^{-1}bL^{-*}, symmetrized; lam = spec(X), read-only, on first use.
+    means is _certify's memo of the last weight's reduced means."""
 
     def __init__(self, a, b):
-        self.sandwich = self.means = None  # _certify's memo
+        self.means = None
         try:
             self.L = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
@@ -314,7 +355,7 @@ class _Pencil:
         X = np.linalg.solve(self.L, Y.conj().T)  # L^{-1}(L^{-1}B)* = L^{-1}BL^{-*}
         self.X = 0.5 * (X + X.conj().T)
 
-    @cached_property
+    @_lazy
     def lam(self):
         lam = np.linalg.eigvalsh(self.X)
         lam.setflags(write=False)
@@ -351,31 +392,42 @@ def _certify(A, B, v, s, tol, variant, claims):
     is loewner_leq's for the two diagonals.  An overflow in the factor's exp
     or log is numpy's, under the caller's np.errstate; its squares are float
     products and overflow to inf silently.  A factor that is not a finite
-    double (h or h' too large) raises DomainError.  The pair's _Pencil keeps
-    the last s that validated (matched by identity; a failed one is never
-    kept) and the last v's means, so one pair's certificates validate and
-    reduce once.
+    double (h or h' too large) raises DomainError.  The pair validates only
+    when A does not remember (B, s) from validate_sandwich (s matched by
+    identity), and its _Pencil keeps the last v's means, so one pair's
+    certificates validate and reduce once.
+
+    Where lam[0] > 0, as for every validated pencil (lam ascends), both means
+    are >= 0 and so is every factor, an exp_r value: |.| is the identity, and
+    as rounding is monotone, max(factor * geometric) is factor * max(geometric),
+    the same double.  So the scales are read without an |.| pass, and a
+    pencil with lam[0] <= 0 keeps the |.| expressions.
     """
     _check_threshold("tol", tol)
-    memo = A.__dict__.get("_pencil")
-    if memo is None or memo[0]() is not B or memo[1].sandwich is not s:
+    kept = A.__dict__.get("_sandwich")
+    if kept is None or kept[0]() is not B or kept[1] is not s:
         if not validate_sandwich(A, B, s):
             raise SandwichViolationError("matrices do not satisfy the declared sandwich")
     pencil = _pencil(A, B)
-    pencil.sandwich = s
     if pencil.means is None or pencil.means[0] != v:
         lam = pencil.lam
-        arithmetic = (1.0 - v) + v * lam
-        pencil.means = v, arithmetic, lam**v, float(np.abs(arithmetic).max())
-    _, arithmetic, geometric, arithmetic_scale = pencil.means
+        arithmetic, geometric = (1.0 - v) + v * lam, lam**v
+        if lam[0] > 0.0:
+            scales = float(np.maximum.reduce(arithmetic)), float(np.maximum.reduce(geometric))
+        else:
+            scales = float(np.abs(arithmetic).max()), None
+        pencil.means = v, arithmetic, geometric, *scales
+    _, arithmetic, geometric, arithmetic_scale, geometric_max = pencil.means
     for (claim_id, row), end, r in claims:
         factor = float(row.kernel(end, v, r))
         if not math.isfinite(factor):
             raise DomainError(f"{claim_id}: no finite scalar factor at h = {s.h!r}, "
                               f"h' = {s.h_prime!r} ({row.id} at t = {end!r})")
         bound = factor * geometric
-        scale = max(arithmetic_scale, float(np.abs(bound).max()))
-        margin = _relative(float(row.margin.sub(bound, arithmetic).min()), scale)
+        bound_scale = (float(np.abs(bound).max()) if geometric_max is None
+                       else factor * geometric_max)
+        smallest = float(np.minimum.reduce(row.margin.sub(bound, arithmetic)))
+        margin = _relative(smallest, max(arithmetic_scale, bound_scale))
         yield OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol)
 
 

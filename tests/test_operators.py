@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1012,22 +1013,177 @@ def test_certificates_at_a_new_weight_equal_a_fresh_pairs():
             repr(spectral_certificates(*fresh, v, s, k))
 
 
-def test_one_instance_validates_its_sandwich_twice(monkeypatch):
-    # The calls of one operator-certify instance of the benchmark: the direct
-    # validation, and the first certificate's; the two after it reuse it.
-    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
-    a, b = random_sandwich_pair(s, 4, np.random.default_rng(107), commuting=False)
-    A, B = HermitianMatrix(a.entries), HermitianMatrix(b.entries)
+def count_validations(monkeypatch):
+    """A list that gains one item per call of operators.validate_sandwich."""
     calls = []
     real = operators.validate_sandwich
     monkeypatch.setattr(operators, "validate_sandwich",
                         lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def fresh_pair(seed, s):
+    """A dim-4 pair for s that has not been validated yet."""
+    a, b = random_sandwich_pair(s, 4, np.random.default_rng(seed), commuting=False)
+    return HermitianMatrix(a.entries), HermitianMatrix(b.entries)
+
+
+def test_one_instance_validates_its_sandwich_once(monkeypatch):
+    # The calls of one operator-certify instance of the benchmark: the direct
+    # validation; the three certificates after it reuse its verdict.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    A, B = fresh_pair(107, s)
+    calls = count_validations(monkeypatch)
     assert operators.validate_sandwich(A, B, s)
     assert loewner_leq(weighted_geometric(A, B, 0.3), weighted_arithmetic(A, B, 0.3))[0]
     certify_corollary_one(A, B, 0.3, 0.5, s)
     for variant in ("interval-extremal", "as-stated"):
         certify_corollary_two(A, B, 0.3, -0.5, 0.5, s, variant)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_a_sandwich_that_failed_validation_is_never_remembered(monkeypatch):
+    # B's eigenvalues lie in [1, 1.3], so a spec claiming [1.5, 1.6] for it fails.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0, "ii")
+    bad = SandwichSpec(1.5, 1.6, 2.0, 5.0, "ii")
+    A, B = fresh_pair(109, s)
+    assert validate_sandwich(A, B, s)
+    assert not validate_sandwich(A, B, bad)
+    calls = count_validations(monkeypatch)
+    with pytest.raises(SandwichViolationError):
+        certify_corollary_one(A, B, 0.3, 0.5, bad)
+    assert len(calls) == 1  # the failed spec validated again, and failed again
+    # the good spec is still the one A remembers: no new validation
+    assert certify_corollary_one(A, B, 0.3, 0.5, s).holds
+    assert all(c.holds for c in certify_corollary_two(A, B, 0.3, -0.5, 0.5, s,
+                                                      "interval-extremal"))
+    assert len(calls) == 1
+
+
+def test_a_new_b_or_a_new_sandwich_validates_again(monkeypatch):
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    A, B = fresh_pair(113, s)
+    B2 = HermitianMatrix(B.entries)
+    equal_s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    assert validate_sandwich(A, B, s)
+    calls = count_validations(monkeypatch)
+    certify_corollary_one(A, B, 0.3, 0.5, s)
+    assert len(calls) == 0
+    # matched by identity: an equal but distinct B or s is another pair
+    for other_b, other_s, validations in ((B2, s, 1), (B, s, 2), (B, equal_s, 3),
+                                          (B, equal_s, 3), (B, s, 4)):
+        certify_corollary_one(A, other_b, 0.3, 0.5, other_s)
+        assert len(calls) == validations
+
+
+def test_sandwich_memo_does_not_keep_b_alive(monkeypatch):
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    A, B = fresh_pair(127, s)
+    assert validate_sandwich(A, B, s)
+    ref = weakref.ref(B)
+    del B
+    gc.collect()
+    assert ref() is None
+    calls = count_validations(monkeypatch)
+    _, B_new = fresh_pair(127, s)
+    certify_corollary_one(A, B_new, 0.3, 0.5, s)
+    assert len(calls) == 1
+
+
+def test_validating_a_pair_does_not_factor_a(monkeypatch):
+    # A = diag(-1, 1e12) is not positive definite.  Against m' = 1e12 its least
+    # eigenvalue is within SANDWICH_TOL of m = 1e-3, so the sandwich holds; a
+    # least eigenvalue of -1e3 is not.  Neither verdict factors A or raises.
+    B = HermitianMatrix.diagonal([2e12, 3e12])
+    s = SandwichSpec(1e-3, 1e12, 2e12, 3e12)
+    for least, verdict in ((-1.0, True), (-1e3, False)):
+        A = HermitianMatrix.diagonal([least, 1e12])
+        assert count_calls(monkeypatch, lambda: validate_sandwich(A, B, s),
+                           ("cholesky", "solve")) == 0
+        assert validate_sandwich(A, B, s) is verdict
+        assert "_pencil" not in A.__dict__
+        with pytest.raises(NotPositiveDefiniteError if verdict else SandwichViolationError):
+            certify_corollary_one(A, B, 0.3, 0.5, s)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_matrix_with_pair_memos_pickles(protocol):
+    # A keeps its pencil and sandwich memos by weak reference to B; a pickled
+    # copy drops them and certifies its own pair to the same bits.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    A, B = fresh_pair(139, s)
+    assert validate_sandwich(A, B, s)
+    weighted_geometric(A, B, 0.3)
+    want = repr(spectral_certificates(A, B, 0.3, s, 0))
+    A2, B2 = pickle.loads(pickle.dumps((A, B), protocol))
+    assert A2.entries.tobytes() == A.entries.tobytes()
+    assert not {"_pencil", "_sandwich"} & set(A2.__dict__)
+    assert repr(spectral_certificates(A2, B2, 0.3, s, 0)) == want
+
+
+def abs_pass_certificates(A, B, v, s, k):
+    """(scalar_factor, min_eigen_margin) of each of spectral_certificates(A, B,
+    v, s, k), keyed the same way, from the factor and the pencil spectrum
+    with an |.| pass for each scale: the reference the certificates skip
+    those passes against."""
+    lam = _pencil(A, B).lam
+    arithmetic, geometric = (1.0 - v) + v * lam, lam**v
+    arithmetic_scale = float(np.abs(arithmetic).max())
+    expected = {}
+    for key, cert in spectral_certificates(A, B, v, s, k).items():
+        bound = cert.scalar_factor * geometric
+        scale = max(arithmetic_scale, float(np.abs(bound).max()))
+        diff = arithmetic - bound if key[0].endswith("lower") else bound - arithmetic
+        smallest = float(diff.min())
+        expected[key] = cert.scalar_factor, smallest / scale if scale > 0.0 else smallest
+    return expected
+
+
+def hex_pairs(certs):
+    return {key: (c.scalar_factor.hex(), c.min_eigen_margin.hex()) for key, c in certs.items()}
+
+
+def test_certificate_scales_without_abs_passes_are_bitwise_equal():
+    rng = np.random.default_rng(131)
+    n_pairs = 0
+    for dim in range(1, 9):
+        for case in ("i", "ii"):
+            s = random_spec(rng, case)
+            A, B = random_sandwich_pair(s, dim, rng, commuting=False)
+            for e in (0, -12, 12):
+                f = 10.0**e
+                scaled = SandwichSpec(f * s.m, f * s.m_prime, f * s.M_prime, f * s.M, case)
+                pair = HermitianMatrix(f * A.entries), HermitianMatrix(f * B.entries)
+                assert validate_sandwich(*pair, scaled)
+                for k, v in enumerate((0.0, 0.3, 1.0)):
+                    assert _pencil(*pair).lam[0] > 0.0
+                    certs = spectral_certificates(*pair, v, scaled, k)
+                    expected = {key: (factor.hex(), margin.hex()) for key, (factor, margin)
+                                in abs_pass_certificates(*pair, v, scaled, k).items()}
+                    assert hex_pairs(certs) == expected, (dim, case, e, v)
+                    n_pairs += 1
+    assert n_pairs == 8 * 2 * 3 * 3
+
+
+def test_a_pencil_with_a_nonpositive_eigenvalue_keeps_the_abs_passes():
+    # No validated pair here has lam[0] <= 0, so the pencil's spectrum is set by
+    # hand.  Its margins are 0 at v = 0 and 1 (every factor is 1 there) and NaN
+    # in between (lam**v of -3), so the values cannot tell the branches apart:
+    # the memo's missing greatest geometric mean shows which one ran.
+    s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
+    A, B = fresh_pair(137, s)
+    assert validate_sandwich(A, B, s)
+    for lam, kept in (([-3.0, 0.0, 2.0, 2.5], True), ([0.0, 2.0, 2.5, 3.0], True),
+                      ([0.5, 2.0, 2.5, 3.0], False)):
+        for v in (0.0, 0.3, 1.0):
+            pencil = _pencil(A, B)
+            pencil.lam, pencil.means = np.array(lam), None
+            with np.errstate(invalid="ignore"):
+                certs = spectral_certificates(A, B, v, s, 0)
+                expected = {key: (factor.hex(), margin.hex()) for key, (factor, margin)
+                            in abs_pass_certificates(A, B, v, s, 0).items()}
+            assert hex_pairs(certs) == expected, (lam, v)
+            assert (pencil.means[-1] is None) is kept, (lam, v)
 
 
 def test_operator_layer_imports_numpy_only():

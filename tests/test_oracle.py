@@ -23,6 +23,7 @@ from youngbounds import (
     kantorovich,
     young_ratio,
 )
+from youngbounds.operators import _pencil
 
 mp.mp.dps = 50
 
@@ -168,3 +169,69 @@ def test_numpy_exp_log_log1p_are_within_one_ulp(name):
         worst = max(worst, float(abs(mp.mpf(yi) - want) / ulp))
     assert worst <= 1.0, (name, worst)
     assert [ufunc(xi) for xi in x[::50].tolist()] == y[::50].tolist()
+
+
+def _orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diagonal(r))
+
+
+def _hp_pencil_spectrum(A, B):
+    """spec(L^{-1}BL^{-T}) with A = LL^T, both real, in 60-digit arithmetic
+    from the binary64 entries of the stored matrices; ascending."""
+    with mp.workdps(60):
+        inv = mp.cholesky(mp.matrix(A.entries.real.tolist())) ** -1
+        X = inv * mp.matrix(B.entries.real.tolist()) * inv.T
+        E, _ = mp.eigsy((X + X.T) / 2)
+        return sorted(E[i] for i in range(A.dim))
+
+
+# Each pencil eigenvalue's relative error is below cond(A) * 1e-15 (about
+# 4.5 cond(A) eps); the worst of these 60 pairs per cond(A) read 3.0e-14 at
+# 1e2 and 2.3e-10 at 1e6 (numpy 2.4.6, OpenBLAS).
+@pytest.mark.parametrize("kappa", [1e2, 1e6])
+def test_pencil_spectrum_matches_60_digits(kappa):
+    worst = 0.0
+    for dim in range(1, 7):
+        for seed in range(10):
+            rng = np.random.default_rng([211, dim, seed, int(np.log10(kappa))])
+            U, V = _orthogonal(rng, dim), _orthogonal(rng, dim)
+            A = HermitianMatrix((U * np.geomspace(1.0, kappa, dim)) @ U.T)
+            B = HermitianMatrix((V * rng.uniform(0.5, 2.0, dim)) @ V.T)
+            lam = _pencil(A, B).lam
+            with mp.workdps(60):
+                exact = _hp_pencil_spectrum(A, B)
+                worst = max(worst, max(float(abs(mp.mpf(float(x)) - e) / e)
+                                       for x, e in zip(lam, exact)))
+    assert worst <= kappa * 1e-15, worst
+
+
+def _hp_margin(lam, v, factor, lower):
+    """The certificate's margin on a 60-digit spectrum, with its float factor."""
+    with mp.workdps(60):
+        v, factor = mp.mpf(v), mp.mpf(factor)
+        arithmetic = [(1 - v) + v * x for x in lam]
+        bound = [factor * x**v for x in lam]
+        diff = [a - b if lower else b - a for a, b in zip(arithmetic, bound)]
+        return min(diff) / max(abs(x) for x in arithmetic + bound)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: at cond(A) = 1e10 the pencil spectrum's rounding error moves this "
+    "as-stated lower margin by about 2e-7, from -1.05e-7 to +1.05e-7, a false 'holds'"))
+def test_a_kappa_1e10_certificate_agrees_with_60_digits():
+    # Case ii: A spans [M', M] with M = 1e10 M', its spectrum geomspace(M', M);
+    # B spans [m, m'] with both ends.  A seeded draw from a bounded search
+    # (seeds 0-299) for the largest such disagreement.
+    rng = np.random.default_rng([223, 226])
+    dim = int(rng.integers(2, 7))
+    m_prime = rng.uniform(1.0, 1.5)
+    M_prime = m_prime * rng.uniform(1.05, 3.0)
+    s = SandwichSpec(1.0, m_prime, M_prime, M_prime * 1e10, "ii")
+    U, V = _orthogonal(rng, dim), _orthogonal(rng, dim)
+    A = HermitianMatrix((U * np.geomspace(M_prime, s.M, dim)) @ U.T)
+    B = HermitianMatrix((V * np.r_[m_prime, 1.0, rng.uniform(1.0, m_prime, dim - 2)]) @ V.T)
+    v = 0.4286368133089614
+    lower, _ = certify_corollary_two(A, B, v, None, None, s)
+    exact = _hp_margin(_hp_pencil_spectrum(A, B), v, lower.scalar_factor, lower=True)
+    assert lower.holds == (exact >= -lower.tol), (lower.min_eigen_margin, float(exact))
