@@ -26,7 +26,9 @@ Congruence by L^{-1} maps (1-v)A + vB <= c * A #_v B to (1-v)I + vX <= cX^v,
 and both sides of the reduced claim are functions of X, so it holds exactly
 when the scalar inequality (1-v) + v*lam <= c*lam^v holds at every
 eigenvalue lam of X.  The explicit means stay public: loewner_leq on them
-is the oracle the certificates are tested against.
+is the oracle the certificates are tested against.  Only positive definite
+pairs are certified, as the corollaries assume: a sandwich validates no
+other, and a pencil with an eigenvalue <= 0 raises NotPositiveDefiniteError.
 
 Each claim's factor is its catalog row's kernel at an end of [h', h]
 (h = M/m, h' = M'/m'; case ii's spectrum lies in [1/h, 1/h'], and the rows
@@ -227,8 +229,8 @@ class OperatorCertificate:
 
     The claim is checked on the reduced pair: with lam = spec(A^{-1/2}BA^{-1/2}),
     left = (1-v) + v*lam and right = c*lam^v (swapped for a lower claim).
-    min_eigen_margin is min(right - left) / max(|left|, |right|), which is
-    what loewner_leq reports for (diag(left), diag(right)); it does not
+    min_eigen_margin is min(right - left) / max(left, right), both > 0, which
+    is what loewner_leq reports for (diag(left), diag(right)); it does not
     change when A, B and the sandwich are scaled together.  It equals the
     margin of the explicit means when A = I.  holds <=> margin >= -tol, and
     tol is finite and >= 0.  variant is None for the single-parameter claim.
@@ -292,11 +294,6 @@ def weighted_geometric(A, B, v):
     return HermitianMatrix((C * w**v) @ C.conj().T)
 
 
-def _relative(smallest, scale):
-    """smallest / scale, or smallest itself when the scale is 0."""
-    return smallest / scale if scale > 0.0 else smallest
-
-
 def loewner_leq(A, B, tol=1e-10):
     """Does A <= B in the Loewner order, within a normalized tolerance?
 
@@ -308,18 +305,20 @@ def loewner_leq(A, B, tol=1e-10):
     _same_dim(A, B)
     _check_threshold("tol", tol)
     smallest = float(np.linalg.eigvalsh(B.entries - A.entries)[0])
-    margin = _relative(smallest, max(A.norm2(), B.norm2()))
+    scale = max(A.norm2(), B.norm2())
+    margin = smallest / scale if scale > 0.0 else smallest
     return margin >= -tol, margin
 
 
 def validate_sandwich(A, B, s):
-    """Check the four scalar-multiple comparisons of the declared case.
+    """Is the pair positive definite and inside the declared case's sandwich?
 
-    Each comparison of a matrix X with c*I gives the verdict loewner_leq
-    would, read off the extreme eigenvalues of X.  On success A remembers
-    (B, s), by weak reference to B, so the pair's certificates under s do
-    not validate again; a failed s is never remembered, and nothing is
-    factored.
+    False when either matrix's least eigenvalue is <= 0: the corollaries
+    assume positive definite A and B.  Otherwise each comparison of a matrix
+    X with c*I gives loewner_leq's verdict, read off X's extreme eigenvalues.
+    On success A remembers (B, s), by weak reference to B, so the pair's
+    certificates under s do not validate again; a failed s is never
+    remembered, and nothing is factored.
     """
     _same_dim(A, B)
     low, high = (A, B) if s.case == "i" else (B, A)
@@ -327,10 +326,11 @@ def validate_sandwich(A, B, s):
     _, high_least, high_greatest, high_norm = high._spectrum
 
     def within(gap, c, norm):
-        return _relative(gap, max(c, norm)) >= -SANDWICH_TOL
+        return gap / max(c, norm) >= -SANDWICH_TOL  # c > 0
 
     holds = (
-        within(low_least - s.m, s.m, low_norm)
+        low_least > 0.0 and high_least > 0.0
+        and within(low_least - s.m, s.m, low_norm)
         and within(s.m_prime - low_greatest, s.m_prime, low_norm)
         and within(high_least - s.M_prime, s.M_prime, high_norm)
         and within(s.M - high_greatest, s.M, high_norm)
@@ -397,11 +397,13 @@ def _certify(A, B, v, s, tol, variant, claims):
     identity), and its _Pencil keeps the last v's means, so one pair's
     certificates validate and reduce once.
 
-    Where lam[0] > 0, as for every validated pencil (lam ascends), both means
-    are >= 0 and so is every factor, an exp_r value: |.| is the identity, and
-    as rounding is monotone, max(factor * geometric) is factor * max(geometric),
-    the same double.  So the scales are read without an |.| pass, and a
-    pencil with lam[0] <= 0 keeps the |.| expressions.
+    The corollaries assume positive definite A and B, so a pencil whose least
+    eigenvalue is not > 0 (lam ascends) raises NotPositiveDefiniteError, as in
+    weighted_geometric, and keeps no means.  On a positive pencil both means
+    are > 0 and every factor, an exp_r value, is >= 0, so the margin's scale,
+    the largest left or right, is max(max(arithmetic), factor * max(geometric)):
+    rounding is monotone, so the product is max(factor * geometric), the same
+    double.  The scale is at least min(1, lam[-1]) > 0.
     """
     _check_threshold("tol", tol)
     kept = A.__dict__.get("_sandwich")
@@ -411,23 +413,20 @@ def _certify(A, B, v, s, tol, variant, claims):
     pencil = _pencil(A, B)
     if pencil.means is None or pencil.means[0] != v:
         lam = pencil.lam
+        if not lam[0] > 0.0:
+            raise NotPositiveDefiniteError(f"pencil A^(-1/2)BA^(-1/2) is not positive "
+                                           f"definite (min eigenvalue {lam[0]:.3g})")
         arithmetic, geometric = (1.0 - v) + v * lam, lam**v
-        if lam[0] > 0.0:
-            scales = float(np.maximum.reduce(arithmetic)), float(np.maximum.reduce(geometric))
-        else:
-            scales = float(np.abs(arithmetic).max()), None
-        pencil.means = v, arithmetic, geometric, *scales
-    _, arithmetic, geometric, arithmetic_scale, geometric_max = pencil.means
+        pencil.means = (v, arithmetic, geometric, float(np.maximum.reduce(arithmetic)),
+                        float(np.maximum.reduce(geometric)))
+    _, arithmetic, geometric, arithmetic_max, geometric_max = pencil.means
     for (claim_id, row), end, r in claims:
         factor = float(row.kernel(end, v, r))
         if not math.isfinite(factor):
             raise DomainError(f"{claim_id}: no finite scalar factor at h = {s.h!r}, "
                               f"h' = {s.h_prime!r} ({row.id} at t = {end!r})")
-        bound = factor * geometric
-        bound_scale = (float(np.abs(bound).max()) if geometric_max is None
-                       else factor * geometric_max)
-        smallest = float(np.minimum.reduce(row.margin.sub(bound, arithmetic)))
-        margin = _relative(smallest, max(arithmetic_scale, bound_scale))
+        smallest = float(np.minimum.reduce(row.margin.sub(factor * geometric, arithmetic)))
+        margin = smallest / max(arithmetic_max, factor * geometric_max)
         yield OperatorCertificate(claim_id, factor, margin, margin >= -tol, variant, tol)
 
 

@@ -586,6 +586,21 @@ def test_operator_error_exits(capsys, scalar_pair, tmp_path):
     assert code == 3 and env["results"]["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("claim", ["one", "two"])
+@pytest.mark.parametrize("v", ["0", "0.5", "1"])
+def test_operator_b_with_a_negative_eigenvalue_exits_domain(capsys, tmp_path, claim, v):
+    # B = diag(-1, 1e12) is within the sandwich's tolerance of M' = 2 relative to
+    # its norm, but not positive definite: an error, not a verdict at any v.
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_matrix(a, HermitianMatrix.identity(2))
+    write_matrix(b, HermitianMatrix.diagonal([-1.0, 1e12]))
+    code, env, _ = run_json(capsys, "operator", "--a", str(a), "--b", str(b), "--v", v,
+                            "--claim", claim, "--m", "1", "--mprime", "1",
+                            "--Mprime", "2", "--M", "1e12")
+    assert code == 3 and env["status"] == "error"
+    assert env["results"]["error"]["type"] == "SandwichViolationError"
+
+
 def test_operator_non_ascii_matrix_file_exits_domain(capsys, scalar_pair, tmp_path):
     _, b = scalar_pair
     bom = tmp_path / "bom.txt"

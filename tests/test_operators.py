@@ -1092,18 +1092,37 @@ def test_sandwich_memo_does_not_keep_b_alive(monkeypatch):
 
 def test_validating_a_pair_does_not_factor_a(monkeypatch):
     # A = diag(-1, 1e12) is not positive definite.  Against m' = 1e12 its least
-    # eigenvalue is within SANDWICH_TOL of m = 1e-3, so the sandwich holds; a
-    # least eigenvalue of -1e3 is not.  Neither verdict factors A or raises.
+    # eigenvalue is within SANDWICH_TOL of m = 1e-3, yet the sandwich fails:
+    # validation takes only positive definite matrices.  A least eigenvalue of
+    # -1e3 is outside the tolerance too.  Neither verdict factors A or raises.
     B = HermitianMatrix.diagonal([2e12, 3e12])
     s = SandwichSpec(1e-3, 1e12, 2e12, 3e12)
-    for least, verdict in ((-1.0, True), (-1e3, False)):
+    for least in (-1.0, -1e3):
         A = HermitianMatrix.diagonal([least, 1e12])
         assert count_calls(monkeypatch, lambda: validate_sandwich(A, B, s),
                            ("cholesky", "solve")) == 0
-        assert validate_sandwich(A, B, s) is verdict
+        assert validate_sandwich(A, B, s) is False
         assert "_pencil" not in A.__dict__
-        with pytest.raises(NotPositiveDefiniteError if verdict else SandwichViolationError):
+        with pytest.raises(SandwichViolationError):
             certify_corollary_one(A, B, 0.3, 0.5, s)
+
+
+def test_a_b_with_a_negative_eigenvalue_is_refused():
+    # B = diag(-1, 1e12) is within SANDWICH_TOL of M' = 2 relative to its norm,
+    # but it is not positive definite: no sandwich validates it, in either
+    # role, and no certificate reads a verdict off its pencil.
+    A, B = HermitianMatrix.identity(2), HermitianMatrix.diagonal([-1.0, 1e12])
+    s = SandwichSpec(1.0, 1.0, 2.0, 1e12)
+    assert validate_sandwich(A, B, s) is False
+    assert validate_sandwich(B, A, SandwichSpec(1.0, 1.0, 2.0, 1e12, "ii")) is False
+    for v in (0.0, 0.5, 1.0):
+        with pytest.raises(SandwichViolationError):
+            certify_corollary_one(A, B, v, None, s)
+        for variant in ("as-stated", "interval-extremal"):
+            with pytest.raises(SandwichViolationError):
+                certify_corollary_two(A, B, v, None, None, s, variant)
+    with pytest.raises(NotPositiveDefiniteError):
+        weighted_geometric(A, B, 0.5)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -1165,25 +1184,30 @@ def test_certificate_scales_without_abs_passes_are_bitwise_equal():
     assert n_pairs == 8 * 2 * 3 * 3
 
 
-def test_a_pencil_with_a_nonpositive_eigenvalue_keeps_the_abs_passes():
+def test_a_pencil_with_a_nonpositive_eigenvalue_is_refused():
     # No validated pair here has lam[0] <= 0, so the pencil's spectrum is set by
-    # hand.  Its margins are 0 at v = 0 and 1 (every factor is 1 there) and NaN
-    # in between (lam**v of -3), so the values cannot tell the branches apart:
-    # the memo's missing greatest geometric mean shows which one ran.
+    # hand.  A pencil with an eigenvalue <= 0 is outside the corollaries'
+    # hypotheses: both raise before any means are kept.  A positive one still
+    # certifies to the |.| reference's bits.
     s = SandwichSpec(1.0, 1.3, 2.0, 5.0)
     A, B = fresh_pair(137, s)
     assert validate_sandwich(A, B, s)
-    for lam, kept in (([-3.0, 0.0, 2.0, 2.5], True), ([0.0, 2.0, 2.5, 3.0], True),
-                      ([0.5, 2.0, 2.5, 3.0], False)):
+    for lam, refused in (([-3.0, 0.0, 2.0, 2.5], True), ([0.0, 2.0, 2.5, 3.0], True),
+                         ([0.5, 2.0, 2.5, 3.0], False)):
         for v in (0.0, 0.3, 1.0):
             pencil = _pencil(A, B)
             pencil.lam, pencil.means = np.array(lam), None
-            with np.errstate(invalid="ignore"):
-                certs = spectral_certificates(A, B, v, s, 0)
-                expected = {key: (factor.hex(), margin.hex()) for key, (factor, margin)
-                            in abs_pass_certificates(A, B, v, s, 0).items()}
+            if refused:
+                with pytest.raises(NotPositiveDefiniteError):
+                    certify_corollary_one(A, B, v, None, s)
+                with pytest.raises(NotPositiveDefiniteError):
+                    certify_corollary_two(A, B, v, None, None, s)
+                assert pencil.means is None, (lam, v)
+                continue
+            certs = spectral_certificates(A, B, v, s, 0)
+            expected = {key: (factor.hex(), margin.hex()) for key, (factor, margin)
+                        in abs_pass_certificates(A, B, v, s, 0).items()}
             assert hex_pairs(certs) == expected, (lam, v)
-            assert (pencil.means[-1] is None) is kept, (lam, v)
 
 
 def test_operator_layer_imports_numpy_only():
