@@ -7,13 +7,21 @@ exp_r(W(v) s(t) base(t)^(-v-1)) (_kernel), so every entry is one
 scalar._dexp call.  The Kantorovich power is exp_0, the FM polynomial exp_1.
 Three entries carry r as a parameter; when the caller omits it the tightest
 admissible value is used (r = 1 for C33-expr and C38-hi, r = -1 for C38-lo, by
-the monotonicity of exp_r in r).  A point query reads a row as one subscript
-of the EvalPoint's memo, p._rows[row id, r]: the memo (scalar._Memo) computes
-a row it does not hold yet, once, looking it up in the one id -> row table
-_ROWS, and keeps it for every later query there.  R itself is one more row of
-that table, scalar._R_ROW: comparisons (the ordering chain, the differences,
-the margins) name it as "ratio" beside the catalog rows, but it is not a
-catalog entry.
+the monotonicity of exp_r in r).
+
+The 17 rows are 7 formulas, the families: rows whose pieces are equal differ
+only in r.  A family is named by its row with a free r where it has one:
+C33-expr (D1-exp, T31-poly), C38-lo (D2-lo-*, T36-lo-*), C38-hi (D2-hi-*,
+T36-hi-*), and K-upper, K-lower, FM-m and FM-M alone.  Each entry's memo key
+is (family id, its fixed or default r), so D1-exp is ("C33-expr", 0.0) and
+T36-hi-ge1 is ("C38-hi", 1.0).  A point query reads a row as one subscript of
+the EvalPoint's memo, p._rows[entry.key], or p._rows[family id, r] at a
+caller's r: the memo (scalar._Memo) computes a formula it does not hold yet at
+that r, once, with the family's free-r kernel in scalar._ROWS, and keeps it
+for every later query of any row of the family at that r.  R itself is one
+more operand, scalar._R_ROW, keyed ("ratio", None): comparisons (the ordering
+chain, the differences, the margins) name it as "ratio" beside the catalog
+rows (_OPERANDS), but it is not a catalog entry.
 
 Each region is a closed t-interval (_REGION_T) where the entry is valid: t = 1
 lies in both half-lines, and every entry is exactly 1 there.  It does not pick
@@ -145,7 +153,7 @@ def _kernel(c, pick, s, base, fixed):
 
 
 class _Pair:
-    """The one comparison of two rows (_ROWS, R included): lhs - rhs, or rhs - lhs
+    """The one comparison of two rows (_OPERANDS, R included): lhs - rhs, or rhs - lhs
     if reversed, on the narrower of their regions (they nest), t in [t_lo, t_hi].
     sub reads two values or two spectra, kernel arrays (rhs at r = None), and plan
     a grid walk: lhs's plan first, so a bound's t-only temporaries are gone before
@@ -184,6 +192,9 @@ class _Entry:
 
     c, pick, s, base and r are the row's pieces of _kernel's formula; r is None
     where the caller may choose r within scalar._admit_r's interval for its side.
+    family is the id of the row's family (the rows with equal pieces), and key
+    the row's memo key, (family id, its fixed or default r); both are set once
+    the catalog is built (_FAMILY).
     """
 
     def __init__(self, bid, side, region, c, pick, s, base, r, description):
@@ -191,7 +202,8 @@ class _Entry:
         if r is None:  # r is the caller's, by default the tightest
             self.default_r = _admit_r(bid, side == UPPER)
             deform = DeformParam(self.default_r)
-        self.id, self.region = bid, region
+        self.id, self.region, self.pieces = bid, region, (c, pick, s, base)
+        self.key = (bid, self.default_r if r is None else r)  # bid until _FAMILY
         self.t_lo, self.t_hi = _REGION_T[region]
         self.spec = BoundSpec(bid, side, region, deform, description)
         self.kernel, self.plan, self.v_rows = _kernel(c, pick, s, base, r)
@@ -208,7 +220,8 @@ class _Entry:
 
 # One row per entry: id, side, region, c, pick, s, base, r, description.  At
 # every t > 0, D1-exp and T31-poly are C33-expr at r = 0 and 1, D2-* is C38-*
-# at r = 0, and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1.
+# at r = 0, and T36-lo-* and T36-hi-* are C38-lo at r = -1 and C38-hi at r = 1:
+# equal pieces, so one family and one memo value per r (_FAMILY).
 _CATALOG = tuple(_Entry(*row) for row in (
     ("D1-exp", UPPER, ALL_T, 1.0, None, _identity_arg, None, 0.0,
      "exponential upper bound exp(v(1-v)(t-1)^2/t)"),
@@ -248,8 +261,21 @@ _CATALOG = tuple(_Entry(*row) for row in (
 
 _BY_ID = {e.id: e for e in _CATALOG}
 
-# Every row a comparison or a point may name: the catalog's, and R as "ratio".
-_ROWS.update(_BY_ID)
+# The family id of each row's pieces: of the rows with those pieces, the one
+# whose r is free where there is one, else the first.  Each entry's key takes
+# its family id, and scalar._ROWS the family's free-r kernel, which a point's
+# memo runs on a miss.
+_FAMILY = {}
+for _e in sorted(_CATALOG, key=lambda e: e.default_r is None):
+    _FAMILY.setdefault(_e.pieces, _e.id)
+for _e in _CATALOG:
+    _e.family = _FAMILY[_e.pieces]
+    _e.key = (_e.family, _e.key[1])
+del _e
+_ROWS.update((family, _kernel(*pieces, None)[0]) for pieces, family in _FAMILY.items())
+
+# Every row a comparison may name: the catalog's, and R as "ratio".
+_OPERANDS = {**_BY_ID, "ratio": _R_ROW}
 
 _SPECS = tuple(e.spec for e in _CATALOG)
 
@@ -262,10 +288,10 @@ _CHAIN = tuple((f"{lo} <= {hi}", lo, hi) for lo, hi in (
     ("D2-lo-le1", "FM-m"), ("FM-m", "ratio"), ("ratio", "FM-M"), ("FM-M", "D2-hi-le1"),
     ("T36-lo-le1", "FM-m"), ("FM-M", "T36-hi-le1")))
 
-# The memo keys of the chain's seven rows in the order of their first read,
-# each link's hi before its lo: the first read of a row at a point decides
-# whether it warns or raises there.
-_CHAIN_KEYS = tuple((bid, _ROWS[bid].default_r) for bid in dict.fromkeys(
+# The chain's seven rows with their memo keys, in the order of their first
+# read, each link's hi before its lo: the first read of a formula at a point
+# decides whether it warns or raises there.
+_CHAIN_KEYS = tuple((bid, _OPERANDS[bid].key) for bid in dict.fromkeys(
     bid for _, lo, hi in _CHAIN for bid in (hi, lo)))
 
 
@@ -305,7 +331,7 @@ def evaluate(bound_id, p, deform=None):
     entry = _BY_ID.get(bound_id) or _lookup(bound_id)
     if not entry.t_lo <= p.t <= entry.t_hi:
         raise _outside(entry, p)
-    return p._rows[entry.id, entry.default_r if deform is None else entry.admit(deform)]
+    return p._rows[entry.key if deform is None else (entry.family, entry.admit(deform))]
 
 
 def evaluate_grid(bound_id, t, v, deform=None):
@@ -336,7 +362,7 @@ def certify_point(bound_id, p, deform=None, tol=1e-12):
     if not entry.t_lo <= p.t <= entry.t_hi:
         raise _outside(entry, p)
     rows = p._rows
-    bound_value = rows[entry.id, entry.default_r if deform is None else entry.admit(deform)]
+    bound_value = rows[entry.key if deform is None else (entry.family, entry.admit(deform))]
     ratio_value = rows["ratio", None]
     margin = entry.margin.sub(bound_value, ratio_value)
     return Certificate(bound_id, p, ratio_value, bound_value, margin, margin >= -tol, tol)
@@ -355,7 +381,7 @@ def tightest(side, p):
     best = None
     for entry in _SIDE[side]:
         if entry.t_lo <= t <= entry.t_hi:
-            value = rows[entry.id, entry.default_r]
+            value = rows[entry.key]
             if best is None or (value < best[1] if upper else value > best[1]):
                 best = (entry.id, value)
     return best
@@ -365,12 +391,12 @@ def chain_check(p):
     """Margins of the six-link ordering chain on 0 < t <= 1 (_CHAIN).
 
     Each of the seven rows, R included, is read from the point's memo once per
-    call (_CHAIN_KEYS), so it is evaluated once per point however many links
-    name it; every margin is hi - lo, the amount by which its inequality holds
-    (>= 0 in exact arithmetic).
+    call (_CHAIN_KEYS), so its formula is evaluated once per point however
+    many links name it; every margin is hi - lo, the amount by which its
+    inequality holds (>= 0 in exact arithmetic).
     """
     if p.t > 1.0:
         raise RegionError(f"the ordering chain applies to t <= 1 only, got t={p.t}")
     rows = p._rows
-    value = {key[0]: rows[key] for key in _CHAIN_KEYS}
+    value = {bid: rows[key] for bid, key in _CHAIN_KEYS}
     return tuple([ChainLink(claim, value[hi] - value[lo]) for claim, lo, hi in _CHAIN])

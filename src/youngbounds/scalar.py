@@ -10,8 +10,9 @@ certificates) reduces to four functions of one or two real variables:
 
 The public entry points take the validated value types below; the private
 ``_*`` kernels accept floats or numpy arrays and are what the grid code uses.
-An EvalPoint's row memo (_Memo) is the one evaluator of rows at a point: a
-query reads p._rows[row id, r], and a miss runs the kernel of _ROWS[row id].
+An EvalPoint's memo (_Memo) is the one evaluator of rows at a point, one
+value per formula and r: a query reads p._rows[family id, r], and a miss runs
+the free-r kernel _ROWS[family id].
 exp_r is one function, _dexp, for points, grids and the blocks that grid
 walks fill in place (its out argument).
 Floats and arrays go through the same numpy ufuncs and the same IEEE
@@ -69,18 +70,18 @@ class EvalPoint:
     v: float
 
     # Fills __dict__ directly, as _record's __init__s do, but admits t and v
-    # first and starts the row memo, so it is written by hand.
+    # first and starts the memo, so it is written by hand.
     def __init__(self, t, v):
         fields = self.__dict__
         t = fields["t"] = _admit_t(t)
         v = fields["v"] = _admit_v("v", v)
-        # The point's row memo (_Memo), {(row id, r): value}; R is the row
+        # The point's memo (_Memo), {(family id, r): value}; R is the key
         # ("ratio", None).  Not a field: it takes no part in eq, hash or repr.
         fields["_rows"] = _Memo(t, v)
 
     @property
     def ratio(self):
-        """R(t, v) at this point, read through the row memo."""
+        """R(t, v) at this point, read through the point's memo."""
         return self._rows["ratio", None]
 
 
@@ -279,25 +280,30 @@ def _dexp(r, x, out=None, nonneg=False):
     return np.exp(np.log1p(arg) / r)
 
 
-# R itself as a row, the operand every bound is compared with.  The lambda
-# looks _ratio up at each call, so a substitute put in its place is the one used.
-_R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None,
+# R itself as a row, the operand every bound is compared with; its memo key
+# is ("ratio", None).  The lambda looks _ratio up at each call, so a substitute
+# put in its place is the one used.
+_R_ROW = SimpleNamespace(id="ratio", region="all-t", default_r=None, key=("ratio", None),
                          kernel=lambda t, v, r: _ratio(t, v), plan=_ratio_plan, v_rows=2)
 
 
-# Every row a point may read, by id: R here as "ratio", and each catalog entry,
-# which catalog adds under its bound id as it builds the catalog.
-_ROWS = {"ratio": _R_ROW}
+# The free-r kernel, kernel(t, v, r), of every formula a point may read, by
+# family id: R's here as "ratio", and one per catalog family (rows whose pieces
+# are equal), which catalog adds as it builds the catalog.
+_ROWS = {"ratio": _R_ROW.kernel}
 
 
 class _Memo(dict):
-    """The row memo of the point (t, v), {(row id, r): value}, r None for a
-    fixed-r row: the one place a row, R included, is evaluated at a point.
+    """The memo of the point (t, v), {(family id, r): value}: the one place a
+    row, R included, is evaluated at a point, once per formula and r.
 
-    A point query reads a row as one subscript, p._rows[row id, r].  A miss
-    looks the row up in _ROWS, computes its kernel at (t, v, r) and keeps the
-    value, so every later query of the same row at the point reads it.  A
-    kernel that raises keeps nothing, and the same query raises again.
+    A point query reads a row as one subscript, p._rows[entry.key], or
+    p._rows[family id, r] at a caller's r (catalog's families: D1-exp,
+    T31-poly and C33-expr's default are C33-expr at r = 0, 1 and 1).  A miss
+    computes the family's free-r kernel _ROWS[family id] at (t, v, r) and
+    keeps the value for every later read of the family at that r, so the
+    first read decides whether it warns or raises.  A kernel that raises
+    keeps nothing, and the same query raises again.
     """
 
     __slots__ = ("t", "v")
@@ -306,8 +312,8 @@ class _Memo(dict):
         self.t, self.v = t, v
 
     def __missing__(self, key):
-        row_id, r = key
-        value = self[key] = float(_ROWS[row_id].kernel(self.t, self.v, r))
+        family, r = key
+        value = self[key] = float(_ROWS[family](self.t, self.v, r))
         return value
 
     # Slots without __getstate__ do not pickle at protocols 0 and 1; this

@@ -9,7 +9,8 @@ Three jobs live here:
   dominates the other).  Each is the catalog._Pair of two rows, R being one
   more row; diff-ropt is C33-expr at a caller's r, which may exceed 1, minus R.
   At one point, eval_diff reads its two rows as every point query does, each
-  one subscript of the EvalPoint's memo, p._rows[row id, r];
+  one subscript of the EvalPoint's memo, p._rows[row.key], or p._rows[family
+  id, r] at diff-ropt's r (so diff-ropt at r = 0 reads D1-exp's value);
 - reproduce_remarks: recompute the published six-figure comparison values
   and report the absolute errors.
 
@@ -209,7 +210,7 @@ class _Diff(catalog._Pair):
     takes the caller's r (needs_r) gets it; the rest get r = None."""
 
     def __init__(self, diff_id, lhs_id, rhs_id, t_lo, t_hi, delta):
-        super().__init__(catalog._ROWS[lhs_id], catalog._ROWS[rhs_id])
+        super().__init__(catalog._OPERANDS[lhs_id], catalog._OPERANDS[rhs_id])
         self.id, self.preset = diff_id, (t_lo, t_hi, delta)
         self.needs_r = self.lhs.default_r is not None
 
@@ -417,9 +418,9 @@ def eval_diff(diff_id, p, r=None):
     diff = _DIFF_BY_ID.get(diff_id) or _lookup_diff(diff_id)
     if not diff.t_lo <= p.t <= diff.t_hi:
         raise RegionError(f"{diff_id} is restricted to region {diff.region}, got t={p.t}")
-    rows = p._rows
-    lhs = rows[diff.lhs.id, _admit_diff_r(diff, r)]
-    return lhs - rows[diff.rhs.id, None]
+    rows, lhs = p._rows, diff.lhs
+    key = (lhs.family, _admit_diff_r(diff, r)) if diff.needs_r else lhs.key
+    return rows[key] - rows[diff.rhs.key]
 
 
 def _grid_extrema(diff, tg, vg, r):

@@ -219,7 +219,9 @@ def test_entries_bound_the_ratio_on_their_regions(bid, data):
     spec = get_bound(bid)
     u = data.draw(REGION_LOG_T[spec.region])
     v = data.draw(st.floats(0.0, 1.0))
-    cert = certify_point(bid, EvalPoint(10.0**u, v))
+    # Near the windows' far ends the D2-hi rows' exp overflows to inf, a bound that holds.
+    with np.errstate(over="ignore"):
+        cert = certify_point(bid, EvalPoint(10.0**u, v))
     assert cert.margin >= -1e-12
 
 
@@ -268,8 +270,10 @@ def test_tightest_rejects_unknown_side():
 @relaxed
 def test_tightest_envelope_brackets_ratio(u, v):
     p = EvalPoint(10.0**u, v)
-    upper, hi = tightest(UPPER, p)
-    lower, lo = tightest(LOWER, p)
+    # Near t = 1e-3 and 1e3 the D2-hi rows' exp overflows to inf, never the tightest.
+    with np.errstate(over="ignore"):
+        upper, hi = tightest(UPPER, p)
+        lower, lo = tightest(LOWER, p)
     assert "ratio" not in (upper, lower)
     r = young_ratio(p)
     assert lo <= r + 1e-12
@@ -297,7 +301,10 @@ def test_chain_rejects_t_above_one():
 @given(st.floats(-3.0, 0.0), st.floats(0.0, 1.0))
 @relaxed
 def test_chain_margins_nonnegative(u, v):
-    for link in chain_check(EvalPoint(10.0**u, v)):
+    # Near t = 1e-3, D2-hi-le1's exp overflows to inf, a link that holds.
+    with np.errstate(over="ignore"):
+        links = chain_check(EvalPoint(10.0**u, v))
+    for link in links:
         assert link.margin >= -1e-12, link.claim
 
 
@@ -321,9 +328,10 @@ def test_ratio_computed_once_per_point(monkeypatch):
 def test_cached_ratio_is_not_part_of_point_identity():
     used = EvalPoint(0.3, 0.4)
     assert used.ratio > 1.0
-    _profile(used, 0.7)  # fills the row memo too
-    # 13 in-region rows, C33-expr at diff-ropt's r, and R.
-    assert len(used._rows) == 15
+    _profile(used, 0.7)  # fills the point's memo too
+    # The 13 in-region rows are 10 (formula, r) pairs; C33-expr at
+    # diff-ropt's r and R make 12.
+    assert len(used._rows) == 12
     fresh = EvalPoint(0.3, 0.4)
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -407,13 +415,14 @@ def test_an_eval_point_admits_t_then_v_and_replace_starts_a_fresh_memo():
 
 
 def _count_kernel_calls(monkeypatch):
-    """Wrap every row's kernel, R's included; returns the list of (row id, r) calls."""
+    """Wrap every formula's free-r kernel, R's included, the kernels a point's
+    memo runs; returns the list of (family id, r) calls."""
     calls = []
-    for row in (*catalog._CATALOG, scalar._R_ROW):
-        def counting(t, v, r, bid=row.id, kernel=row.kernel):
-            calls.append((bid, r))
+    for family, kernel in list(scalar._ROWS.items()):
+        def counting(t, v, r, family=family, kernel=kernel):
+            calls.append((family, r))
             return kernel(t, v, r)
-        monkeypatch.setattr(row, "kernel", counting)
+        monkeypatch.setitem(scalar._ROWS, family, counting)
     return calls
 
 
@@ -428,33 +437,58 @@ def _profile(p, r):
     return certs, values, best, links, diffs
 
 
-@pytest.mark.parametrize("t, n_rows", [(0.3, 13), (1.0, 17), (4.0, 11)])
-def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows):
+# The families' memo keys: the 17 rows are 7 formulas at five values of r.
+FAMILY_KEYS = {
+    "D1-exp": ("C33-expr", 0.0), "K-upper": ("K-upper", 0.0), "K-lower": ("K-lower", 0.0),
+    "D2-lo-le1": ("C38-lo", 0.0), "D2-hi-le1": ("C38-hi", 0.0), "D2-lo-ge1": ("C38-lo", 0.0),
+    "D2-hi-ge1": ("C38-hi", 0.0), "FM-m": ("FM-m", 1.0), "FM-M": ("FM-M", 1.0),
+    "T31-poly": ("C33-expr", 1.0), "C33-expr": ("C33-expr", 1.0),
+    "T36-lo-le1": ("C38-lo", -1.0), "T36-hi-le1": ("C38-hi", 1.0),
+    "T36-lo-ge1": ("C38-lo", -1.0), "T36-hi-ge1": ("C38-hi", 1.0),
+    "C38-lo": ("C38-lo", -1.0), "C38-hi": ("C38-hi", 1.0),
+}
+
+
+def test_rows_are_keyed_by_family_and_r():
+    assert {e.id: e.key for e in catalog._CATALOG} == FAMILY_KEYS
+    assert {e.id: e.family for e in catalog._CATALOG} == {
+        bid: key[0] for bid, key in FAMILY_KEYS.items()}
+    assert set(scalar._ROWS) == {"ratio"} | {key[0] for key in FAMILY_KEYS.values()}
+    assert scalar._R_ROW.key == ("ratio", None)
+    for key in (*FAMILY_KEYS.values(), scalar._R_ROW.key):
+        assert type(key[0]) is str and type(key[1]) in (float, type(None)), key
+
+
+# t, the in-region rows at t, and the kernel calls of one point profile at
+# (t, 0.4) with diff-ropt's r = 0.7: one per (formula, r).
+@pytest.mark.parametrize("t, n_rows, n_calls", [(0.3, 13, 12), (1.0, 17, 12), (4.0, 11, 10)],
+                         ids=["0.3-13", "1.0-17", "4.0-11"])
+def test_each_row_is_evaluated_once_per_point(monkeypatch, t, n_rows, n_calls):
     calls = _count_kernel_calls(monkeypatch)
     p = EvalPoint(t, 0.4)
     first = _profile(p, 0.7)
     assert _profile(p, 0.7) == first
-    # Each in-region row at its default r, C33-expr at diff-ropt's r, and R.
-    assert len(calls) == len(set(calls)) == n_rows + 2
-    assert ("C33-expr", 0.7) in calls and ("C33-expr", 1.0) in calls
-    # On a fresh point the chain reads its rows in the order of their first
-    # read (each link's hi before its lo), then tightest reads each side's
-    # in-region entries in catalog order: every kernel once.
+    # Each in-region row's (formula, r), C33-expr at diff-ropt's r, and R.
+    inside = [e for e in catalog._CATALOG if e.t_lo <= t <= e.t_hi]
+    assert len(inside) == n_rows
+    assert len(calls) == len(set(calls)) == n_calls
+    assert set(calls) == {e.key for e in inside} | {("C33-expr", 0.7), ("ratio", None)}
+    # On a fresh point the chain reads its formulas in the order of their
+    # first read (each link's hi before its lo), then tightest reads each
+    # side's in-region entries in catalog order: every kernel once.
     calls.clear()
     fresh = EvalPoint(t, 0.4)
     links = chain_check(fresh) if t <= 1.0 else ()
     best = tightest(UPPER, fresh), tightest(LOWER, fresh)
-    chain = (["FM-m", "D2-lo-le1", "ratio", "FM-M", "D2-hi-le1", "T36-lo-le1", "T36-hi-le1"]
-             if t <= 1.0 else [])
-    sides = [e.id for side in (UPPER, LOWER) for e in catalog._CATALOG
-             if e.spec.side == side and e.t_lo <= t <= e.t_hi and e.id not in chain]
-    assert [bid for bid, _ in calls] == chain + sides
+    chain = ([("FM-m", 1.0), ("C38-lo", 0.0), ("ratio", None), ("FM-M", 1.0), ("C38-hi", 0.0),
+              ("C38-lo", -1.0), ("C38-hi", 1.0)] if t <= 1.0 else [])
+    sides = [e.key for side in (UPPER, LOWER) for e in inside if e.spec.side == side]
+    assert calls == list(dict.fromkeys(chain + sides))
     assert (links, best) == (first[3], first[2])
-    # tightest alone on a fresh point reads every in-region entry of its side.
+    # tightest alone on a fresh point reads every in-region entry's formula of its side.
     calls.clear()
     assert (tightest(UPPER, EvalPoint(t, 0.4)), tightest(LOWER, EvalPoint(t, 0.4))) == best
-    assert [bid for bid, _ in calls] == [e.id for side in (UPPER, LOWER) for e in catalog._CATALOG
-                                         if e.spec.side == side and e.t_lo <= t <= e.t_hi]
+    assert calls == list(dict.fromkeys(sides))
 
 
 def _copied(p, how):
@@ -468,21 +502,22 @@ def _copied(p, how):
 @pytest.mark.parametrize("how", [f"pickle-{k}" for k in range(6)] + ["copy", "deepcopy"])
 def test_a_point_with_kept_values_survives_pickle_and_copy(monkeypatch, how):
     used = EvalPoint(0.3, 0.4)
-    kept = {("D1-exp", None): evaluate("D1-exp", used),
+    kept = {("C33-expr", 0.0): evaluate("D1-exp", used),
             ("C33-expr", 0.7): evaluate("C33-expr", used, 0.7),
             ("ratio", None): used.ratio}
     same = _copied(used, how)
     assert same == used and type(same._rows) is type(used._rows) and same._rows == kept
-    # Its kept values are read, not computed again.
+    # Its kept values are read, not computed again, by every row of their family.
     calls = _count_kernel_calls(monkeypatch)
-    assert evaluate("D1-exp", same) == kept["D1-exp", None]
+    assert evaluate("D1-exp", same) == kept["C33-expr", 0.0]
     cert = certify_point("C33-expr", same, 0.7)
     assert (cert.bound_value, cert.ratio_value) == (kept["C33-expr", 0.7], kept["ratio", None])
+    assert eval_diff("diff-ropt", same, 0.0) == kept["C33-expr", 0.0] - kept["ratio", None]
     assert calls == []
-    # A new row is evaluated at the copy's own (t, v), once.
+    # A new formula is evaluated at the copy's own (t, v), once.
     assert evaluate("K-upper", same) == evaluate("K-upper", EvalPoint(0.3, 0.4))
-    assert evaluate("K-upper", same) == same._rows["K-upper", None]
-    assert calls == [("K-upper", None)] * 2
+    assert evaluate("K-upper", same) == same._rows["K-upper", 0.0]
+    assert calls == [("K-upper", 0.0)] * 2
     # A shallow copy shares the memo, as it shares every attribute; the
     # others own theirs, and the original keeps only its own values.
     assert (same._rows is used._rows) == (how == "copy")
@@ -490,13 +525,14 @@ def test_a_point_with_kept_values_survives_pickle_and_copy(monkeypatch, how):
 
 
 def test_a_chain_row_that_raised_keeps_nothing():
-    # FM-M's t^(-v-1) overflows at t = 1e-300; the three rows read before it
-    # are kept, FM-M is not, and the next chain_check raises again.
+    # FM-M's t^(-v-1) overflows at t = 1e-300; the three formulas read before
+    # it (FM-m, D2-lo-le1 as C38-lo at r = 0, R) are kept, FM-M is not, and the
+    # next chain_check raises again.
     p = EvalPoint(1e-300, 0.5)
     for _ in range(2):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             chain_check(p)
-        assert list(p._rows) == [("FM-m", None), ("D2-lo-le1", None), ("ratio", None)]
+        assert list(p._rows) == [("FM-m", 1.0), ("C38-lo", 0.0), ("ratio", None)]
     with np.errstate(over="ignore"):
         assert len(chain_check(p)) == 6
     assert len(p._rows) == 7
@@ -511,9 +547,14 @@ def test_a_row_at_two_r_is_two_values():
     fresh = EvalPoint(1e-6, 0.999999)
     assert evaluate("C33-expr", fresh) == c33
     assert eval_diff("diff-ropt", fresh, 1.001) == ropt
-    # diff-ropt at r = 1 reads C33-expr's default value.
+    # diff-ropt at r = 1 and T31-poly read C33-expr's default value.
     assert eval_diff("diff-ropt", p, 1.0) == c33 - p.ratio
+    assert evaluate("T31-poly", p) == c33
     assert len(p._rows) == 3
+    # D1-exp is C33-expr at a third r, 0: a third value.
+    d1 = evaluate("D1-exp", p)
+    assert eval_diff("diff-ropt", p, 0.0) == d1 - p.ratio and d1 != c33
+    assert set(p._rows) - set(fresh._rows) == {("C33-expr", 0.0)}
 
 
 def test_an_equal_point_computes_its_values_again(monkeypatch):
@@ -521,7 +562,7 @@ def test_an_equal_point_computes_its_values_again(monkeypatch):
     a, b = EvalPoint(2.0, 0.3), EvalPoint(2.0, 0.3)
     assert a == b
     assert evaluate("D1-exp", a) == evaluate("D1-exp", b) == evaluate("D1-exp", a)
-    assert calls == [("D1-exp", None)] * 2
+    assert calls == [("C33-expr", 0.0)] * 2
 
 
 def test_a_query_that_raised_keeps_nothing():
@@ -540,12 +581,35 @@ def test_a_query_that_raised_keeps_nothing():
     for _ in range(2):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             eval_diff("diff-l", p)
-    assert list(p._rows) == [("K-upper", None)]
+    assert list(p._rows) == [("K-upper", 0.0)]
     # The first query that completes decides: its value is kept and read.
     with np.errstate(over="ignore"):
         assert evaluate("D1-exp", p) == np.inf
     with np.errstate(over="raise"):
         assert evaluate("D1-exp", p) == np.inf
+
+
+def test_the_first_read_of_a_formula_decides_whether_it_warns_or_raises():
+    # D1-exp and diff-ropt at r = 0 read one formula, C33-expr at r = 0, whose
+    # exp overflows at t = 1e4, v = 1/2.  A read that raises keeps nothing, so
+    # the other row's first read raises too.
+    p = EvalPoint(1e4, 0.5)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            evaluate("D1-exp", p)
+        assert p._rows == {}
+        with pytest.raises(FloatingPointError):
+            eval_diff("diff-ropt", p, 0.0)
+        assert p._rows == {}
+    # A read that warns keeps inf: later reads of the formula, by either row,
+    # neither warn nor raise.
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert eval_diff("diff-ropt", p, -0.0) == np.inf
+    with np.errstate(over="raise"):
+        assert evaluate("D1-exp", p) == np.inf
+        assert certify_point("D1-exp", p).margin == np.inf
+        assert eval_diff("diff-ropt", p, 0.0) == np.inf
+    assert list(p._rows) == [("C33-expr", 0.0), ("ratio", None)]
 
 
 def test_every_row_is_one_formula():
@@ -730,10 +794,14 @@ def test_kept_values_equal_fresh_and_grid_values_bitwise(t, v):
     assert kept == first == fresh == grid
 
 
-# Twins: rows whose kernels are one formula at every t > 0.  A half-line row
-# reads its family's one square on both sides of 1, so off its region it is
-# its other-half twin and, at the twins' r, its all-t family member.
+# Twins: rows whose kernels are one formula at every t > 0, so one entry of a
+# point's memo (their family's, at their r).  A half-line row reads its
+# family's one square on both sides of 1, so off its region it is its
+# other-half twin and, at the twins' r, its all-t family member.  D1-exp and
+# T31-poly are C33-expr at r = 0 (exp_r is exp below R_ZERO_SWITCH) and 1.
 TWINS = (
+    (("D1-exp", None), ("C33-expr", 1e-23)),
+    (("T31-poly", None), ("C33-expr", 1.0)),
     (("D2-lo-le1", None), ("D2-lo-ge1", None), ("C38-lo", -1e-23)),
     (("D2-hi-le1", None), ("D2-hi-ge1", None), ("C38-hi", 1e-23)),
     (("T36-lo-le1", None), ("T36-lo-ge1", None), ("C38-lo", -1.0)),
@@ -741,7 +809,7 @@ TWINS = (
 )
 
 
-@pytest.mark.parametrize("twins", TWINS, ids=[row[0][0][:-4] for row in TWINS])
+@pytest.mark.parametrize("twins", TWINS, ids=[row[0][0].removesuffix("-le1") for row in TWINS])
 def test_half_line_rows_equal_their_twins_on_both_sides_bitwise(twins):
     rng = np.random.default_rng(11)
     edges = [5e-324, 1e-300, 0.25, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 4.0,
@@ -772,6 +840,34 @@ def test_no_row_raises_at_any_t(u, v):
             for r in _r_ends(spec):
                 evaluate_grid(spec.id, np.array([t]), np.array([v]), r)
                 catalog._BY_ID[spec.id].kernel(t, v, r)
+
+
+EDGE_T = (5e-324, 1e-300, 1e-9, 1.0, 1e9, 1e300, 1.7e308)
+EDGE_V = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+@pytest.mark.parametrize("t", EDGE_T)
+def test_shared_memo_values_equal_each_rows_own_kernel_bitwise(monkeypatch, t):
+    # Rows of one family share a memo entry at equal r, computed by whichever
+    # row reads it first.  Read in catalog order, each row's memo value, at its
+    # default r and at the ends of its r interval, is its own kernel's bits,
+    # and each (formula, r) is computed once.
+    calls = _count_kernel_calls(monkeypatch)
+    with np.errstate(all="ignore"):
+        for v in EDGE_V:
+            calls.clear()
+            p = EvalPoint(t, v)
+            ratio = p.ratio
+            for e in catalog._CATALOG:
+                for r in _r_ends(e.spec):
+                    got = p._rows[e.key if r is None else (e.family, r)]
+                    assert _bits(got) == _bits(e.kernel(t, v, r)), (e.id, r, t, v)
+            assert len(calls) == len(set(calls)) == len(p._rows)
+            # diff-ropt at r = 0.0 and at r = -0.0 reads D1-exp's entry.
+            d1, n = p._rows[catalog._BY_ID["D1-exp"].key], len(calls)
+            for r in (0.0, -0.0):
+                assert _bits(eval_diff("diff-ropt", p, r)) == _bits(d1 - ratio), (r, t, v)
+            assert len(calls) == n
 
 
 # Every all-t row, each r of a deformed one as (id, r).
